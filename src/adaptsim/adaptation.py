@@ -8,7 +8,6 @@ directly, or alert first and reconfigure after a grace period.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,6 +58,7 @@ class Observation:
     links: dict = field(default_factory=dict)        # frozenset -> LinkObs
     components: dict = field(default_factory=dict)   # id -> CompObs
     connectors: dict = field(default_factory=dict)   # id -> ConnObs
+    routes: Optional[kernel.Routes] = None           # built on first use
 
 
 @dataclass
@@ -168,33 +168,19 @@ def observe(world, now: int) -> Observation:
     return obs
 
 
+def _obs_routes(obs: Observation) -> kernel.Routes:
+    if obs.routes is None:
+        obs.routes = kernel.Routes(
+            {hid: ho.up for hid, ho in obs.hosts.items()}, obs.links)
+    return obs.routes
+
+
 def _obs_path(obs: Observation, src: str, dst: str) -> Optional[list]:
     """Fewest-hop path over the observation's up hosts and links."""
     if src == dst:
         return [src]
-    if not obs.hosts.get(src, HostObs(False, 0, 0, None)).up:
-        return None
-    heap = [(0, (src,))]
-    seen = {}
-    while heap:
-        hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node == dst:
-            return list(path)
-        nbrs = []
-        for pair, lo in obs.links.items():
-            if node in pair and lo.up:
-                other = next(iter(pair - {node}))
-                if obs.hosts.get(other) and obs.hosts[other].up:
-                    nbrs.append(other)
-        for nxt in sorted(nbrs):
-            if nxt in path:
-                continue
-            cand = (hops + 1, path + (nxt,))
-            if nxt not in seen or cand < seen[nxt]:
-                seen[nxt] = cand
-                heapq.heappush(heap, cand)
-    return None
+    path = _obs_routes(obs).path(src, dst)
+    return None if path is None else list(path)
 
 
 # -- QoS heuristic ---------------------------------------------------------
@@ -249,9 +235,6 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
                 break
             for a, b in zip(path, path[1:]):
                 lo = obs.links[frozenset((a, b))]
-                if not lo.up:
-                    score = 0.0
-                    break
                 if mk.policy.bw_demand > 0:
                     score = min(score, max(
                         0.0, min(1.0, lo.bw_free / mk.policy.bw_demand)))
@@ -401,9 +384,11 @@ def _score_assignment(model, obs, descriptors, affected, assignment,
         hyp.components[cid] = kernel.ModelComponent(
             host=hid, tier=tier, behavior=mc.behavior,
             lifecycle=mc.lifecycle)
+    # same up flags as obs, so the same routes
     hyp_obs = Observation(at=obs.at, hosts=hyp_hosts, links=obs.links,
                           components=obs.components,
-                          connectors=obs.connectors)
+                          connectors=obs.connectors,
+                          routes=_obs_routes(obs))
     return evaluate_qos(hyp, hyp_obs, descriptors, weights).global_score
 
 

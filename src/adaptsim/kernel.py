@@ -9,8 +9,6 @@ world owns all mutable runtime state.
 
 from __future__ import annotations
 
-import copy
-import heapq
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Any, Optional
@@ -48,6 +46,17 @@ SERVICE_MATRIX = {
 }
 
 
+class TopologyFlag:
+    """A host or link: writing its `up` flag bumps `topology_version` on
+    each world holding it."""
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name == "up":
+            for world in self.__dict__.get("_worlds", ()):
+                world.topology_version += 1
+
+
 @dataclass
 class Battery:
     level: float
@@ -59,7 +68,7 @@ class Battery:
 
 
 @dataclass
-class HostDescriptor:
+class HostDescriptor(TopologyFlag):
     id: str
     tier: HostTier
     cpu_capacity: float
@@ -231,62 +240,71 @@ def reconstruct_model(world) -> ArchitectureModel:
 
 # -- routing ---------------------------------------------------------------
 
-def link_up(world, a: str, b: str) -> bool:
-    link = world.links.get(frozenset((a, b)))
-    if link is None or not link.up:
-        return False
-    return world.hosts[a].desc.up and world.hosts[b].desc.up
+def bfs_path(adj: dict, src: str, dst: str) -> Optional[tuple]:
+    """Fewest hops from src to dst; ties to the lexicographically least path.
+
+    Neighbours expand in sorted order and the first path to reach a node is
+    kept, so within one level the queue is in the lexicographic order of
+    those paths.
+    """
+    reached = {src: (src,)}
+    queue = [src]
+    for node in queue:
+        for nxt in adj.get(node, ()):
+            if nxt not in reached:
+                reached[nxt] = reached[node] + (nxt,)
+                if nxt == dst:
+                    return reached[nxt]
+                queue.append(nxt)
+    return reached.get(dst)
+
+
+class Routes:
+    """Fewest-hop routes over one topology: an adjacency index, where adj[a]
+    lists in sorted order every b such that link a-b and host b are up, and
+    a memo of the paths asked for.  `links` maps endpoint pairs to records
+    with an `up` flag; no up flag may change while the routes are in use."""
+
+    def __init__(self, host_up: dict, links: dict):
+        self.host_up = host_up
+        self.adj: dict = {}
+        for (a, b), link in links.items():
+            if link.up and host_up.get(b):
+                self.adj.setdefault(a, []).append(b)
+            if link.up and host_up.get(a):
+                self.adj.setdefault(b, []).append(a)
+        for nbrs in self.adj.values():
+            nbrs.sort()
+        self._paths: dict = {}
+
+    def path(self, src: str, dst: str) -> Optional[tuple]:
+        """None when src is down or dst is unreachable."""
+        if (src, dst) not in self._paths:
+            self._paths[src, dst] = (bfs_path(self.adj, src, dst)
+                                     if self.host_up.get(src) else None)
+        return self._paths[src, dst]
 
 
 def neighbors(world, hid: str) -> list:
-    out = []
-    for pair, link in world.links.items():
-        if hid in pair and link.up:
-            other = next(iter(pair - {hid}))
-            if world.hosts[other].desc.up:
-                out.append(other)
-    return sorted(out)
+    return list(world.routes().adj.get(hid, ()))
 
 
 def shortest_path(world, src: str, dst: str) -> Optional[list]:
     """Fewest hops over up links; ties to the lexicographically least path."""
-    if src == dst:
-        return [src] if world.hosts[src].desc.up else None
-    if not world.hosts[src].desc.up or not world.hosts[dst].desc.up:
-        return None
-    heap = [(0, (src,))]
-    best: dict = {}
-    while heap:
-        hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node == dst:
-            return list(path)
-        if node in best and best[node] < (hops, path):
-            continue
-        for nxt in neighbors(world, node):
-            if nxt in path:
-                continue
-            cand = (hops + 1, path + (nxt,))
-            if nxt not in best or cand < best[nxt]:
-                best[nxt] = cand
-                heapq.heappush(heap, cand)
-    return None
+    path = world.routes().path(src, dst)
+    return None if path is None else list(path)
 
 
 def nearest_full_neighbor(world, src: str) -> Optional[str]:
     """Closest reachable full-tier host, by (hops, id)."""
     cands = []
     for hid in sorted(world.hosts):
-        if hid == src or not world.hosts[hid].desc.up:
+        if hid == src or world.hosts[hid].desc.tier is not HostTier.FULL:
             continue
-        if world.hosts[hid].desc.tier is not HostTier.FULL:
-            continue
-        path = shortest_path(world, src, hid)
+        path = shortest_path(world, src, hid)     # None when hid is down
         if path is not None:
             cands.append((len(path) - 1, hid))
-    if not cands:
-        return None
-    return min(cands)[1]
+    return min(cands)[1] if cands else None
 
 
 def route(world, src: str, dst: str) -> Optional[list]:
@@ -343,10 +361,6 @@ def service_call(world, host_id: str, service: Service, request: Any = None):
                 local.components[cid] = mc
         return local
     raise ServiceUnavailable(str(service))
-
-
-def configure(world, host_id: str, cfg: PlatformConfig) -> None:
-    world.hosts[host_id].config = cfg
 
 
 # -- event emission (flow C) -----------------------------------------------
@@ -473,10 +487,10 @@ def process_deferred(world) -> None:
 
 
 def _find_component(world, cid: str):
-    for hid in sorted(world.hosts):
-        if cid in world.hosts[hid].containers:
-            return hid, world.hosts[hid].containers[cid]
-    return None, None
+    hid = world.host_of(cid)
+    if hid is None:
+        return None, None
+    return hid, world.hosts[hid].containers[cid]
 
 
 def _autostart(world) -> None:
@@ -540,6 +554,7 @@ def _exec_add(world, cmd: Add) -> None:
     c = ContainerInstance(cmd.descriptor, host.desc.tier.value)
     c.transition(Lifecycle.CONNECTED)
     host.containers[cid] = c
+    world.component_host[cid] = cmd.host
     world.descriptors[cid] = cmd.descriptor
     _sync_model_component(world, cid, cmd.host, c)
 
@@ -557,6 +572,7 @@ def _exec_remove(world, cmd: Remove) -> None:
     elif c.lifecycle is Lifecycle.CONNECTED:
         c.transition(Lifecycle.DESTROYED)
     del world.hosts[hid].containers[cmd.component]
+    del world.component_host[cmd.component]
     world.model.components.pop(cmd.component, None)
     world.descriptors.pop(cmd.component, None)
 
@@ -568,14 +584,8 @@ def _exec_move(world, cmd: Move) -> None:
     if not target.desc.up:
         raise _Abort("host down")
     src_hid, c = _find_component(world, cmd.component)
-    if src_hid is None:
-        # possibly stranded on a down host: forced recovery path
-        for hid in sorted(world.hosts):
-            if cmd.component in world.hosts[hid].containers:
-                src_hid = hid
-                c = world.hosts[hid].containers[cmd.component]
-        if c is None:
-            raise _Abort("unknown id")
+    if c is None:
+        raise _Abort("unknown id")
     desc = c.descriptor
     variant = desc.variant_for(target.desc.tier.value)
     if variant is None:
@@ -618,6 +628,7 @@ def _exec_move(world, cmd: Move) -> None:
                 new.input_bindings[s.port] = k
     del world.hosts[src_hid].containers[cmd.component]
     target.containers[cmd.component] = new
+    world.component_host[cmd.component] = cmd.target
     # source-side ownership follows the component's host
     for k in conns:
         if k.source.component == cmd.component:

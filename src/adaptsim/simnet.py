@@ -10,6 +10,7 @@ seeded RNG is consumed in a single global order.
 from __future__ import annotations
 
 import copy
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -23,12 +24,12 @@ from .context import (ContextInformation, ContextNature, Location, Quantity,
                       stamp)
 from .errors import (AddressError, ComponentFault, ScheduleError,
                      Unreachable, ValidationError)
-from .kernel import (Battery, HostDescriptor, PlatformConfig)
+from .kernel import (Battery, HostDescriptor, PlatformConfig, TopologyFlag)
 from .store import ContextStore
 
 
 @dataclass
-class Link:
+class Link(TopologyFlag):
     endpoints: frozenset            # of two host ids
     latency: int
     bandwidth: float
@@ -117,7 +118,11 @@ class World:
         self.last_qos = None
         self.obs_cache: dict = {}
         self.obs_cache_at: dict = {}
-        self._events: list = []               # (at, kind order, seq, event)
+        self.component_host: dict = {}        # component id -> host id
+        self.topology_version = 0             # see kernel.TopologyFlag
+        self._routes = None                   # (version, kernel.Routes)
+        self._rerouted_at = None              # version of the last re-route
+        self._events: list = []       # heap of (at, kind order, seq, event)
         self._event_seq = 0
         self._messages: list = []             # (deliver_at, seq, msg, path)
         self._msg_seq = 0
@@ -134,6 +139,7 @@ class World:
         rt = HostRuntime(desc=desc,
                          config=config or copy.deepcopy(self.default_config))
         self.hosts[desc.id] = rt
+        self._hold(desc)
         return rt
 
     def add_link(self, a: str, b: str, latency: int = 1,
@@ -147,7 +153,19 @@ class World:
         link = Link(endpoints=pair, latency=latency, bandwidth=bandwidth,
                     up=up)
         self.links[pair] = link
+        self._hold(link)
         return link
+
+    def _hold(self, record: TopologyFlag) -> None:
+        record.__dict__.setdefault("_worlds", []).append(self)
+        self.topology_version += 1
+
+    def routes(self) -> kernel.Routes:
+        """Routing index and path memo of the current topology version."""
+        if self._routes is None or self._routes[0] != self.topology_version:
+            self._routes = (self.topology_version, kernel.Routes(
+                {hid: h.desc.up for hid, h in self.hosts.items()}, self.links))
+        return self._routes[1]
 
     @property
     def coordinator_host(self) -> Optional[str]:
@@ -159,10 +177,7 @@ class World:
         return self.default_config
 
     def host_of(self, component_id: str) -> Optional[str]:
-        for hid in sorted(self.hosts):
-            if component_id in self.hosts[hid].containers:
-                return hid
-        return None
+        return self.component_host.get(component_id)
 
     # -- connectors --------------------------------------------------------
 
@@ -200,7 +215,7 @@ class World:
         return (ticks, tuple(path))
 
     def link_up(self, a: str, b: str) -> bool:
-        return kernel.link_up(self, a, b)
+        return self.hosts[a].desc.up and b in self.routes().adj.get(a, ())
 
     # -- trace -------------------------------------------------------------
 
@@ -210,17 +225,10 @@ class World:
         self._trace_seq += 1
 
     def flow_trace(self, conn, now, op, sink, seq) -> None:
-        if op == "deliver":
-            host = self.host_of(sink.component) or "-"
-            self.trace(host, "FLOW",
-                       f"conn={conn.id} op=deliver sink={sink} seq={seq}")
-        elif op == "drop":
-            host = self.host_of(conn.source.component) or "-"
-            self.trace(host, "FLOW",
-                       f"conn={conn.id} op=drop sink={sink} seq={seq}")
-        else:
-            host = self.host_of(conn.source.component) or "-"
-            self.trace(host, "FLOW", f"conn={conn.id} op=push seq={seq}")
+        end = sink if op == "deliver" else conn.source
+        where = "" if op == "push" else f" sink={sink}"
+        self.trace(self.host_of(end.component) or "-", "FLOW",
+                   f"conn={conn.id} op={op}{where} seq={seq}")
 
     def _flush_trace(self) -> None:
         self._tick_buffer.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -247,15 +255,17 @@ class World:
         self.model = model
         self.descriptors = descriptors
         self.deferred_commands = deferred
+        self.component_host = {cid: hid for hid, h in self.hosts.items()
+                               for cid in h.containers}
 
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, e: SimEvent) -> None:
         if e.at < self.now:
             raise ScheduleError(f"event at {e.at} is in the past ({self.now})")
-        self._events.append((e.at, _KIND_ORDER[e.kind], self._event_seq, e))
+        heapq.heappush(self._events,
+                       (e.at, _KIND_ORDER[e.kind], self._event_seq, e))
         self._event_seq += 1
-        self._events.sort(key=lambda t: t[:3])
 
     def send(self, m: NetMessage) -> None:
         for end in (m.src, m.dst):
@@ -280,10 +290,8 @@ class World:
         report = {"tick": self.now, "events": 0, "messages": 0,
                   "faults": 0}
         # (1) scripted events
-        due = [t for t in self._events if t[0] == self.now]
-        self._events = [t for t in self._events if t[0] != self.now]
-        for _, _, _, e in due:
-            self._fire(e)
+        while self._events and self._events[0][0] <= self.now:
+            self._fire(heapq.heappop(self._events)[3])
             report["events"] += 1
         # (2) message delivery and flow re-routing
         arriving = sorted((t for t in self._messages if t[0] <= self.now),
@@ -297,8 +305,11 @@ class World:
             self.hosts[m.dst].inbox.append(m)
             self.trace(m.dst, "NET", f"op=recv from={m.src}")
             report["messages"] += 1
-        for kid in sorted(self.connectors):
-            self.connectors[kid].reroute_check(self.now, self.link_up)
+        # queued paths were routed or checked at the last pass's version
+        if self._rerouted_at != self.topology_version:
+            for kid in sorted(self.connectors):
+                self.connectors[kid].reroute_check(self.now, self.link_up)
+            self._rerouted_at = self.topology_version
         # (3) battery drain; exhausted hosts leave
         for hid in sorted(self.hosts):
             host = self.hosts[hid]

@@ -47,6 +47,19 @@ class TestScheduling:
             < lines.index(next(l for l in lines if "op=join" in l))
         assert w.hosts["h2"].desc.up is True
 
+    def test_events_fire_by_tick_then_kind_then_schedule_order(self):
+        w = two_hosts()
+        fired = []
+        fire = w._fire
+        w._fire = lambda e: (fired.append((w.now, e.arg("value"))), fire(e))
+        for at, value in ((2, "c"), (1, "b"), (2, "d"), (0, "a")):
+            w.schedule(sim_event(at, SimEventKind.USER_PROFILE, host="h1",
+                                 key="k", value=value))
+        w.schedule(sim_event(2, SimEventKind.LINK_DOWN, value="down",
+                             endpoints=("h1", "h2")))
+        assert [w.step()["events"] for _ in range(3)] == [1, 1, 3]
+        assert fired == [(0, "a"), (1, "b"), (2, "down"), (2, "c"), (2, "d")]
+
     def test_sensor_reading_lands_in_the_store(self):
         w = two_hosts()
         w.schedule(sim_event(0, SimEventKind.SENSOR_READING, host="h1",
