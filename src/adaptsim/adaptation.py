@@ -9,14 +9,13 @@ directly, or alert first and reconfigure after a grace period.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernel
 from .container import EventKind, PlatformEvent
 from .context import (ContextInformation, ContextNature, Location, Quantity,
-                      effective_confidence, stamp)
+                      stamp)
 from .kernel import (ArchitectureModel, HostTier, Move, PlatformConfig)
 
 EXHAUSTIVE_LIMIT = 10_000
@@ -29,7 +28,6 @@ class HostObs:
     cpu_free: float
     mem_free: float
     battery: Optional[float]            # None when on mains
-    confidence: float = 1.0             # decays while unreachable
 
 
 @dataclass
@@ -40,24 +38,10 @@ class LinkObs:
 
 
 @dataclass
-class CompObs:
-    alive: bool
-    fault: bool
-
-
-@dataclass
-class ConnObs:
-    rate: float
-    depth: int
-
-
-@dataclass
 class Observation:
     at: int
     hosts: dict = field(default_factory=dict)        # id -> HostObs
     links: dict = field(default_factory=dict)        # frozenset -> LinkObs
-    components: dict = field(default_factory=dict)   # id -> CompObs
-    connectors: dict = field(default_factory=dict)   # id -> ConnObs
     routes: Optional[kernel.Routes] = None           # built on first use
 
 
@@ -99,54 +83,30 @@ class CycleOutcome:
 def observe(world, now: int) -> Observation:
     """Aggregate every host's local context into one snapshot.
 
-    Unreachable hosts appear with their last-known values, marked down,
-    confidence aged by the decay half-life.
+    Unreachable hosts appear down, with nothing free; every reader checks
+    `up` before the other fields.
     """
     coord = world.coordinator_host
-    half_life = world.platform_config().half_life
     obs = Observation(at=now)
     for hid in sorted(world.hosts):
         host = world.hosts[hid]
         reachable = host.desc.up and (
             hid == coord or coord is None
             or kernel.shortest_path(world, coord, hid) is not None)
-        if reachable:
-            load_cpu = load_mem = 0.0
-            for c in host.containers.values():
-                if c.lifecycle.name == "RUNNING":
-                    load_cpu += c.active_variant.cpu_demand
-                    load_mem += c.active_variant.mem_demand
-            battery = host.desc.power.level if host.desc.power else None
-            conf = 1.0
-            latest = host.store.latest("battery.level")
-            if latest is not None:
-                conf = effective_confidence(latest, now, half_life)
-            ho = HostObs(up=True,
-                         cpu_free=host.desc.cpu_capacity - load_cpu,
-                         mem_free=host.desc.mem_capacity - load_mem,
-                         battery=battery, confidence=conf)
-            for cid in sorted(host.containers):
-                c = host.containers[cid]
-                obs.components[cid] = CompObs(
-                    alive=c.lifecycle.name == "RUNNING",
-                    fault=c.fault is not None)
-        else:
-            prev = world.obs_cache.get(hid)
-            if prev is not None:
-                age = now - world.obs_cache_at.get(hid, now)
-                conf = prev.confidence * math.pow(2.0, -age / half_life)
-                ho = HostObs(up=False, cpu_free=prev.cpu_free,
-                             mem_free=prev.mem_free, battery=prev.battery,
-                             confidence=conf)
-            else:
-                ho = HostObs(up=False, cpu_free=0.0, mem_free=0.0,
-                             battery=None, confidence=0.0)
-            for cid in sorted(host.containers):
-                obs.components[cid] = CompObs(alive=False, fault=False)
-        obs.hosts[hid] = ho
-        if reachable:
-            world.obs_cache[hid] = ho
-            world.obs_cache_at[hid] = now
+        if not reachable:
+            obs.hosts[hid] = HostObs(up=False, cpu_free=0.0, mem_free=0.0,
+                                     battery=None)
+            continue
+        load_cpu = load_mem = 0.0
+        for c in host.containers.values():
+            if c.lifecycle.name == "RUNNING":
+                load_cpu += c.active_variant.cpu_demand
+                load_mem += c.active_variant.mem_demand
+        battery = host.desc.power.level if host.desc.power else None
+        obs.hosts[hid] = HostObs(up=True,
+                                 cpu_free=host.desc.cpu_capacity - load_cpu,
+                                 mem_free=host.desc.mem_capacity - load_mem,
+                                 battery=battery)
     for pair in sorted(world.links, key=sorted):
         link = world.links[pair]
         obs.links[pair] = LinkObs(up=link.up, bandwidth=link.bandwidth,
@@ -154,7 +114,6 @@ def observe(world, now: int) -> Observation:
     # subtract flow demand along each connector's current route
     for kid in sorted(world.connectors):
         k = world.connectors[kid]
-        obs.connectors[kid] = ConnObs(rate=k.take_rate(), depth=k.depth())
         src = world.host_of(k.source.component)
         for sink in k.sinks:
             dst = world.host_of(sink.component)
@@ -365,8 +324,7 @@ def _score_assignment(model, obs, descriptors, affected, assignment,
     hyp = ArchitectureModel(
         components=dict(model.components),
         connectors=model.connectors, version=model.version)
-    hyp_hosts = {hid: HostObs(ho.up, ho.cpu_free, ho.mem_free, ho.battery,
-                              ho.confidence)
+    hyp_hosts = {hid: HostObs(ho.up, ho.cpu_free, ho.mem_free, ho.battery)
                  for hid, ho in obs.hosts.items()}
     for cid in affected:
         mc = model.components[cid]
@@ -386,8 +344,6 @@ def _score_assignment(model, obs, descriptors, affected, assignment,
             lifecycle=mc.lifecycle)
     # same up flags as obs, so the same routes
     hyp_obs = Observation(at=obs.at, hosts=hyp_hosts, links=obs.links,
-                          components=obs.components,
-                          connectors=obs.connectors,
                           routes=_obs_routes(obs))
     return evaluate_qos(hyp, hyp_obs, descriptors, weights).global_score
 

@@ -249,30 +249,12 @@ class ConnectorInstance:
         return out
 
     def refill(self, sink: Endpoint, samples: list, now: int) -> None:
-        """Re-queue drained samples at a (possibly rebound) sink."""
+        """Re-queue drained samples at a sink, ahead of its queue."""
         if sink not in self._queues:
             raise BindingError(f"{sink} is not a sink of {self.id}")
         self._queues[sink] = (
             [_Queued(sample=s, available_at=now, path=()) for s in samples]
             + self._queues[sink])
-
-    def rebind_sink(self, old: Endpoint, new: Endpoint) -> None:
-        if self.state not in (ConnectorState.PAUSED,
-                              ConnectorState.DRAINING,
-                              ConnectorState.DISCONNECTED):
-            raise MustPauseError(f"connector {self.id} still active")
-        if old not in self._queues:
-            raise BindingError(f"{old} is not a sink of {self.id}")
-        idx = self.sinks.index(old)
-        self.sinks[idx] = new
-        self._queues[new] = self._queues.pop(old)
-
-    def rebind_source(self, new: Endpoint) -> None:
-        if self.state not in (ConnectorState.PAUSED,
-                              ConnectorState.DRAINING,
-                              ConnectorState.DISCONNECTED):
-            raise MustPauseError(f"connector {self.id} still active")
-        self.source = new
 
     def disconnect(self):
         self.state = ConnectorState.DISCONNECTED

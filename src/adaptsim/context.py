@@ -100,6 +100,9 @@ class ContextObject:
                 f"own={self.validity.owner}")
 
 
+DEFAULT_HALF_LIFE = 32
+
+
 @dataclass(frozen=True)
 class ValidityPolicy:
     """Filter bounds for deciding whether a context object is still usable.
@@ -112,16 +115,13 @@ class ValidityPolicy:
     min_confidence: float = 0.0
     spatial_scope: Optional[Union[frozenset, tuple]] = None
     owner_filter: Optional[frozenset] = None
-    half_life: int = 32
+    half_life: int = DEFAULT_HALF_LIFE
 
     def __post_init__(self):
         if self.half_life <= 0:
             raise ValidationError("half_life must be positive")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValidationError("min_confidence outside [0, 1]")
-
-
-DEFAULT_HALF_LIFE = 32
 
 
 def stamp(info: ContextInformation, now: int, location: Location,

@@ -39,7 +39,7 @@ class BindingError(AdaptsimError):
 
 
 class MustPauseError(AdaptsimError):
-    """Endpoint rebind attempted while the connector is still active."""
+    """Drain attempted on a connector that is not draining."""
 
 
 class ServiceUnavailable(AdaptsimError):
@@ -62,10 +62,6 @@ class Unreachable(AdaptsimError):
 
 class ScheduleError(AdaptsimError):
     """Event scheduled in the past."""
-
-
-class AddressError(AdaptsimError):
-    """Message addressed to an unknown host."""
 
 
 class DescriptorError(AdaptsimError):

@@ -105,7 +105,6 @@ class PlatformConfig:
     qos_weights: tuple = (0.4, 0.4, 0.2)  # resource, link, battery
     adaptation_interval: int = 5
     grace: int = 10                       # M4: ticks the application gets to react
-    half_life: int = 32
 
     def __post_init__(self):
         if not 0.0 <= self.qos_threshold <= 1.0:
@@ -311,13 +310,13 @@ def route(world, src: str, dst: str) -> Optional[list]:
     """Routing service; returns the path, or None when dst is unreachable.
 
     Sensor-class hosts know only their direct neighbourhood and delegate
-    anything further to the nearest full host.
+    anything further to the nearest full host.  A down host routes nothing.
     """
     host = world.hosts[src]
-    if host.desc.tier is not HostTier.LIGHT_MIN:
+    if host.desc.tier is not HostTier.LIGHT_MIN or not host.desc.up:
         return shortest_path(world, src, dst)
     if dst == src:
-        return [src] if host.desc.up else None
+        return [src]
     if dst in neighbors(world, src):
         return [src, dst]
     delegate = nearest_full_neighbor(world, src)

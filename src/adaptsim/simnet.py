@@ -1,29 +1,27 @@
 """Deterministic discrete-tick substrate: hosts, links, scripted events.
 
 The whole run is a pure function of (descriptors, scenario, seed).  Each
-tick: scripted events fire, due messages deliver, batteries drain, every
-up host runs its containers and kernel work, and the adaptation cycle
-runs when due.  All iteration orders are fixed (sorted ids), and the one
-seeded RNG is consumed in a single global order.
+tick: scripted events fire, in-flight samples re-route, batteries drain,
+every up host runs its containers and kernel work, and the adaptation
+cycle runs when due.  All iteration orders are fixed (sorted ids), and the
+one seeded RNG is consumed in a single global order.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Optional
 
 from . import kernel
 from .connector import ConnectorInstance, Endpoint, FlowPolicy
 from .container import ContainerInstance, Lifecycle
 from .context import (ContextInformation, ContextNature, Location, Quantity,
                       stamp)
-from .errors import (AddressError, ComponentFault, ScheduleError,
-                     Unreachable, ValidationError)
+from .errors import ComponentFault, ScheduleError, ValidationError
 from .kernel import (Battery, HostDescriptor, PlatformConfig, TopologyFlag)
 from .store import ContextStore
 
@@ -78,19 +76,6 @@ def sim_event(at, kind, **args) -> SimEvent:
 
 
 @dataclass
-class NetMessage:
-    src: str
-    dst: str
-    payload: Any
-    size: float = 1.0
-    enqueued_at: int = 0
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValidationError("message size must be >= 1")
-
-
-@dataclass
 class HostRuntime:
     desc: HostDescriptor
     store: ContextStore = field(default_factory=ContextStore)
@@ -98,7 +83,6 @@ class HostRuntime:
     connector_sources: set = field(default_factory=set)
     config: PlatformConfig = field(default_factory=PlatformConfig)
     persist_log: list = field(default_factory=list)
-    inbox: list = field(default_factory=list)
 
 
 class World:
@@ -116,16 +100,12 @@ class World:
         self.deferred_commands: list = []
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
-        self.obs_cache: dict = {}
-        self.obs_cache_at: dict = {}
         self.component_host: dict = {}        # component id -> host id
         self.topology_version = 0             # see kernel.TopologyFlag
         self._routes = None                   # (version, kernel.Routes)
         self._rerouted_at = None              # version of the last re-route
         self._events: list = []       # heap of (at, kind order, seq, event)
         self._event_seq = 0
-        self._messages: list = []             # (deliver_at, seq, msg, path)
-        self._msg_seq = 0
         self.trace_lines: list = []
         self._tick_buffer: list = []          # (host, kind, seq, line)
         self._trace_seq = 0
@@ -267,45 +247,16 @@ class World:
                        (e.at, _KIND_ORDER[e.kind], self._event_seq, e))
         self._event_seq += 1
 
-    def send(self, m: NetMessage) -> None:
-        for end in (m.src, m.dst):
-            if end not in self.hosts:
-                raise AddressError(f"unknown host {end}")
-        path = kernel.shortest_path(self, m.src, m.dst)
-        if path is None:
-            raise Unreachable(f"no route {m.src} -> {m.dst}")
-        cost = sum(self.links[frozenset((a, b))].latency
-                   + math.ceil(m.size / self.links[frozenset((a, b))].bandwidth)
-                   for a, b in zip(path, path[1:]))
-        m.enqueued_at = self.now
-        self._messages.append((self.now + cost, self._msg_seq, m,
-                               tuple(path)))
-        self._msg_seq += 1
-        self.trace(m.src, "NET",
-                   f"op=send to={m.dst} size={m.size:g} eta={self.now + cost}")
-
     # -- tick loop ---------------------------------------------------------
 
     def step(self) -> dict:
-        report = {"tick": self.now, "events": 0, "messages": 0,
-                  "faults": 0}
+        report = {"tick": self.now, "events": 0, "faults": 0}
         # (1) scripted events
         while self._events and self._events[0][0] <= self.now:
             self._fire(heapq.heappop(self._events)[3])
             report["events"] += 1
-        # (2) message delivery and flow re-routing
-        arriving = sorted((t for t in self._messages if t[0] <= self.now),
-                          key=lambda t: (t[0], t[1]))
-        self._messages = [t for t in self._messages if t[0] > self.now]
-        for _, _, m, path in arriving:
-            if any(not self.link_up(a, b) for a, b in zip(path, path[1:])) \
-                    or not self.hosts[m.dst].desc.up:
-                self.trace(m.src, "NET", f"op=lost to={m.dst}")
-                continue
-            self.hosts[m.dst].inbox.append(m)
-            self.trace(m.dst, "NET", f"op=recv from={m.src}")
-            report["messages"] += 1
-        # queued paths were routed or checked at the last pass's version
+        # (2) flow re-routing; queued paths were routed or checked at the
+        # last pass's version
         if self._rerouted_at != self.topology_version:
             for kid in sorted(self.connectors):
                 self.connectors[kid].reroute_check(self.now, self.link_up)

@@ -34,7 +34,6 @@ class ContextQuery:
 @dataclass(frozen=True)
 class StoreConfig:
     per_key_capacity: int = DEFAULT_CAPACITY
-    default_half_life: int = 32
 
     def __post_init__(self):
         if self.per_key_capacity < 1:

@@ -302,15 +302,6 @@ class TestCoordinator:
 
 
 class TestObserve:
-    def test_unreachable_host_confidence_ages_by_half_life(self):
-        w = seeded_world("M3")
-        observe(w, 0)                      # primes the cache at full trust
-        w.hosts["h2"].desc.up = False
-        w.now = 64                         # two half-lives later (default 32)
-        aged = observe(w, 64)
-        assert aged.hosts["h2"].up is False
-        assert aged.hosts["h2"].confidence == pytest.approx(0.25)
-
     def test_bandwidth_budget_subtracts_flow_demand(self):
         w = seeded_world("M3")
         o = observe(w, 0)

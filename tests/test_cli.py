@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -204,3 +205,24 @@ class TestBuildWorld:
         from adaptsim.errors import DescriptorError
         with pytest.raises(DescriptorError):
             cli.build_world(app, net)
+
+
+@pytest.mark.parametrize("mode", ["M1", "M2", "M3", "M4"])
+def test_traced_flow_rates_count_every_delivery(mode):
+    """Each flow.rate report counts the deliveries since the last one, so
+    the reports plus the open window add up to all deliveries."""
+    app, _ = descriptors.parse_app(load(APP))
+    net, _ = descriptors.parse_net(load(NET))
+    scenario, _ = descriptors.parse_scenario(load(SCENARIO))
+    w = cli.build_world(app, net, seed=scenario.seed, mode=mode)
+    for ev in scenario.events:
+        w.schedule(ev)
+    w.run(scenario.duration)
+    reported = dict.fromkeys(w.connectors, 0)
+    for line in w.trace_lines:
+        m = re.search(r"key=flow\.rate conn=(\S+) rate=(\d+)", line)
+        if m:
+            reported[m.group(1)] += int(m.group(2))
+    for kid, k in w.connectors.items():
+        assert k.delivered_count > 0
+        assert reported[kid] + k._delivered_window == k.delivered_count

@@ -139,6 +139,13 @@ class TestRouting:
         assert any("op=delegate to=h2" in l
                    for _, _, _, l in w._tick_buffer)
 
+    def test_down_sensor_host_routes_nothing(self):
+        w = make_world(tiers=("LightMin", "Full", "LightStd"))
+        w.hosts["h1"].desc.up = False
+        for dst in ("h2", "h3"):          # a neighbour, then beyond it
+            assert kernel.shortest_path(w, "h1", dst) is None
+            assert kernel.route(w, "h1", dst) is None
+
     def test_sensor_host_without_full_neighbour_fails(self):
         w = make_world(tiers=("LightMin", "LightStd", "LightStd"))
         with pytest.raises(ServiceUnavailable):

@@ -1,13 +1,13 @@
-"""Tick loop, scripted events, messaging and determinism."""
+"""Tick loop, scripted events, battery drain and determinism."""
 
 import pytest
 
 from adaptsim import kernel
 from adaptsim.connector import Endpoint, FlowPolicy
 from adaptsim.container import ComponentDescriptor, Variant
-from adaptsim.errors import AddressError, ScheduleError, Unreachable
+from adaptsim.errors import ScheduleError
 from adaptsim.kernel import (Add, Battery, Connect, HostDescriptor, HostTier)
-from adaptsim.simnet import (NetMessage, SimEventKind, World, sim_event)
+from adaptsim.simnet import SimEventKind, World, sim_event
 
 
 def desc(cid, in_ports=(), out_ports=(), behavior="identity"):
@@ -16,14 +16,14 @@ def desc(cid, in_ports=(), out_ports=(), behavior="identity"):
         variants=(Variant("Full", 1.0, 1.0, behavior),))
 
 
-def two_hosts(latency=1, bandwidth=10.0, battery=None):
+def two_hosts(latency=1, battery=None):
     w = World(seed=0)
     w.add_host(HostDescriptor(id="h1", tier=HostTier.FULL,
                               cpu_capacity=8, mem_capacity=8))
     w.add_host(HostDescriptor(id="h2", tier=HostTier.FULL,
                               cpu_capacity=8, mem_capacity=8,
                               power=battery))
-    w.add_link("h1", "h2", latency=latency, bandwidth=bandwidth)
+    w.add_link("h1", "h2", latency=latency)
     return w
 
 
@@ -68,46 +68,6 @@ class TestScheduling:
         obj = w.hosts["h1"].store.latest("temp")
         assert obj.info.value.value == 21.5
         assert any("kind=CTX key=temp" in l for l in w.trace_lines)
-
-
-class TestMessaging:
-    def test_cost_is_latency_plus_size_over_bandwidth(self):
-        # one hop, latency 2, bandwidth 4, size 8: arrives at t + 2 + 2
-        w = two_hosts(latency=2, bandwidth=4.0)
-        w.send(NetMessage(src="h1", dst="h2", size=8.0, payload="x"))
-        for _ in range(5):
-            w.step()
-            if w.hosts["h2"].inbox:
-                break
-        assert w.hosts["h2"].inbox[0].payload == "x"
-        assert w.now - 1 == 4          # delivered during tick 4
-        assert any("eta=4" in l for l in w.trace_lines)
-
-    def test_fifo_between_a_host_pair(self):
-        w = two_hosts()
-        for i in range(3):
-            w.send(NetMessage(src="h1", dst="h2", size=1.0, payload=i))
-        for _ in range(3):
-            w.step()
-        assert [m.payload for m in w.hosts["h2"].inbox] == [0, 1, 2]
-
-    def test_unknown_or_unreachable_destinations(self):
-        w = two_hosts()
-        with pytest.raises(AddressError):
-            w.send(NetMessage(src="h1", dst="nope", size=1.0, payload=None))
-        w.links[frozenset(("h1", "h2"))].up = False
-        with pytest.raises(Unreachable):
-            w.send(NetMessage(src="h1", dst="h2", size=1.0, payload=None))
-
-    def test_message_lost_when_path_dies_in_flight(self):
-        w = two_hosts(latency=3)
-        w.send(NetMessage(src="h1", dst="h2", size=1.0, payload="x"))
-        w.schedule(sim_event(1, SimEventKind.LINK_DOWN,
-                             endpoints=("h1", "h2")))
-        for _ in range(6):
-            w.step()
-        assert w.hosts["h2"].inbox == []
-        assert any("op=lost" in l for l in w.trace_lines)
 
 
 class TestBattery:
