@@ -16,10 +16,13 @@ from . import kernel
 from .container import EventKind, PlatformEvent
 from .context import (ContextInformation, ContextNature, Location, Quantity,
                       stamp)
-from .kernel import (ArchitectureModel, HostTier, Move, PlatformConfig)
+from .kernel import ArchitectureModel, Move
 
 EXHAUSTIVE_LIMIT = 10_000
 AFFECTED_SCORE_FLOOR = 0.5
+QOS_THRESHOLD = 0.7                 # a global score below it triggers a cycle
+QOS_WEIGHTS = (0.4, 0.4, 0.2)       # resource, link, battery
+GRACE = 10                          # M4: ticks the application gets to react
 
 
 @dataclass
@@ -150,7 +153,7 @@ def _demands(descriptors, cid: str, tier: str):
 
 
 def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
-                 weights=(0.4, 0.4, 0.2)) -> QoSReport:
+                 weights=QOS_WEIGHTS) -> QoSReport:
     """Score the deployment: resource fit, link fit, battery margin.
 
     Per component, fit is how many times its demands still fit into the
@@ -235,7 +238,7 @@ def affected_components(model: ArchitectureModel, report: QoSReport,
 
 def select_deployment(model: ArchitectureModel, obs: Observation,
                       descriptors, host_tiers: dict,
-                      weights=(0.4, 0.4, 0.2),
+                      weights=QOS_WEIGHTS,
                       report: Optional[QoSReport] = None):
     """Choose the best re-placement of the affected components.
 
@@ -362,10 +365,8 @@ class Coordinator:
         self.infeasible_outstanding = False
 
     def run_cycle(self, world, now: int) -> CycleOutcome:
-        cfg = world.platform_config()
         obs = observe(world, now)
-        report = evaluate_qos(world.model, obs, world.descriptors,
-                              cfg.qos_weights)
+        report = evaluate_qos(world.model, obs, world.descriptors)
         world.last_qos = report
         mean_r = (sum(report.resource.values()) / len(report.resource)
                   if report.resource else 1.0)
@@ -375,7 +376,7 @@ class Coordinator:
                     f"global={report.global_score:.4f} rmean={mean_r:.4f} "
                     f"lmean={mean_l:.4f} b={report.battery:.4f}")
         self._store_report(world, report, now)
-        triggered = (report.global_score < cfg.qos_threshold
+        triggered = (report.global_score < QOS_THRESHOLD
                      or self._hard_violation(world.model, report, obs))
         if not triggered:
             self.alert_since = None
@@ -387,13 +388,13 @@ class Coordinator:
             n = self._alert(world, report)
             return CycleOutcome("EventsEmitted", events=n)
         if self.mode == "M3":
-            return self._plan_and_apply(world, obs, report, cfg)
+            return self._plan_and_apply(world, obs, report)
         # M4: alert first, reconfigure only after the grace window
         n = self._alert(world, report)
         if self.alert_since is None:
             self.alert_since = now
-        if now - self.alert_since >= cfg.grace:
-            out = self._plan_and_apply(world, obs, report, cfg)
+        if now - self.alert_since >= GRACE:
+            out = self._plan_and_apply(world, obs, report)
             if out.kind == "PlanApplied":
                 self.alert_since = None
             out.events = n
@@ -412,11 +413,11 @@ class Coordinator:
                 return True
         return any(v == 0.0 for v in report.link.values())
 
-    def _plan_and_apply(self, world, obs, report, cfg) -> CycleOutcome:
+    def _plan_and_apply(self, world, obs, report) -> CycleOutcome:
         host_tiers = {hid: world.hosts[hid].desc.tier.value
                       for hid in world.hosts}
         plan = select_deployment(world.model, obs, world.descriptors,
-                                 host_tiers, cfg.qos_weights, report)
+                                 host_tiers, report=report)
         if plan is INFEASIBLE:
             self.infeasible_outstanding = True
             world.trace(self.host, "CMD", "cmd=Plan result=Infeasible")

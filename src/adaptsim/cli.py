@@ -15,19 +15,18 @@ from . import descriptors as desc
 from . import kernel, trace
 from .adaptation import Coordinator
 from .errors import DescriptorError
-from .kernel import Add, Connect, HostTier, PlatformConfig
+from .kernel import Add, Connect, HostTier
 from .simnet import World
 
 
 def build_world(app: desc.AppDescriptor, net: desc.NetDescriptor,
-                seed: int = 0, mode: str = "M3",
-                config: PlatformConfig | None = None) -> World:
+                seed: int = 0, mode: str = "M3") -> World:
     """Materialize descriptors into a ready-to-step world.
 
     Initial deployment commands run as bootstrap: they do not count as
     adaptation-driven reconfiguration and leave no trace.
     """
-    world = World(seed=seed, config=config)
+    world = World(seed=seed)
     for h in net.hosts:
         world.add_host(h)
     for link in net.links:

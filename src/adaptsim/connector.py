@@ -10,12 +10,11 @@ Connectors are pure transport: they carry no platform events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
 
-from .errors import (BindingError, FlowPaused, MustPauseError,
-                     ValidationError)
+from .errors import BindingError, ValidationError
 
 DEFAULT_LOSSLESS_CAPACITY = 16
 
@@ -33,13 +32,6 @@ class FlowSync(Enum):
 class LossKind(Enum):
     LOSSLESS = "Lossless"
     KEEP_LATEST = "KeepLatest"
-
-
-class ConnectorState(Enum):
-    ACTIVE = "Active"
-    PAUSED = "Paused"
-    DRAINING = "Draining"
-    DISCONNECTED = "Disconnected"
 
 
 class PushResult(Enum):
@@ -103,7 +95,6 @@ class ConnectorInstance:
         self.source = source
         self.sinks: list = list(sinks)
         self.policy = policy
-        self.state = ConnectorState.ACTIVE
         self.transit = transit or (lambda sink: (0, ()))
         self.tracer = tracer
         self._seq = 0
@@ -122,13 +113,9 @@ class ConnectorInstance:
     def would_block(self) -> bool:
         """True when a push right now could not be accepted.
 
-        Drives producer-side stalling: paused/draining connectors and full
-        synchronized lossless buffers hold the producer for a tick.
+        Drives producer-side stalling: a full synchronized lossless buffer
+        holds the producer for a tick.
         """
-        if self.state in (ConnectorState.PAUSED, ConnectorState.DRAINING):
-            return True
-        if self.state is ConnectorState.DISCONNECTED:
-            return False
         if (self.policy.loss is LossKind.LOSSLESS
                 and self.policy.sync is FlowSync.SYNCHRONIZED):
             return any(self._full(s) for s in self.sinks)
@@ -138,10 +125,6 @@ class ConnectorInstance:
 
     def push(self, component: str, port: str, payload: Any,
              now: int) -> PushResult:
-        if self.state in (ConnectorState.PAUSED, ConnectorState.DRAINING):
-            raise FlowPaused(f"connector {self.id} is {self.state.value}")
-        if self.state is ConnectorState.DISCONNECTED:
-            raise BindingError(f"connector {self.id} is disconnected")
         if Endpoint(component, port) != self.source:
             raise BindingError(
                 f"{component}.{port} is not the source of {self.id}")
@@ -179,8 +162,6 @@ class ConnectorInstance:
         sink = Endpoint(component, port)
         if sink not in self._queues:
             raise BindingError(f"{sink} is not a sink of {self.id}")
-        if self.state is not ConnectorState.ACTIVE:
-            return None
         q = self._queues[sink]
         if not q:
             return None
@@ -227,21 +208,8 @@ class ConnectorInstance:
 
     # -- control -----------------------------------------------------------
 
-    def pause(self):
-        if self.state is ConnectorState.ACTIVE:
-            self.state = ConnectorState.PAUSED
-
-    def resume(self):
-        if self.state in (ConnectorState.PAUSED, ConnectorState.DRAINING):
-            self.state = ConnectorState.ACTIVE
-
-    def begin_drain(self):
-        self.state = ConnectorState.DRAINING
-
     def drain(self) -> dict:
         """Remove and return all buffered and in-flight samples per sink."""
-        if self.state is not ConnectorState.DRAINING:
-            raise MustPauseError(f"connector {self.id}: drain needs Draining")
         out = {}
         for sink in self.sinks:
             out[sink] = [e.sample for e in self._queues[sink]]
@@ -255,9 +223,6 @@ class ConnectorInstance:
         self._queues[sink] = (
             [_Queued(sample=s, available_at=now, path=()) for s in samples]
             + self._queues[sink])
-
-    def disconnect(self):
-        self.state = ConnectorState.DISCONNECTED
 
     # -- reporting ---------------------------------------------------------
 

@@ -9,13 +9,12 @@ events only ever reach containers.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
 from . import behaviors
-from .context import (ContextInformation, ContextNature, Location, Quantity,
-                      stamp)
+from .context import ContextInformation, ContextNature, Location, stamp
 from .errors import (ComponentFault, LifecycleError, ValidationError,
                      VariantError)
 

@@ -9,7 +9,7 @@ creating new ones.  Confidence decays exponentially with age.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 

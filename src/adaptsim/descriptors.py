@@ -13,9 +13,9 @@ from typing import Any, Optional
 
 from .connector import (Endpoint, FlowMode, FlowPolicy, FlowSync, LossKind)
 from .container import ComponentDescriptor, Variant
-from .errors import DescriptorError
+from .errors import DescriptorError, ValidationError
 from .kernel import Battery, HostDescriptor, HostTier
-from .simnet import Link, SimEvent, SimEventKind, sim_event
+from .simnet import Link, SimEventKind, sim_event
 
 _COMPONENT_FIELDS = {"id", "in_ports", "out_ports", "variants", "listener",
                      "initial_host"}
@@ -57,10 +57,25 @@ class ScenarioScript:
     events: list = field(default_factory=list)
 
 
-def _check_fields(obj: dict, allowed: set, where: str, diags: list) -> None:
+def _check_fields(obj: Any, allowed: set, where: str, diags: list) -> bool:
+    """Report unknown fields; False, reported, when obj is not an object."""
+    if not isinstance(obj, dict):
+        diags.append(f"{where}: must be an object, not {obj!r}")
+        return False
     for key in obj:
         if key not in allowed:
             diags.append(f"{where}: unknown field {key!r}")
+    return True
+
+
+def _section(obj: dict, key: str, where: str, diags: list) -> list:
+    """obj[key] when it is a list (empty when absent); anything else is
+    reported and read as empty."""
+    value = obj.get(key, [])
+    if isinstance(value, list):
+        return value
+    diags.append(f"{where}: {key!r} must be a list, not {value!r}")
+    return []
 
 
 def load_json(path: str):
@@ -88,13 +103,15 @@ def parse_app(doc: Any) -> tuple:
     if not isinstance(doc, dict):
         return app, ["app: top level must be an object"]
     _check_fields(doc, {"components", "connectors"}, "app", diags)
-    for i, raw in enumerate(doc.get("components", [])):
+    for i, raw in enumerate(_section(doc, "components", "app", diags)):
         where = f"components[{i}]"
-        _check_fields(raw, _COMPONENT_FIELDS, where, diags)
+        if not _check_fields(raw, _COMPONENT_FIELDS, where, diags):
+            continue
         variants = []
-        for j, rv in enumerate(raw.get("variants", [])):
-            _check_fields(rv, _VARIANT_FIELDS, f"{where}.variants[{j}]",
-                          diags)
+        for j, rv in enumerate(_section(raw, "variants", where, diags)):
+            if not _check_fields(rv, _VARIANT_FIELDS,
+                                 f"{where}.variants[{j}]", diags):
+                continue
             try:
                 variants.append(Variant(
                     tier=rv["tier"], cpu_demand=float(rv["cpu_demand"]),
@@ -102,6 +119,8 @@ def parse_app(doc: Any) -> tuple:
                     behavior=rv["behavior"]))
             except KeyError as exc:
                 diags.append(f"{where}.variants[{j}]: missing {exc}")
+            except (TypeError, ValueError) as exc:
+                diags.append(f"{where}.variants[{j}]: {exc}")
         try:
             app.components.append(ComponentDescriptor(
                 id=raw["id"],
@@ -114,12 +133,13 @@ def parse_app(doc: Any) -> tuple:
             diags.append(f"{where}: missing {exc}")
         except Exception as exc:
             diags.append(f"{where}: {exc}")
-    for i, raw in enumerate(doc.get("connectors", [])):
+    for i, raw in enumerate(_section(doc, "connectors", "app", diags)):
         where = f"connectors[{i}]"
-        _check_fields(raw, _CONNECTOR_FIELDS, where, diags)
+        if not _check_fields(raw, _CONNECTOR_FIELDS, where, diags):
+            continue
         src = parse_endpoint(raw.get("from", ""), where, diags)
         sinks = [parse_endpoint(t, where, diags)
-                 for t in raw.get("to", [])]
+                 for t in _section(raw, "to", where, diags)]
         if src is None or any(s is None for s in sinks) or not sinks:
             if not sinks:
                 diags.append(f"{where}: needs at least one sink")
@@ -131,7 +151,7 @@ def parse_app(doc: Any) -> tuple:
                 loss=LossKind(raw.get("loss", "Lossless")),
                 capacity=int(raw.get("capacity", 16)),
                 bw_demand=float(raw.get("bw_demand", 1.0)))
-        except ValueError as exc:
+        except (TypeError, ValueError, ValidationError) as exc:
             diags.append(f"{where}: {exc}")
             continue
         app.connectors.append(ConnectorSpec(
@@ -146,9 +166,10 @@ def parse_net(doc: Any) -> tuple:
     if not isinstance(doc, dict):
         return net, ["net: top level must be an object"]
     _check_fields(doc, {"hosts", "links"}, "net", diags)
-    for i, raw in enumerate(doc.get("hosts", [])):
+    for i, raw in enumerate(_section(doc, "hosts", "net", diags)):
         where = f"hosts[{i}]"
-        _check_fields(raw, _HOST_FIELDS, where, diags)
+        if not _check_fields(raw, _HOST_FIELDS, where, diags):
+            continue
         power = raw.get("power", "Mains")
         battery = None
         if isinstance(power, dict):
@@ -173,9 +194,10 @@ def parse_net(doc: Any) -> tuple:
             diags.append(f"{where}: missing {exc}")
         except Exception as exc:
             diags.append(f"{where}: {exc}")
-    for i, raw in enumerate(doc.get("links", [])):
+    for i, raw in enumerate(_section(doc, "links", "net", diags)):
         where = f"links[{i}]"
-        _check_fields(raw, _LINK_FIELDS, where, diags)
+        if not _check_fields(raw, _LINK_FIELDS, where, diags):
+            continue
         try:
             ends = raw["endpoints"]
             net.links.append(Link(
@@ -196,18 +218,24 @@ def parse_scenario(doc: Any) -> tuple:
     if not isinstance(doc, dict):
         return sc, ["scenario: top level must be an object"]
     _check_fields(doc, {"duration", "seed", "events"}, "scenario", diags)
-    sc.duration = int(doc.get("duration", 0))
-    sc.seed = int(doc.get("seed", 0))
-    for i, raw in enumerate(doc.get("events", [])):
+    for key in ("duration", "seed"):
+        value = doc.get(key, 0)
+        if isinstance(value, int) and not isinstance(value, bool):
+            setattr(sc, key, value)
+        else:
+            diags.append(f"scenario: {key} must be an integer, "
+                         f"not {value!r}")
+    for i, raw in enumerate(_section(doc, "events", "scenario", diags)):
         where = f"events[{i}]"
-        _check_fields(raw, _EVENT_FIELDS, where, diags)
+        if not _check_fields(raw, _EVENT_FIELDS, where, diags):
+            continue
         try:
             kind = SimEventKind(raw["kind"])
             args = {k: v for k, v in raw.items() if k not in ("at", "kind")}
             if "endpoints" in args:
                 args["endpoints"] = tuple(args["endpoints"])
             ev = sim_event(int(raw["at"]), kind, **args)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             diags.append(f"{where}: {exc}")
             continue
         if ev.at > sc.duration:

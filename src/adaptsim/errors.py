@@ -30,16 +30,8 @@ class ComponentFault(AdaptsimError):
     """A business function raised; carried as the fault cause."""
 
 
-class FlowPaused(AdaptsimError):
-    """Push attempted on a paused or draining connector."""
-
-
 class BindingError(AdaptsimError):
     """Connector endpoint mismatch: wrong caller or unbound sink."""
-
-
-class MustPauseError(AdaptsimError):
-    """Drain attempted on a connector that is not draining."""
 
 
 class ServiceUnavailable(AdaptsimError):

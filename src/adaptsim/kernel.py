@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Any, Optional
 
-from .connector import ConnectorInstance, Endpoint, FlowPolicy
-from .container import (ComponentDescriptor, ContainerInstance, EventKind,
-                        Lifecycle, PlatformEvent)
+from .connector import Endpoint, FlowPolicy
+from .container import (ComponentDescriptor, ContainerInstance, Lifecycle,
+                        PlatformEvent)
 from .context import ValidityPolicy
 from .errors import (ServiceUnavailable, Unreachable, ValidationError)
 
@@ -100,17 +100,6 @@ class PlatformConfig:
     subscriptions: dict = field(default_factory=dict)  # listener id -> Subscription
     intrusion: IntrusionLevel = IntrusionLevel.OPEN
     defer_window: int = 5                 # Guarded: ticks before a deferred command runs
-    reporting_interval: int = 5
-    qos_threshold: float = 0.7
-    qos_weights: tuple = (0.4, 0.4, 0.2)  # resource, link, battery
-    adaptation_interval: int = 5
-    grace: int = 10                       # M4: ticks the application gets to react
-
-    def __post_init__(self):
-        if not 0.0 <= self.qos_threshold <= 1.0:
-            raise ValidationError("qos_threshold outside [0, 1]")
-        if self.reporting_interval < 1:
-            raise ValidationError("reporting_interval must be >= 1")
 
 
 # -- reconfiguration commands ----------------------------------------------
@@ -410,20 +399,17 @@ def apply(world, cmd, origin: str = "platform",
     recovery (component stranded on a dead host) overrides a lock.
     """
     cfg = world.platform_config()
-    if origin == "platform" and not forced:
-        if cfg.intrusion is IntrusionLevel.LOCKED:
-            world.trace(world.coordinator_host or "-", "CMD",
-                        f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} "
-                        f"result=Deferred origin={origin}")
-            world.deferred_commands.append((None, cmd, origin))
-            return DEFERRED
-        if cfg.intrusion is IntrusionLevel.GUARDED:
-            due = world.now + cfg.defer_window
-            world.trace(world.coordinator_host or "-", "CMD",
-                        f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} "
-                        f"result=Deferred due={due} origin={origin}")
-            world.deferred_commands.append((due, cmd, origin))
-            return DEFERRED
+    if origin == "platform" and not forced \
+            and cfg.intrusion is not IntrusionLevel.OPEN:
+        # Locked: no due tick; the command waits for the lock to lift
+        due = (None if cfg.intrusion is IntrusionLevel.LOCKED
+               else world.now + cfg.defer_window)
+        world.trace(world.coordinator_host or "-", "CMD",
+                    f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} result=Deferred"
+                    + ("" if due is None else f" due={due}")
+                    + f" origin={origin}")
+        world.deferred_commands.append((due, cmd, origin))
+        return DEFERRED
     return apply_now(world, cmd, origin)
 
 
@@ -591,19 +577,16 @@ def _exec_move(world, cmd: Move) -> None:
         raise _Abort("variant")
     if src_hid == cmd.target:
         return
-    src_up = world.hosts[src_hid].desc.up
     conns = _connectors_touching(world, cmd.component)
-    for k in conns:
-        k.pause()
     snap = None
     residues: dict = {}
-    if src_up:
+    if world.hosts[src_hid].desc.up:
         if c.lifecycle is Lifecycle.RUNNING:
             c.transition(Lifecycle.STOPPED)
         if c.lifecycle is Lifecycle.STOPPED:
             c.transition(Lifecycle.MIGRATING)
+        # commands run between ticks, so no push or pull races the drain
         for k in conns:
-            k.begin_drain()
             for sink, samples in k.drain().items():
                 if samples:
                     residues[(k.id, sink)] = samples
@@ -636,8 +619,6 @@ def _exec_move(world, cmd: Move) -> None:
     for (kid, sink), samples in sorted(
             residues.items(), key=lambda t: (t[0][0], str(t[0][1]))):
         world.connectors[kid].refill(sink, samples, world.now)
-    for k in conns:
-        k.resume()
     _sync_model_component(world, cmd.component, cmd.target, new)
 
 
@@ -676,7 +657,6 @@ def _exec_disconnect(world, cmd: Disconnect) -> None:
     k = world.connectors.get(cmd.connector)
     if k is None:
         raise _Abort("unknown id")
-    k.disconnect()
     endpoints = [k.source] + list(k.sinks)
     for ep in endpoints:
         hid, c = _find_component(world, ep.component)

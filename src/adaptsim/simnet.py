@@ -18,12 +18,15 @@ from typing import Optional
 
 from . import kernel
 from .connector import ConnectorInstance, Endpoint, FlowPolicy
-from .container import ContainerInstance, Lifecycle
+from .container import Lifecycle
 from .context import (ContextInformation, ContextNature, Location, Quantity,
                       stamp)
 from .errors import ComponentFault, ScheduleError, ValidationError
 from .kernel import (Battery, HostDescriptor, PlatformConfig, TopologyFlag)
 from .store import ContextStore
+
+REPORTING_INTERVAL = 5      # ticks between a host's context reports
+ADAPTATION_INTERVAL = 5     # ticks between adaptation cycles
 
 
 @dataclass
@@ -86,11 +89,9 @@ class HostRuntime:
 
 
 class World:
-    def __init__(self, seed: int = 0,
-                 config: Optional[PlatformConfig] = None):
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.rng = random.Random(seed)
-        self.default_config = config or PlatformConfig()
         self.now = 0
         self.hosts: dict = {}
         self.links: dict = {}                 # frozenset -> Link
@@ -112,12 +113,10 @@ class World:
 
     # -- construction ------------------------------------------------------
 
-    def add_host(self, desc: HostDescriptor,
-                 config: Optional[PlatformConfig] = None) -> HostRuntime:
+    def add_host(self, desc: HostDescriptor) -> HostRuntime:
         if desc.id in self.hosts:
             raise ValidationError(f"duplicate host {desc.id}")
-        rt = HostRuntime(desc=desc,
-                         config=config or copy.deepcopy(self.default_config))
+        rt = HostRuntime(desc=desc)
         self.hosts[desc.id] = rt
         self._hold(desc)
         return rt
@@ -154,7 +153,7 @@ class World:
     def platform_config(self) -> PlatformConfig:
         if self.coordinator and self.coordinator.host in self.hosts:
             return self.hosts[self.coordinator.host].config
-        return self.default_config
+        return PlatformConfig()
 
     def host_of(self, component_id: str) -> Optional[str]:
         return self.component_host.get(component_id)
@@ -294,7 +293,7 @@ class World:
         # (5) adaptation cycle
         if self.coordinator is not None \
                 and self.hosts[self.coordinator.host].desc.up \
-                and self.now % self.platform_config().adaptation_interval == 0:
+                and self.now % ADAPTATION_INTERVAL == 0:
             self.coordinator.run_cycle(self, self.now)
         self._flush_trace()
         self.now += 1
@@ -306,8 +305,7 @@ class World:
 
     def _kernel_tick(self, hid: str) -> None:
         host = self.hosts[hid]
-        interval = host.config.reporting_interval
-        if self.now % interval == 0:
+        if self.now % REPORTING_INTERVAL == 0:
             for cid in sorted(host.containers):
                 c = host.containers[cid]
                 if c.lifecycle is Lifecycle.RUNNING:

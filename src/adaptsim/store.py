@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .context import (ContextNature, ContextObject, ValidityPolicy, is_valid)
+from .context import ContextObject, ValidityPolicy, is_valid
 from .errors import ValidationError
 
 DEFAULT_CAPACITY = 64

@@ -282,7 +282,7 @@ def test_07_failure_recovery(verdict):
     w = cli.build_world(app, net, seed=1, mode="M3")
     w.schedule(sim_event(100, SimEventKind.HOST_LEAVE, host="h2"))
     recovered_at = None
-    theta = w.platform_config().qos_threshold
+    theta = adaptation.QOS_THRESHOLD
     for _ in range(151):
         w.step()
         if (w.now - 1 > 100 and w.last_qos is not None

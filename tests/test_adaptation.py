@@ -226,6 +226,88 @@ class TestSelectDeployment:
             assert repr(again) == repr(first)
 
 
+    def test_greedy_climbs_from_its_start_when_the_space_is_too_large(
+            self, monkeypatch):
+        # five components stranded on a dead host, seven live candidates
+        # each: 7**5 assignments, above the exhaustive limit
+        hosts = {"dead": (False, 0, 0, None)}
+        hosts.update({f"h{i}": (True, 1.0 + i, 4.0, None) for i in range(7)})
+        comps = {f"c{i}": "dead" for i in range(5)}
+        ds = {c: desc(c, cpu=1.5, mem=1.0) for c in comps}
+        tiers = {h: "Full" for h in hosts}
+        m, o = model_of(comps), obs_of(hosts)
+        assert 7 ** 5 > adaptation.EXHAUSTIVE_LIMIT
+        scored = []
+        score = adaptation._score_assignment
+        monkeypatch.setattr(adaptation, "_score_assignment",
+                            lambda *a: scored.append(a) or score(*a))
+        plan = select_deployment(m, o, ds, tiers)
+        assert 0 < len(scored) < 7 ** 5              # climbed, not listed
+
+        def rescore(assignment):
+            return score(m, o, ds, sorted(comps), assignment,
+                         {c: "Full" for c in comps}, adaptation.QOS_WEIGHTS)
+
+        # the climb starts with every stranded component on the first
+        # candidate host
+        assert plan.expected_qos > rescore({c: "h0" for c in comps})
+        assert plan.expected_qos == rescore(plan.assignment)
+        # the climb stops at a local optimum: no single move scores higher
+        for c in comps:
+            for h in sorted(hosts):
+                if hosts[h][0]:
+                    assert rescore({**plan.assignment, c: h}) \
+                        <= plan.expected_qos
+        for _ in range(3):
+            assert repr(select_deployment(m, o, ds, tiers)) == repr(plan)
+
+    def greedy_and_exhaustive(self, monkeypatch, m, o, ds, tiers):
+        monkeypatch.setattr(adaptation, "EXHAUSTIVE_LIMIT", 10_000)
+        exhaustive = select_deployment(m, o, ds, tiers)
+        monkeypatch.setattr(adaptation, "EXHAUSTIVE_LIMIT", 0)
+        return select_deployment(m, o, ds, tiers), exhaustive
+
+    def test_greedy_never_beats_exhaustive(self, monkeypatch):
+        rng = random.Random(29)
+        compared = 0
+        for _ in range(60):
+            hids = [f"h{i}" for i in range(rng.randint(2, 4))]
+            hosts = {h: (h == "h0" or rng.random() > 0.3,
+                         rng.uniform(0.5, 4), rng.uniform(0.5, 4),
+                         rng.choice([None, rng.random()])) for h in hids}
+            comps = {f"c{i}": rng.choice(hids)
+                     for i in range(rng.randint(1, 4))}
+            ds = {c: desc(c, cpu=rng.uniform(0.5, 2),
+                          mem=rng.uniform(0.5, 2)) for c in comps}
+            greedy, exhaustive = self.greedy_and_exhaustive(
+                monkeypatch, model_of(comps), obs_of(hosts), ds,
+                {h: "Full" for h in hids})
+            if exhaustive is None:
+                assert greedy is None
+                continue
+            compared += 1
+            assert greedy.expected_qos <= exhaustive.expected_qos
+        assert compared >= 20
+
+    def test_greedy_ties_exhaustive_on_one_stranded_component(
+            self, monkeypatch):
+        rng = random.Random(31)
+        for _ in range(20):
+            hids = [f"h{i}" for i in range(rng.randint(2, 5))]
+            hosts = {h: (True, rng.uniform(4, 8), rng.uniform(4, 8),
+                         rng.choice([None, rng.random()])) for h in hids}
+            hosts["dead"] = (False, 0, 0, None)
+            comps = {"c0": "dead"}
+            comps.update({f"c{i}": rng.choice(hids)
+                          for i in range(1, rng.randint(1, 4))})
+            ds = {c: desc(c, cpu=rng.uniform(0.5, 2),
+                          mem=rng.uniform(0.5, 2)) for c in comps}
+            greedy, exhaustive = self.greedy_and_exhaustive(
+                monkeypatch, model_of(comps), obs_of(hosts), ds,
+                {h: "Full" for h in hosts})
+            assert list(exhaustive.assignment) == ["c0"]
+            assert greedy.expected_qos == exhaustive.expected_qos
+
 def seeded_world(mode="M3", battery=None):
     w = World(seed=5)
     w.add_host(HostDescriptor(id="h1", tier=HostTier.FULL,

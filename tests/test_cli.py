@@ -187,6 +187,61 @@ class TestCli:
         assert str(bad) in capsys.readouterr().err
 
 
+def _with(path, key, value):
+    doc = load(path)
+    doc[key] = value
+    return doc
+
+
+def _with_component(field, value):
+    doc = load(APP)
+    doc["components"][0][field] = value
+    return doc
+
+
+@pytest.mark.parametrize("which, doc, diag", [
+    ("scenario", {"duration": "x"},
+     "scenario: duration must be an integer, not 'x'"),
+    ("scenario", {"duration": 30, "seed": 1.5},
+     "scenario: seed must be an integer, not 1.5"),
+    ("scenario", {"duration": 30, "events": ["oops"]},
+     "events[0]: must be an object, not 'oops'"),
+    ("scenario", {"duration": 30, "events": 5},
+     "scenario: 'events' must be a list, not 5"),
+    ("scenario", {"duration": 30, "events": [
+        {"at": -1, "kind": "HostLeave", "host": "h2"}]},
+     "events[0]: event tick must be >= 0"),
+    ("app", _with(APP, "components", [1]),
+     "components[0]: must be an object, not 1"),
+    ("app", _with_component("variants", [{"tier": "Full", "cpu_demand": "x",
+                                          "mem_demand": 1.0,
+                                          "behavior": "sink"}]),
+     "components[0].variants[0]: could not convert"),
+    ("app", _with(APP, "connectors", [{"from": "reader.out",
+                                       "to": ["relay.in"],
+                                       "capacity": None}]),
+     "connectors[0]: int() argument"),
+    ("app", _with(APP, "connectors", [{"from": "reader.out",
+                                       "to": ["relay.in"], "capacity": 0}]),
+     "connectors[0]: lossless capacity must be >= 1"),
+    ("net", _with(NET, "links", [5]), "links[0]: must be an object, not 5"),
+])
+def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
+                                              diag):
+    """Each of these raised out of the parser; now `validate` and `run`
+    print a diagnostic and exit 1."""
+    paths = {"app": APP, "net": NET, "scenario": SCENARIO}
+    paths[which] = write(tmp_path, f"{which}.json", doc)
+    runs = [["run", "--scenario", paths["scenario"],
+             "--trace", str(tmp_path / "run.trace")]]
+    if which != "scenario":
+        runs.append(["validate"])
+    for argv in runs:
+        assert cli.main(argv + ["--app", paths["app"],
+                                "--net", paths["net"]]) == 1
+        assert diag in capsys.readouterr().out
+
+
 class TestBuildWorld:
     def test_bootstrap_leaves_no_trace(self):
         app, _ = descriptors.parse_app(load(APP))

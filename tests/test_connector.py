@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from adaptsim.connector import (ConnectorInstance, ConnectorState, Endpoint,
-                                FlowPolicy, FlowSync, LossKind, PushResult)
-from adaptsim.errors import (BindingError, FlowPaused, MustPauseError,
-                             ValidationError)
+from adaptsim.connector import (ConnectorInstance, Endpoint, FlowPolicy,
+                                FlowSync, LossKind, PushResult)
+from adaptsim.errors import BindingError, ValidationError
 
 SRC = Endpoint("a", "out")
 SNK = Endpoint("b", "in")
@@ -123,55 +122,24 @@ class TestLatency:
 
 
 class TestControl:
-    def test_push_while_paused_raises(self):
-        c = conn()
-        c.pause()
-        assert c.would_block() is True
-        with pytest.raises(FlowPaused):
-            c.push("a", "out", 1, now=0)
-
-    def test_pull_while_paused_yields_nothing(self):
-        c = conn()
-        c.push("a", "out", 1, now=0)
-        c.pause()
-        assert c.pull("b", "in", now=0) is None
-        c.resume()
-        assert c.pull("b", "in", now=0) == 1
-
-    def test_drain_requires_draining_state(self):
-        c = conn()
-        with pytest.raises(MustPauseError):
-            c.drain()
-
     def test_drain_rebind_refill_preserves_residue(self):
         c = conn()
         for i in range(4):
             c.push("a", "out", i, now=0)
         c.pull("b", "in", now=0)
-        c.begin_drain()
         residue = c.drain()[SNK]
         assert [s.payload for s in residue] == [1, 2, 3]
         c.refill(SNK, residue, now=5)
-        c.resume()
         assert [c.pull("b", "in", now=5) for _ in range(3)] == [1, 2, 3]
 
     def test_refill_precedes_new_traffic(self):
         c = conn()
         c.push("a", "out", "old", now=0)
-        c.begin_drain()
         residue = c.drain()[SNK]
-        c.resume()
         c.push("a", "out", "new", now=1)
         c.refill(SNK, residue, now=1)
         assert c.pull("b", "in", now=1) == "old"
         assert c.pull("b", "in", now=1) == "new"
-
-    def test_disconnect_is_terminal_for_push(self):
-        c = conn()
-        c.disconnect()
-        assert c.state is ConnectorState.DISCONNECTED
-        with pytest.raises(BindingError):
-            c.push("a", "out", 1, now=0)
 
 
 class TestReporting:

@@ -5,16 +5,19 @@ from collections import deque
 
 import pytest
 
-from adaptsim import kernel
+from adaptsim import adaptation, behaviors, kernel
 from adaptsim.connector import Endpoint, FlowPolicy
 from adaptsim.container import (ComponentDescriptor, EventKind, Lifecycle,
                                 PlatformEvent, Variant)
+from adaptsim.context import (ContextInformation, ContextNature, Location,
+                              Quantity, stamp)
 from adaptsim.errors import ServiceUnavailable, Unreachable
 from adaptsim.kernel import (Add, Battery, Connect, Disconnect, HostDescriptor,
                              HostTier, IntrusionLevel, Move, PlatformConfig,
                              Remove, ReplaceBusiness, Service, Subscription,
                              reconstruct_model)
-from adaptsim.simnet import World
+from adaptsim.simnet import PlatformApi, World
+from adaptsim.store import ContextQuery
 
 
 def desc(cid, in_ports=(), out_ports=(), behavior="identity",
@@ -70,6 +73,111 @@ class TestServiceMatrix:
         w.hosts["h2"].desc.up = False
         with pytest.raises(Unreachable):
             kernel.service_call(w, "h2", Service.CONTEXT_ACCESS, None)
+
+
+def reading(hid, value, now=0):
+    return stamp(ContextInformation(nature=ContextNature.ENVIRONMENT,
+                                    key="temp", value=Quantity(value, "C"),
+                                    producer="sensor"),
+                 now, Location(host=hid), owner="app", base_confidence=1.0)
+
+
+TEMP = ContextQuery(key_pattern="temp")
+
+
+class TestServices:
+    def test_context_access_queries_the_local_store(self):
+        w = make_world()
+        w.hosts["h2"].store.put(reading("h2", 21.0))
+        w.hosts["h3"].store.put(reading("h3", 30.0))
+        got = kernel.service_call(w, "h2", Service.CONTEXT_ACCESS, TEMP)
+        assert [o.info.value.value for o in got] == [21.0]
+
+    def test_context_distant_queries_a_reachable_store(self):
+        w = make_world()
+        w.hosts["h3"].store.put(reading("h3", 30.0))
+        got = kernel.service_call(w, "h1", Service.CONTEXT_DISTANT,
+                                  ("h3", TEMP))
+        assert [o.info.value.value for o in got] == [30.0]
+        assert ("h1", "NET", "host=h1 kind=NET op=query to=h3 what=context"
+                ) == tuple(w._tick_buffer[-1][i] for i in (0, 1, 3))
+        with pytest.raises(Unreachable):
+            kernel.service_call(w, "h1", Service.CONTEXT_DISTANT,
+                                ("h9", TEMP))
+        w.links[frozenset(("h2", "h3"))].up = False
+        with pytest.raises(Unreachable):
+            kernel.service_call(w, "h1", Service.CONTEXT_DISTANT,
+                                ("h3", TEMP))
+
+    def test_persistence_appends_to_the_host_log(self):
+        w = make_world()
+        w.now = 4
+        obj = reading("h2", 21.0, now=4)
+        assert kernel.service_call(w, "h2", Service.PERSISTENCE, obj) is None
+        assert w.hosts["h2"].persist_log == [f"tick=4 {obj.trace_repr()}"]
+        assert w.hosts["h1"].persist_log == []
+
+    def test_qos_measure_returns_the_last_report(self):
+        w = make_world()
+        assert kernel.service_call(w, "h3", Service.QOS_MEASURE) is None
+        w.coordinator = adaptation.Coordinator("h1", "M1")
+        w.coordinator.run_cycle(w, 0)
+        assert kernel.service_call(w, "h3", Service.QOS_MEASURE) is w.last_qos
+        assert w.last_qos.global_score == 1.0
+
+    def test_reflexivity_shows_a_light_host_only_its_own_components(self):
+        w = make_world(tiers=("Full", "LightStd", "LightMin"))
+        kernel.apply_now(w, Add(desc("c1"), "h1"))
+        kernel.apply_now(w, Add(desc("c2", tiers=("LightStd",)), "h2"))
+        kernel.apply_now(w, Add(desc("c3", tiers=("LightMin",)), "h3"))
+        assert kernel.service_call(w, "h1", Service.REFLEXIVITY) is w.model
+        for hid, cid in (("h2", "c2"), ("h3", "c3")):
+            local = kernel.service_call(w, hid, Service.REFLEXIVITY)
+            assert local.components == {cid: w.model.components[cid]}
+            assert local.connectors == {}
+            assert local.version == w.model.version
+
+    def test_platform_api_serves_its_own_host(self):
+        w = make_world()
+        w.hosts["h2"].store.put(reading("h2", 21.0))
+        w.hosts["h3"].store.put(reading("h3", 30.0))
+        api = PlatformApi(w, "h2", "c")
+        assert api.service_call(Service.CONTEXT_ACCESS, TEMP) == \
+            w.hosts["h2"].store.query(TEMP, 0)
+        assert api.service_call(Service.CONTEXT_DISTANT, ("h3", TEMP)) == \
+            w.hosts["h3"].store.query(TEMP, 0)
+
+    def test_platform_api_commands_are_app_originated(self):
+        w = make_world()
+        w.hosts["h1"].config = PlatformConfig(intrusion=IntrusionLevel.LOCKED)
+        w.coordinator = adaptation.Coordinator("h1", "M1")
+        r = PlatformApi(w, "h2", "c").submit_command(Add(desc("c1"), "h3"))
+        assert r.applied                     # the lock gates the platform only
+        assert "c1" in w.hosts["h3"].containers
+        assert w._tick_buffer[-1][3].endswith(
+            "cmd=Add comp=c1 host=h3 result=Applied origin=app")
+
+    def test_a_behavior_reads_context_and_reconfigures_itself(
+            self, monkeypatch):
+        def probe(state, inputs, events, now, api):
+            if state is None:
+                seen = api.service_call(Service.CONTEXT_ACCESS, TEMP)
+                r = api.submit_command(Add(desc("helper"), "h3"))
+                state = {"seen": [o.info.value.value for o in seen],
+                         "result": r.status}
+            return state, {}
+
+        monkeypatch.setitem(behaviors._CATALOG, "probe", probe)
+        w = make_world()
+        w.hosts["h2"].store.put(reading("h2", 21.0))
+        kernel.apply_now(w, Add(desc("p", behavior="probe"), "h2"))
+        w.step()
+        assert w.hosts["h2"].containers["p"].state == {
+            "seen": [21.0], "result": "Applied"}
+        assert w.model.components["helper"].host == "h3"
+        assert any(l.endswith("cmd=Add comp=helper host=h3 result=Applied "
+                              "origin=app") for l in w.trace_lines)
+        assert w.model.canonical() == reconstruct_model(w).canonical()
 
 
 def bfs_paths(adj, src, dst):
@@ -303,6 +411,9 @@ class TestIntrusion:
         w.coordinator = Co()
         r = kernel.apply(w, Add(desc("c1"), "h2"))
         assert r.status == "Deferred"
+        assert w._tick_buffer[-1][3] == (
+            "host=h1 kind=CMD cmd=Add comp=c1 host=h2 result=Deferred due=3 "
+            "origin=platform")
         assert "c1" not in w.hosts["h2"].containers
         w.now = 2
         kernel.process_deferred(w)
@@ -318,6 +429,9 @@ class TestIntrusion:
             host = "h1"
         w.coordinator = Co()
         assert kernel.apply(w, Add(desc("c1"), "h2")).status == "Deferred"
+        assert w._tick_buffer[-1][3] == (
+            "host=h1 kind=CMD cmd=Add comp=c1 host=h2 result=Deferred "
+            "origin=platform")                 # no due tick while locked
         w.now = 50
         kernel.process_deferred(w)
         assert "c1" not in w.hosts["h2"].containers

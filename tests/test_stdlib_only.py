@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and no name
+it never uses."""
 
 import ast
 import os
@@ -28,3 +29,29 @@ def test_runtime_imports_only_the_standard_library():
                for line, root in imported_roots(os.path.join(PKG, name))
                if root != "adaptsim" and root not in sys.stdlib_module_names]
     assert outside == []
+
+
+def unused_imports(path):
+    """(line, name) of each name a file imports and never references."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    bound = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_runtime_imports_only_names_it_uses():
+    files = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
+    unused = [f"{name}:{line} imports {imported} and never uses it"
+              for name in files
+              for line, imported in unused_imports(os.path.join(PKG, name))]
+    assert unused == []
