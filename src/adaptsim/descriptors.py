@@ -78,6 +78,29 @@ def _section(obj: dict, key: str, where: str, diags: list) -> list:
     return []
 
 
+def _strings(obj: dict, keys: tuple, where: str, diags: list) -> bool:
+    """True when each of obj's `keys` that is present holds a string;
+    each that does not is reported."""
+    ok = True
+    for key in keys:
+        if key in obj and not isinstance(obj[key], str):
+            diags.append(f"{where}: {key} must be a string, "
+                         f"not {obj[key]!r}")
+            ok = False
+    return ok
+
+
+def _ports(obj: dict, key: str, where: str, diags: list) -> tuple:
+    """obj[key] as a tuple of port names; a value that is not a list of
+    strings is reported and read as empty."""
+    ports = _section(obj, key, where, diags)
+    if all(isinstance(p, str) for p in ports):
+        return tuple(ports)
+    diags.append(f"{where}: {key!r} must be a list of strings, "
+                 f"not {ports!r}")
+    return ()
+
+
 def load_json(path: str):
     try:
         with open(path) as fh:
@@ -105,7 +128,8 @@ def parse_app(doc: Any) -> tuple:
     _check_fields(doc, {"components", "connectors"}, "app", diags)
     for i, raw in enumerate(_section(doc, "components", "app", diags)):
         where = f"components[{i}]"
-        if not _check_fields(raw, _COMPONENT_FIELDS, where, diags):
+        if not (_check_fields(raw, _COMPONENT_FIELDS, where, diags)
+                and _strings(raw, ("id", "initial_host"), where, diags)):
             continue
         variants = []
         for j, rv in enumerate(_section(raw, "variants", where, diags)):
@@ -124,8 +148,8 @@ def parse_app(doc: Any) -> tuple:
         try:
             app.components.append(ComponentDescriptor(
                 id=raw["id"],
-                in_ports=tuple(raw.get("in_ports", [])),
-                out_ports=tuple(raw.get("out_ports", [])),
+                in_ports=_ports(raw, "in_ports", where, diags),
+                out_ports=_ports(raw, "out_ports", where, diags),
                 variants=tuple(variants),
                 listener=bool(raw.get("listener", False)),
                 initial_host=raw.get("initial_host", "")))
@@ -135,7 +159,8 @@ def parse_app(doc: Any) -> tuple:
             diags.append(f"{where}: {exc}")
     for i, raw in enumerate(_section(doc, "connectors", "app", diags)):
         where = f"connectors[{i}]"
-        if not _check_fields(raw, _CONNECTOR_FIELDS, where, diags):
+        if not (_check_fields(raw, _CONNECTOR_FIELDS, where, diags)
+                and _strings(raw, ("id",), where, diags)):
             continue
         src = parse_endpoint(raw.get("from", ""), where, diags)
         sinks = [parse_endpoint(t, where, diags)
@@ -168,7 +193,8 @@ def parse_net(doc: Any) -> tuple:
     _check_fields(doc, {"hosts", "links"}, "net", diags)
     for i, raw in enumerate(_section(doc, "hosts", "net", diags)):
         where = f"hosts[{i}]"
-        if not _check_fields(raw, _HOST_FIELDS, where, diags):
+        if not (_check_fields(raw, _HOST_FIELDS, where, diags)
+                and _strings(raw, ("id",), where, diags)):
             continue
         power = raw.get("power", "Mains")
         battery = None

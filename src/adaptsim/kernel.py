@@ -414,7 +414,7 @@ def apply(world, cmd, origin: str = "platform",
 
 
 def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
-    checkpoint = world.runtime_snapshot()
+    checkpoint = world.runtime_snapshot(*_scope(world, cmd))
     try:
         _execute(world, cmd)
     except _Abort as a:
@@ -497,14 +497,40 @@ def _sync_model_component(world, cid, hid, c) -> None:
         behavior=c.active_variant.behavior, lifecycle=c.lifecycle.value)
 
 
-def _connectors_touching(world, cid: str) -> list:
-    out = []
-    for kid in sorted(world.connectors):
-        k = world.connectors[kid]
-        if k.source.component == cid or any(
-                s.component == cid for s in k.sinks):
-            out.append(k)
-    return out
+def _bound_connectors(c: ContainerInstance) -> list:
+    """The connectors touching a container, by id: Connect binds every
+    endpoint of a connector and Disconnect unbinds them all."""
+    bound = {k.id: k for k in (*c.input_bindings.values(),
+                               *c.output_bindings.values())}
+    return [bound[kid] for kid in sorted(bound)]
+
+
+def _scope(world, cmd) -> tuple:
+    """(component ids, connector ids, host ids) that a command can touch:
+    the components it names, the connectors bound to them and the one it
+    names, the components' current hosts and its target host."""
+    hosts = []
+    if isinstance(cmd, Add):
+        cids, hosts = [cmd.descriptor.id], [cmd.host]
+    elif isinstance(cmd, Move):
+        cids, hosts = [cmd.component], [cmd.target]
+    elif isinstance(cmd, (Remove, ReplaceBusiness)):
+        cids = [cmd.component]
+    elif isinstance(cmd, Connect):
+        cids = [ep.component for ep in (cmd.source, *cmd.sinks)]
+    elif isinstance(cmd, Disconnect) and cmd.connector in world.connectors:
+        k = world.connectors[cmd.connector]
+        cids = [ep.component for ep in (k.source, *k.sinks)]
+    else:
+        cids = []
+    kids = [cmd.connector] if isinstance(cmd, (Connect, Disconnect)) else []
+    for cid in cids:
+        hid, c = _find_component(world, cid)
+        if c is not None:
+            hosts.append(hid)
+            kids += [k.id for k in _bound_connectors(c)]
+    return (list(dict.fromkeys(cids)), list(dict.fromkeys(kids)),
+            [hid for hid in dict.fromkeys(hosts) if hid in world.hosts])
 
 
 def _execute(world, cmd) -> None:
@@ -548,7 +574,7 @@ def _exec_remove(world, cmd: Remove) -> None:
     hid, c = _find_component(world, cmd.component)
     if c is None:
         raise _Abort("unknown id")
-    if _connectors_touching(world, cmd.component):
+    if _bound_connectors(c):
         raise _Abort("in use")
     if c.lifecycle is Lifecycle.RUNNING:
         c.transition(Lifecycle.STOPPED)
@@ -577,10 +603,14 @@ def _exec_move(world, cmd: Move) -> None:
         raise _Abort("variant")
     if src_hid == cmd.target:
         return
-    conns = _connectors_touching(world, cmd.component)
-    snap = None
+    conns = _bound_connectors(c)
+    new = ContainerInstance(desc, target.desc.tier.value)
     residues: dict = {}
+    path = None
     if world.hosts[src_hid].desc.up:
+        path = shortest_path(world, src_hid, cmd.target)
+        if path is None:
+            raise _Abort("unreachable")
         if c.lifecycle is Lifecycle.RUNNING:
             c.transition(Lifecycle.STOPPED)
         if c.lifecycle is Lifecycle.STOPPED:
@@ -590,16 +620,7 @@ def _exec_move(world, cmd: Move) -> None:
             for sink, samples in k.drain().items():
                 if samples:
                     residues[(k.id, sink)] = samples
-        snap = c.snapshot()
-        path = shortest_path(world, src_hid, cmd.target)
-        if path is None:
-            raise _Abort("unreachable")
-        world.trace(src_hid, "NET",
-                    f"op=transfer comp={cmd.component} to={cmd.target} "
-                    f"hops={len(path) - 1}")
-    new = ContainerInstance(desc, target.desc.tier.value)
-    if snap is not None:
-        new.restore(snap)
+        new.restore(c.snapshot())
     new.transition(Lifecycle.CONNECTED)
     # carry the flow bindings to the new container
     for k in conns:
@@ -608,6 +629,15 @@ def _exec_move(world, cmd: Move) -> None:
         for s in k.sinks:
             if s.component == cmd.component:
                 new.input_bindings[s.port] = k
+    for (kid, sink), samples in sorted(
+            residues.items(), key=lambda t: (t[0][0], str(t[0][1]))):
+        world.connectors[kid].refill(sink, samples, world.now)
+    _sync_model_component(world, cmd.component, cmd.target, new)
+    if path is not None:
+        world.trace(src_hid, "NET",
+                    f"op=transfer comp={cmd.component} to={cmd.target} "
+                    f"hops={len(path) - 1}")
+    # nothing below can fail, so a rollback never re-inserts a key
     del world.hosts[src_hid].containers[cmd.component]
     target.containers[cmd.component] = new
     world.component_host[cmd.component] = cmd.target
@@ -616,10 +646,6 @@ def _exec_move(world, cmd: Move) -> None:
         if k.source.component == cmd.component:
             world.hosts[src_hid].connector_sources.discard(k.id)
             target.connector_sources.add(k.id)
-    for (kid, sink), samples in sorted(
-            residues.items(), key=lambda t: (t[0][0], str(t[0][1]))):
-        world.connectors[kid].refill(sink, samples, world.now)
-    _sync_model_component(world, cmd.component, cmd.target, new)
 
 
 def _exec_connect(world, cmd: Connect) -> None:

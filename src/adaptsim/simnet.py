@@ -9,7 +9,6 @@ one seeded RNG is consumed in a single global order.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -27,6 +26,8 @@ from .store import ContextStore
 
 REPORTING_INTERVAL = 5      # ticks between a host's context reports
 ADAPTATION_INTERVAL = 5     # ticks between adaptation cycles
+
+_ABSENT = object()          # a checkpointed map had no entry for the key
 
 
 @dataclass
@@ -162,8 +163,8 @@ class World:
 
     def make_connector(self, kid: str, source: Endpoint, sinks: list,
                        policy: FlowPolicy) -> ConnectorInstance:
-        # lambdas capture the world and plain ids only, so checkpoints can
-        # deep-copy connectors without dragging the world along
+        # lambdas capture the world and plain ids only, so a connector
+        # carries no reference to the state around it
         transit = lambda sink, _w=self, _k=kid: _w.connector_transit(_k, sink)
         tracer = (lambda conn, now, op, sink, seq, _w=self:
                   _w.flow_trace(conn, now, op, sink, seq))
@@ -218,24 +219,53 @@ class World:
 
     # -- rollback checkpoints ---------------------------------------------
 
-    def runtime_snapshot(self):
-        containers = {hid: h.containers for hid, h in self.hosts.items()}
-        sources = {hid: h.connector_sources for hid, h in self.hosts.items()}
-        return copy.deepcopy((containers, sources, self.connectors,
-                              self.model, self.descriptors,
-                              self.deferred_commands))
+    def runtime_snapshot(self, components, connectors, hosts):
+        """Checkpoint of what one command can touch.
+
+        Saves the attributes of the containers of `components` and of the
+        `connectors` (dict and list values copied one level), and, for
+        those ids, the entries of the world's maps and of the `hosts`'
+        registries, or the fact that there was none.
+        """
+        objs = [self.hosts[self.component_host[cid]].containers[cid]
+                for cid in components if cid in self.component_host]
+        objs += [self.connectors[kid] for kid in connectors
+                 if kid in self.connectors]
+        attrs = [(o, {a: v.copy() if isinstance(v, (dict, list)) else v
+                      for a, v in vars(o).items()}) for o in objs]
+        maps = [(self.component_host, components),
+                (self.descriptors, components),
+                (self.model.components, components),
+                (self.connectors, connectors),
+                (self.model.connectors, connectors)]
+        maps += [(self.hosts[hid].containers, components) for hid in hosts]
+        entries = [(m, key, m.get(key, _ABSENT))
+                   for m, keys in maps for key in keys]
+        sources = [(self.hosts[hid].connector_sources, kid,
+                    kid in self.hosts[hid].connector_sources)
+                   for hid in hosts for kid in connectors]
+        return attrs, entries, sources
 
     def runtime_restore(self, snap) -> None:
-        containers, sources, connectors, model, descriptors, deferred = snap
-        for hid, h in self.hosts.items():
-            h.containers = containers[hid]
-            h.connector_sources = sources[hid]
-        self.connectors = connectors
-        self.model = model
-        self.descriptors = descriptors
-        self.deferred_commands = deferred
-        self.component_host = {cid: hid for hid, h in self.hosts.items()
-                               for cid in h.containers}
+        """Write a checkpoint back into the same objects and maps.
+
+        A key the command deleted comes back at the end of its map, so
+        commands delete keys only after their last step that can fail.
+        """
+        attrs, entries, sources = snap
+        for obj, saved in attrs:
+            vars(obj).clear()
+            vars(obj).update(saved)
+        for m, key, old in entries:
+            if old is _ABSENT:
+                m.pop(key, None)
+            else:
+                m[key] = old
+        for held, kid, was_held in sources:
+            if was_held:
+                held.add(kid)
+            else:
+                held.discard(kid)
 
     # -- scheduling --------------------------------------------------------
 

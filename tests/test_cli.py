@@ -199,6 +199,12 @@ def _with_component(field, value):
     return doc
 
 
+def _with_first(path, section, field, value):
+    doc = load(path)
+    doc[section][0][field] = value
+    return doc
+
+
 @pytest.mark.parametrize("which, doc, diag", [
     ("scenario", {"duration": "x"},
      "scenario: duration must be an integer, not 'x'"),
@@ -225,6 +231,18 @@ def _with_component(field, value):
                                        "to": ["relay.in"], "capacity": 0}]),
      "connectors[0]: lossless capacity must be >= 1"),
     ("net", _with(NET, "links", [5]), "links[0]: must be an object, not 5"),
+    ("app", _with_component("id", ["reader"]),
+     "components[0]: id must be a string, not ['reader']"),
+    ("app", _with_component("initial_host", ["h1"]),
+     "components[0]: initial_host must be a string, not ['h1']"),
+    ("app", _with_first(APP, "connectors", "id", ["k1"]),
+     "connectors[0]: id must be a string, not ['k1']"),
+    ("net", _with_first(NET, "hosts", "id", ["h1"]),
+     "hosts[0]: id must be a string, not ['h1']"),
+    ("app", _with_component("out_ports", "out"),
+     "components[0]: 'out_ports' must be a list, not 'out'"),
+    ("app", _with_first(APP, "components", "in_ports", ["in", 7]),
+     "components[0]: 'in_ports' must be a list of strings, not ['in', 7]"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
