@@ -152,6 +152,45 @@ def _demands(descriptors, cid: str, tier: str):
     return (v.cpu_demand, v.mem_demand) if v else (0.0, 0.0)
 
 
+def _fit(cpu_free: float, mem_free: float, cpu_d: float,
+         mem_d: float) -> float:
+    """Resource term: how many times the demands still fit into the free
+    capacity, capped at 1."""
+    fit = 1.0
+    if cpu_d > 0:
+        fit = min(fit, cpu_free / cpu_d)
+    if mem_d > 0:
+        fit = min(fit, mem_free / mem_d)
+    return max(0.0, min(1.0, fit))
+
+
+def _link_fit(routes: kernel.Routes, links: dict, src: str, dsts: list,
+              bw_demand: float) -> float:
+    """Link term: the bottleneck bandwidth margin over the routes from src
+    to each of dsts (1 when all are local, 0 when one is unreachable)."""
+    score = 1.0
+    for dst in dsts:
+        if dst == src:
+            continue
+        path = routes.path(src, dst)
+        if path is None:
+            return 0.0
+        if bw_demand > 0:
+            for a, b in zip(path, path[1:]):
+                score = min(score, max(0.0, min(
+                    1.0, links[frozenset((a, b))].bw_free / bw_demand)))
+        if score == 0.0:
+            return score
+    return score
+
+
+def _global_score(resource, link, battery: float, weights) -> float:
+    w_r, w_l, w_b = weights
+    mean_r = sum(resource) / len(resource)
+    mean_l = sum(link) / len(link) if link else 1.0
+    return w_r * mean_r + w_l * mean_l + w_b * battery
+
+
 def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
                  weights=QOS_WEIGHTS) -> QoSReport:
     """Score the deployment: resource fit, link fit, battery margin.
@@ -168,50 +207,26 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
     for cid in sorted(model.components):
         mc = model.components[cid]
         ho = obs.hosts.get(mc.host)
-        if ho is None or not ho.up:
-            resource[cid] = 0.0
-            continue
-        cpu_d, mem_d = _demands(descriptors, cid, mc.tier)
-        fit = 1.0
-        if cpu_d > 0:
-            fit = min(fit, ho.cpu_free / cpu_d)
-        if mem_d > 0:
-            fit = min(fit, ho.mem_free / mem_d)
-        resource[cid] = max(0.0, min(1.0, fit))
+        resource[cid] = (
+            _fit(ho.cpu_free, ho.mem_free,
+                 *_demands(descriptors, cid, mc.tier))
+            if ho is not None and ho.up else 0.0)
     link = {}
     for kid in sorted(model.connectors):
         mk = model.connectors[kid]
         src_c = model.components.get(mk.source.component)
         hosts = [model.components[s.component].host for s in mk.sinks
                  if s.component in model.components]
-        if src_c is None or len(hosts) < len(mk.sinks):
-            link[kid] = 0.0
-            continue
-        score = 1.0
-        for dst in hosts:
-            if dst == src_c.host:
-                continue
-            path = _obs_path(obs, src_c.host, dst)
-            if path is None:
-                score = 0.0
-                break
-            for a, b in zip(path, path[1:]):
-                lo = obs.links[frozenset((a, b))]
-                if mk.policy.bw_demand > 0:
-                    score = min(score, max(
-                        0.0, min(1.0, lo.bw_free / mk.policy.bw_demand)))
-            if score == 0.0:
-                break
-        link[kid] = score
+        link[kid] = (
+            0.0 if src_c is None or len(hosts) < len(mk.sinks)
+            else _link_fit(_obs_routes(obs), obs.links, src_c.host, hosts,
+                           mk.policy.bw_demand))
     used = {model.components[cid].host for cid in model.components}
     levels = [obs.hosts[h].battery for h in used
               if obs.hosts.get(h) and obs.hosts[h].up
               and obs.hosts[h].battery is not None]
     battery = min(levels) if levels else 1.0
-    w_r, w_l, w_b = weights
-    mean_r = sum(resource.values()) / len(resource)
-    mean_l = sum(link.values()) / len(link) if link else 1.0
-    g = w_r * mean_r + w_l * mean_l + w_b * battery
+    g = _global_score(resource.values(), link.values(), battery, weights)
     return QoSReport(resource, link, battery, g, obs.at)
 
 
@@ -267,12 +282,8 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
             return INFEASIBLE
         candidates[cid] = cands
 
-    def tiers_for(assignment):
-        return {cid: host_tiers[hid] for cid, hid in assignment.items()}
-
-    def score(assignment):
-        return _score_assignment(model, obs, descriptors, affected,
-                                 assignment, tiers_for(assignment), weights)
+    cache = _ScoreCache(model, obs, descriptors, affected, candidates,
+                        host_tiers, weights)
 
     def moves(assignment):
         return sum(1 for cid, hid in assignment.items()
@@ -285,7 +296,8 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
     if space <= EXHAUSTIVE_LIMIT:
         for combo in itertools.product(*(candidates[c] for c in affected)):
             assignment = dict(zip(affected, combo))
-            key = (-score(assignment), moves(assignment),
+            key = (-_score_assignment(cache, assignment),
+                   moves(assignment),
                    tuple(sorted(assignment.items())))
             if best is None or key < best[0]:
                 best = (key, assignment)
@@ -297,7 +309,7 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
             cur = model.components[cid].host
             assignment[cid] = cur if cur in candidates[cid] \
                 else candidates[cid][0]
-        best_score = score(assignment)
+        best_score = _score_assignment(cache, assignment)
         improved = True
         while improved:
             improved = False
@@ -308,7 +320,7 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
                         continue
                     trial = dict(assignment)
                     trial[cid] = hid
-                    key = (-score(trial), moves(trial),
+                    key = (-_score_assignment(cache, trial), moves(trial),
                            tuple(sorted(trial.items())))
                     if step_best is None or key < step_best[0]:
                         step_best = (key, trial)
@@ -322,33 +334,103 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
                           assignment=assignment)
 
 
-def _score_assignment(model, obs, descriptors, affected, assignment,
-                      tiers, weights):
-    hyp = ArchitectureModel(
-        components=dict(model.components),
-        connectors=model.connectors, version=model.version)
-    hyp_hosts = {hid: HostObs(ho.up, ho.cpu_free, ho.mem_free, ho.battery)
-                 for hid, ho in obs.hosts.items()}
-    for cid in affected:
-        mc = model.components[cid]
-        cpu_d, mem_d = _demands(descriptors, cid, mc.tier)
-        old = hyp_hosts.get(mc.host)
-        if old is not None and old.up:
-            old.cpu_free += cpu_d
-            old.mem_free += mem_d
+class _ScoreCache:
+    """The deployment with the affected components lifted off their hosts,
+    scored term by term in `evaluate_qos`'s sorted-id order.
+
+    Holds each host's free capacity, the resource term of every unaffected
+    component, the link term of every connector with no affected endpoint,
+    and the lowest battery level among the hosts unaffected components use.
+    A candidate assignment can change none of these but the resource terms
+    on the hosts it charges, so `_score_assignment` recomputes only those,
+    the affected components' own terms and the link terms of connectors
+    with an affected endpoint.
+    """
+
+    def __init__(self, model, obs, descriptors, affected, candidates,
+                 host_tiers, weights):
+        self.model = model
+        self.routes = _obs_routes(obs)
+        self.links = obs.links
+        self.weights = weights
+        moved = set(affected)
+        self.free = {hid: (ho.cpu_free, ho.mem_free)
+                     for hid, ho in obs.hosts.items()}
+        for cid in affected:
+            mc = model.components[cid]
+            ho = obs.hosts.get(mc.host)
+            if ho is not None and ho.up:
+                cpu_d, mem_d = _demands(descriptors, cid, mc.tier)
+                cpu, mem = self.free[mc.host]
+                self.free[mc.host] = (cpu + cpu_d, mem + mem_d)
+        # candidate (component, host) -> demands of the host's tier
+        self.demand = {(cid, hid): _demands(descriptors, cid, host_tiers[hid])
+                       for cid in affected for hid in candidates[cid]}
+        comps = model.components
+        self.slot = {}                  # affected component -> term index
+        self.residents = {}             # host -> [(term index, demands)]
+        self.resource = []
+        for i, cid in enumerate(sorted(comps)):
+            mc = comps[cid]
+            ho = obs.hosts.get(mc.host)
+            term = 0.0
+            if cid in moved:
+                self.slot[cid] = i
+            elif ho is not None and ho.up:
+                demand = _demands(descriptors, cid, mc.tier)
+                self.residents.setdefault(mc.host, []).append((i, demand))
+                term = _fit(*self.free[mc.host], *demand)
+            self.resource.append(term)
+        self.touched = []               # (term index, endpoints, demand)
+        self.link = []
+        for i, kid in enumerate(sorted(model.connectors)):
+            mk = model.connectors[kid]
+            ends = [mk.source.component] + [s.component for s in mk.sinks]
+            term = 0.0
+            if all(c in comps for c in ends):
+                if moved.isdisjoint(ends):
+                    hosts = [comps[c].host for c in ends]
+                    term = _link_fit(self.routes, self.links, hosts[0],
+                                     hosts[1:], mk.policy.bw_demand)
+                else:
+                    self.touched.append((i, ends, mk.policy.bw_demand))
+            self.link.append(term)
+        self.levels = {hid: ho.battery for hid, ho in obs.hosts.items()
+                       if ho.up and ho.battery is not None}
+        used = {mc.host for cid, mc in comps.items() if cid not in moved}
+        self.battery = min((self.levels[h] for h in used
+                            if h in self.levels), default=None)
+
+
+def _score_assignment(cache: _ScoreCache, assignment: dict) -> float:
+    """The global score `evaluate_qos` gives the deployment with each
+    affected component on its assigned host, at that host's tier, charged
+    to that host's free capacity.  Every assigned host is up."""
+    free = {}
     for cid, hid in assignment.items():
-        mc = model.components[cid]
-        tier = tiers[cid]
-        cpu_d, mem_d = _demands(descriptors, cid, tier)
-        hyp_hosts[hid].cpu_free -= cpu_d
-        hyp_hosts[hid].mem_free -= mem_d
-        hyp.components[cid] = kernel.ModelComponent(
-            host=hid, tier=tier, behavior=mc.behavior,
-            lifecycle=mc.lifecycle)
-    # same up flags as obs, so the same routes
-    hyp_obs = Observation(at=obs.at, hosts=hyp_hosts, links=obs.links,
-                          routes=_obs_routes(obs))
-    return evaluate_qos(hyp, hyp_obs, descriptors, weights).global_score
+        cpu_d, mem_d = cache.demand[cid, hid]
+        cpu, mem = free[hid] if hid in free else cache.free[hid]
+        free[hid] = (cpu - cpu_d, mem - mem_d)
+    resource = list(cache.resource)
+    for hid, (cpu, mem) in free.items():
+        for i, demand in cache.residents.get(hid, ()):
+            resource[i] = _fit(cpu, mem, *demand)
+    for cid, hid in assignment.items():
+        resource[cache.slot[cid]] = _fit(*free[hid], *cache.demand[cid, hid])
+    link = list(cache.link)
+    comps = cache.model.components
+    for i, ends, bw_demand in cache.touched:
+        hosts = [assignment[c] if c in assignment else comps[c].host
+                 for c in ends]
+        link[i] = _link_fit(cache.routes, cache.links, hosts[0], hosts[1:],
+                            bw_demand)
+    battery = cache.battery
+    for hid in free:
+        level = cache.levels.get(hid)
+        if level is not None and (battery is None or level < battery):
+            battery = level
+    return _global_score(resource, link,
+                         1.0 if battery is None else battery, cache.weights)
 
 
 # -- control loop ----------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from .connector import (Endpoint, FlowMode, FlowPolicy, FlowSync, LossKind)
 from .container import ComponentDescriptor, Variant
+from .context import ContextNature
 from .errors import DescriptorError, ValidationError
 from .kernel import Battery, HostDescriptor, HostTier
 from .simnet import Link, SimEventKind, sim_event
@@ -28,6 +29,15 @@ _LINK_FIELDS = {"endpoints", "latency", "bandwidth", "up"}
 _EVENT_FIELDS = {"at", "kind", "endpoints", "host", "key", "value", "unit",
                  "nature", "noise", "producer", "owner", "confidence",
                  "level"}
+_EVENT_REQUIRED = {
+    SimEventKind.LINK_UP: ("endpoints",),
+    SimEventKind.LINK_DOWN: ("endpoints",),
+    SimEventKind.HOST_JOIN: ("host",),
+    SimEventKind.HOST_LEAVE: ("host",),
+    SimEventKind.SENSOR_READING: ("host", "key"),
+    SimEventKind.USER_PROFILE: ("host", "key"),
+    SimEventKind.BATTERY_SET: ("host", "level"),
+}
 
 
 @dataclass
@@ -238,6 +248,46 @@ def parse_net(doc: Any) -> tuple:
     return net, diags
 
 
+def _event_args(kind: SimEventKind, raw: dict, where: str,
+                diags: list) -> Optional[dict]:
+    """The event's arguments as `sim_event` takes them, or None when one of
+    them or its tick is missing or malformed (each such is reported)."""
+    args = {k: v for k, v in raw.items() if k not in ("at", "kind")}
+    ok = _strings(args, ("host", "key", "unit", "producer", "owner"), where,
+                  diags)
+    at = raw.get("at", 0)
+    if isinstance(at, bool) or not isinstance(at, int):
+        diags.append(f"{where}: at must be an integer, not {at!r}")
+        ok = False
+    for key in _EVENT_REQUIRED[kind]:
+        if key not in args:
+            diags.append(f"{where}: missing {key!r}")
+            ok = False
+    numbers = ("level", "noise", "confidence")
+    if kind is SimEventKind.SENSOR_READING:
+        numbers += ("value",)
+    for key in numbers:
+        value = args.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            diags.append(f"{where}: {key} must be a number, not {value!r}")
+            ok = False
+    if "endpoints" in args:
+        ends = args["endpoints"]
+        if isinstance(ends, list) and len(ends) == 2 \
+                and all(isinstance(e, str) for e in ends):
+            args["endpoints"] = tuple(ends)
+        else:
+            diags.append(f"{where}: endpoints must be a list of two host "
+                         f"ids, not {ends!r}")
+            ok = False
+    natures = [n.value for n in ContextNature]
+    if args.get("nature", natures[0]) not in natures:
+        diags.append(f"{where}: nature must be one of {natures}, "
+                     f"not {args['nature']!r}")
+        ok = False
+    return args if ok else None
+
+
 def parse_scenario(doc: Any) -> tuple:
     diags: list = []
     sc = ScenarioScript()
@@ -257,10 +307,10 @@ def parse_scenario(doc: Any) -> tuple:
             continue
         try:
             kind = SimEventKind(raw["kind"])
-            args = {k: v for k, v in raw.items() if k not in ("at", "kind")}
-            if "endpoints" in args:
-                args["endpoints"] = tuple(args["endpoints"])
-            ev = sim_event(int(raw["at"]), kind, **args)
+            args = _event_args(kind, raw, where, diags)
+            if args is None:
+                continue
+            ev = sim_event(raw["at"], kind, **args)
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             diags.append(f"{where}: {exc}")
             continue

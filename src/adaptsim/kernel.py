@@ -9,6 +9,7 @@ world owns all mutable runtime state.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Any, Optional
@@ -228,30 +229,12 @@ def reconstruct_model(world) -> ArchitectureModel:
 
 # -- routing ---------------------------------------------------------------
 
-def bfs_path(adj: dict, src: str, dst: str) -> Optional[tuple]:
-    """Fewest hops from src to dst; ties to the lexicographically least path.
-
-    Neighbours expand in sorted order and the first path to reach a node is
-    kept, so within one level the queue is in the lexicographic order of
-    those paths.
-    """
-    reached = {src: (src,)}
-    queue = [src]
-    for node in queue:
-        for nxt in adj.get(node, ()):
-            if nxt not in reached:
-                reached[nxt] = reached[node] + (nxt,)
-                if nxt == dst:
-                    return reached[nxt]
-                queue.append(nxt)
-    return reached.get(dst)
-
-
 class Routes:
     """Fewest-hop routes over one topology: an adjacency index, where adj[a]
     lists in sorted order every b such that link a-b and host b are up, and
-    a memo of the paths asked for.  `links` maps endpoint pairs to records
-    with an `up` flag; no up flag may change while the routes are in use."""
+    one breadth-first search per source asked for.  `links` maps endpoint
+    pairs to records with an `up` flag; no up flag may change while the
+    routes are in use."""
 
     def __init__(self, host_up: dict, links: dict):
         self.host_up = host_up
@@ -263,14 +246,30 @@ class Routes:
                 self.adj.setdefault(b, []).append(a)
         for nbrs in self.adj.values():
             nbrs.sort()
-        self._paths: dict = {}
+        self._trees: dict = {}          # src -> (reached, frontier)
 
     def path(self, src: str, dst: str) -> Optional[tuple]:
-        """None when src is down or dst is unreachable."""
-        if (src, dst) not in self._paths:
-            self._paths[src, dst] = (bfs_path(self.adj, src, dst)
-                                     if self.host_up.get(src) else None)
-        return self._paths[src, dst]
+        """Fewest hops from src to dst, ties to the lexicographically least
+        path; None when src is down or dst is unreachable.
+
+        Neighbours expand in sorted order and the first path to reach a
+        node is kept, so within one level the frontier is in the
+        lexicographic order of those paths.  Each source's search stops
+        once dst is reached and resumes there for the next dst.
+        """
+        if not self.host_up.get(src):
+            return None
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = ({src: (src,)}, deque([src]))
+        reached, frontier = tree
+        while dst not in reached and frontier:
+            node = frontier.popleft()
+            for nxt in self.adj.get(node, ()):
+                if nxt not in reached:
+                    reached[nxt] = reached[node] + (nxt,)
+                    frontier.append(nxt)
+        return reached.get(dst)
 
 
 def neighbors(world, hid: str) -> list:

@@ -141,7 +141,7 @@ class World:
         self.topology_version += 1
 
     def routes(self) -> kernel.Routes:
-        """Routing index and path memo of the current topology version."""
+        """Routing index and BFS trees of the current topology version."""
         if self._routes is None or self._routes[0] != self.topology_version:
             self._routes = (self.topology_version, kernel.Routes(
                 {hid: h.desc.up for hid, h in self.hosts.items()}, self.links))

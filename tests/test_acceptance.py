@@ -24,6 +24,7 @@ from adaptsim.kernel import (Add, ArchitectureModel, Connect, Disconnect,
                              HostDescriptor, HostTier, ModelComponent, Move,
                              Remove, Service, reconstruct_model)
 from adaptsim.simnet import SimEventKind, World, sim_event
+from test_adaptation import reference_score
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 APP = os.path.join(DATA, "app.json")
@@ -220,9 +221,8 @@ def _brute_force_plan(m, o, ds, tiers):
     best = None
     for combo in itertools.product(*(cands[c] for c in affected)):
         a = dict(zip(affected, combo))
-        s = adaptation._score_assignment(
-            m, o, ds, affected, a,
-            {c: tiers[h] for c, h in a.items()}, (0.4, 0.4, 0.2))
+        s = reference_score(m, o, ds, affected, a,
+                            {c: tiers[h] for c, h in a.items()})
         moves = sum(1 for c, h in a.items() if m.components[c].host != h)
         key = (-s, moves, tuple(sorted(a.items())))
         if best is None or key < best[0]:

@@ -205,6 +205,11 @@ def _with_first(path, section, field, value):
     return doc
 
 
+def _event(**event):
+    """A scenario whose one event, at tick 2, has these fields."""
+    return {"duration": 30, "events": [{"at": 2, **event}]}
+
+
 @pytest.mark.parametrize("which, doc, diag", [
     ("scenario", {"duration": "x"},
      "scenario: duration must be an integer, not 'x'"),
@@ -243,6 +248,34 @@ def _with_first(path, section, field, value):
      "components[0]: 'out_ports' must be a list, not 'out'"),
     ("app", _with_first(APP, "components", "in_ports", ["in", 7]),
      "components[0]: 'in_ports' must be a list of strings, not ['in', 7]"),
+    ("scenario", {"duration": 30, "events": [
+        {"at": 2.5, "kind": "HostLeave", "host": "h2"}]},
+     "events[0]: at must be an integer, not 2.5"),
+    ("scenario", _event(kind="HostLeave", host=["h2"]),
+     "events[0]: host must be a string, not ['h2']"),
+    ("scenario", _event(kind="HostJoin", host={"id": "h2"}),
+     "events[0]: host must be a string, not {'id': 'h2'}"),
+    ("scenario", _event(kind="LinkDown", endpoints=[["h1"], ["h2"]]),
+     "events[0]: endpoints must be a list of two host ids, "
+     "not [['h1'], ['h2']]"),
+    ("scenario", _event(kind="LinkDown", endpoints=["h1", "h2", "h3"]),
+     "events[0]: endpoints must be a list of two host ids, "
+     "not ['h1', 'h2', 'h3']"),
+    ("scenario", _event(kind="LinkUp", endpoints="h1"),
+     "events[0]: endpoints must be a list of two host ids, not 'h1'"),
+    ("scenario", _event(kind="HostLeave"), "events[0]: missing 'host'"),
+    ("scenario", _event(kind="LinkDown"), "events[0]: missing 'endpoints'"),
+    ("scenario", _event(kind="BatterySet", host="h2"),
+     "events[0]: missing 'level'"),
+    ("scenario", _event(kind="BatterySet", host="h2", level="high"),
+     "events[0]: level must be a number, not 'high'"),
+    ("scenario", _event(kind="SensorReading", host="h3", key="temp",
+                        value="x"),
+     "events[0]: value must be a number, not 'x'"),
+    ("scenario", _event(kind="SensorReading", host="h3", key="temp",
+                        value=1.0, nature="Bogus"),
+     "events[0]: nature must be one of ['User', 'Hardware', "
+     "'Environment'], not 'Bogus'"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +64,21 @@ def ref_obs_path(up, links, src, dst):
     return ref_search(up, links, src, dst)
 
 
+# -- reference: a BFS per pair that stops when it reaches dst -------------
+
+def bfs_path(adj, src, dst):
+    reached = {src: (src,)}
+    queue = [src]
+    for node in queue:
+        for nxt in adj.get(node, ()):
+            if nxt not in reached:
+                reached[nxt] = reached[node] + (nxt,)
+                if nxt == dst:
+                    return reached[nxt]
+                queue.append(nxt)
+    return reached.get(dst)
+
+
 # ids whose string order differs from their numeric order
 NAMES = ["h0", "h1", "h10", "h2", "h3", "h11", "a", "z"]
 
@@ -105,6 +121,22 @@ class TestOracle:
             for dst in host_up:
                 assert (kernel.shortest_path(w, src, dst)
                         == ref_shortest_path(host_up, links, src, dst))
+
+    @settings(max_examples=300, deadline=None)
+    @given(topologies(), st.randoms(use_true_random=False))
+    def test_source_trees_match_the_per_pair_bfs_and_the_heap_search(
+            self, topo, rng):
+        host_up, links = topo
+        routes = kernel.Routes(host_up, {pair: SimpleNamespace(up=link_up)
+                                         for pair, link_up in links.items()})
+        pairs = [(src, dst) for src in host_up for dst in host_up]
+        rng.shuffle(pairs)               # a tree must not depend on the
+        for src, dst in pairs:           # order the pairs are asked in
+            got = routes.path(src, dst)
+            want = bfs_path(routes.adj, src, dst) if host_up[src] else None
+            assert got == want
+            assert (None if got is None else list(got)) \
+                == ref_shortest_path(host_up, links, src, dst)
 
     @settings(max_examples=300, deadline=None)
     @given(topologies(), st.data())
