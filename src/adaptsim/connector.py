@@ -1,10 +1,10 @@
 """First-class flow connectors between component containers.
 
 A connector binds one source out-port to one or more sink in-ports,
-duplicating samples per sink.  Policy fixes the transport mode
-(push vs. pull), the synchronization axis (a full lossless buffer blocks
-the producer or merely refuses the sample), and the loss axis (bounded
-lossless queue vs. keep-latest).  Cross-host hops add route latency.
+duplicating samples per sink; the source pushes.  Policy fixes the
+synchronization axis (a full lossless buffer blocks the producer or
+merely refuses the sample) and the loss axis (bounded lossless queue vs.
+keep-latest).  Cross-host hops add route latency.
 Connectors are pure transport: they carry no platform events.
 """
 
@@ -17,11 +17,6 @@ from typing import Any, Callable, Optional
 from .errors import BindingError, ValidationError
 
 DEFAULT_LOSSLESS_CAPACITY = 16
-
-
-class FlowMode(Enum):
-    PUSH = "Push"
-    CLIENT_SERVER_PULL = "ClientServerPull"
 
 
 class FlowSync(Enum):
@@ -42,7 +37,6 @@ class PushResult(Enum):
 
 @dataclass(frozen=True)
 class FlowPolicy:
-    mode: FlowMode = FlowMode.PUSH
     sync: FlowSync = FlowSync.SYNCHRONIZED
     loss: LossKind = LossKind.LOSSLESS
     capacity: int = DEFAULT_LOSSLESS_CAPACITY

@@ -209,7 +209,8 @@ class ContainerInstance:
     # -- migration ---------------------------------------------------------
 
     def snapshot(self) -> Snapshot:
-        if self.lifecycle not in (Lifecycle.STOPPED, Lifecycle.MIGRATING):
+        if self.lifecycle not in (Lifecycle.CONNECTED, Lifecycle.STOPPED,
+                                  Lifecycle.MIGRATING):
             raise LifecycleError(self.lifecycle.value, "snapshot")
         return Snapshot(
             component_id=self.descriptor.id,

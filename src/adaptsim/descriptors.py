@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .connector import (Endpoint, FlowMode, FlowPolicy, FlowSync, LossKind)
+from .connector import (Endpoint, FlowPolicy, FlowSync, LossKind)
 from .container import ComponentDescriptor, Variant
 from .context import ContextNature
 from .errors import DescriptorError, ValidationError
@@ -179,9 +179,11 @@ def parse_app(doc: Any) -> tuple:
             if not sinks:
                 diags.append(f"{where}: needs at least one sink")
             continue
+        if raw.get("mode", "Push") != "Push":     # connectors only push
+            diags.append(f"{where}: mode must be 'Push', not {raw['mode']!r}")
+            continue
         try:
             policy = FlowPolicy(
-                mode=FlowMode(raw.get("mode", "Push")),
                 sync=FlowSync(raw.get("sync", "Synchronized")),
                 loss=LossKind(raw.get("loss", "Lossless")),
                 capacity=int(raw.get("capacity", 16)),
@@ -387,7 +389,7 @@ def serialize_app(app: AppDescriptor) -> dict:
         "connectors": [
             {"id": k.id, "from": str(k.source),
              "to": [str(s) for s in k.sinks],
-             "mode": k.policy.mode.value, "sync": k.policy.sync.value,
+             "sync": k.policy.sync.value,
              "loss": k.policy.loss.value, "capacity": k.policy.capacity,
              "bw_demand": k.policy.bw_demand}
             for k in app.connectors],

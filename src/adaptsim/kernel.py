@@ -200,20 +200,17 @@ class ArchitectureModel:
         comps = {cid: (m.host, m.tier, m.behavior, m.lifecycle)
                  for cid, m in sorted(self.components.items())}
         conns = {kid: (str(m.source), tuple(str(s) for s in m.sinks),
-                       (m.policy.mode.value, m.policy.sync.value,
-                        m.policy.loss.value, m.policy.capacity,
-                        m.policy.bw_demand))
+                       (m.policy.sync.value, m.policy.loss.value,
+                        m.policy.capacity, m.policy.bw_demand))
                  for kid, m in sorted(self.connectors.items())}
         return (comps, conns)
 
 
 def reconstruct_model(world) -> ArchitectureModel:
-    """Rebuild the model by walking every up host's registries."""
+    """Rebuild the model by walking every host's registries."""
     m = ArchitectureModel()
     for hid in sorted(world.hosts):
         host = world.hosts[hid]
-        if not host.desc.up:
-            continue
         for cid in sorted(host.containers):
             c = host.containers[cid]
             m.components[cid] = ModelComponent(
@@ -423,7 +420,6 @@ def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
         world.runtime_restore(checkpoint)
         result = aborted(f"internal: {exc!r}")
     else:
-        _autostart(world)
         world.model.bump()
         result = APPLIED
     world.trace(world.coordinator_host or "-", "CMD",
@@ -477,20 +473,13 @@ def _find_component(world, cid: str):
     return hid, world.hosts[hid].containers[cid]
 
 
-def _autostart(world) -> None:
-    """Connected containers with all ports bound start running."""
-    for hid in sorted(world.hosts):
-        host = world.hosts[hid]
-        if not host.desc.up:
-            continue
-        for cid in sorted(host.containers):
-            c = host.containers[cid]
-            if c.lifecycle is Lifecycle.CONNECTED and c.all_ports_bound():
-                c.transition(Lifecycle.RUNNING)
-            _sync_model_component(world, cid, hid, c)
-
-
 def _sync_model_component(world, cid, hid, c) -> None:
+    """The causal-connection rule, applied wherever a container is written:
+    a Connected container with every port bound on an up host starts
+    running, and the model records the container as it now is."""
+    if (c.lifecycle is Lifecycle.CONNECTED and c.all_ports_bound()
+            and world.hosts[hid].desc.up):
+        c.transition(Lifecycle.RUNNING)
     world.model.components[cid] = ModelComponent(
         host=hid, tier=c.active_variant.tier,
         behavior=c.active_variant.behavior, lifecycle=c.lifecycle.value)
@@ -657,7 +646,7 @@ def _exec_connect(world, cmd: Connect) -> None:
         raise _Abort(f"unknown port {cmd.source}")
     if cmd.source.port in src_c.output_bindings:
         raise _Abort("port in use")
-    sink_cs = []
+    sinks = []
     for s in cmd.sinks:
         hid, c = _find_component(world, s.component)
         if c is None:
@@ -666,14 +655,16 @@ def _exec_connect(world, cmd: Connect) -> None:
             raise _Abort(f"unknown port {s}")
         if s.port in c.input_bindings:
             raise _Abort("port in use")
-        sink_cs.append(c)
+        sinks.append((s, hid, c))
     k = world.make_connector(cmd.connector, cmd.source, list(cmd.sinks),
                              cmd.policy)
     world.connectors[cmd.connector] = k
     world.hosts[src_hid].connector_sources.add(cmd.connector)
     src_c.output_bindings[cmd.source.port] = k
-    for s, c in zip(cmd.sinks, sink_cs):
+    for s, _, c in sinks:
         c.input_bindings[s.port] = k
+    for ep, hid, c in [(cmd.source, src_hid, src_c), *sinks]:
+        _sync_model_component(world, ep.component, hid, c)
     world.model.connectors[cmd.connector] = ModelConnector(
         source=cmd.source, sinks=tuple(cmd.sinks), policy=cmd.policy)
 

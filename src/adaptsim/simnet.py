@@ -386,9 +386,12 @@ class World:
                            f"peer={b}")
         elif kind is SimEventKind.HOST_JOIN:
             hid = e.arg("host")
-            if hid in self.hosts:
-                self.hosts[hid].desc.up = True
+            host = self.hosts.get(hid)
+            if host is not None:
+                host.desc.up = True
                 self.trace(hid, "NET", "op=join")
+                for cid, c in sorted(host.containers.items()):
+                    kernel._sync_model_component(self, cid, hid, c)
         elif kind is SimEventKind.HOST_LEAVE:
             self._host_leave(e.arg("host"))
         elif kind in (SimEventKind.SENSOR_READING,

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from adaptsim import cli, descriptors, trace
+from adaptsim import cli, descriptors, kernel, trace
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 APP = os.path.join(DATA, "app.json")
@@ -276,6 +276,10 @@ def _event(**event):
                         value=1.0, nature="Bogus"),
      "events[0]: nature must be one of ['User', 'Hardware', "
      "'Environment'], not 'Bogus'"),
+    ("app", _with(APP, "connectors", [{"from": "reader.out",
+                                       "to": ["relay.in"],
+                                       "mode": "ClientServerPull"}]),
+     "connectors[0]: mode must be 'Push', not 'ClientServerPull'"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
@@ -311,6 +315,26 @@ class TestBuildWorld:
         from adaptsim.errors import DescriptorError
         with pytest.raises(DescriptorError):
             cli.build_world(app, net)
+
+
+@pytest.mark.parametrize("mode", ["M1", "M2", "M3", "M4"])
+def test_the_model_mirrors_the_deployment_on_every_tick(mode):
+    """Also while h2 is down (ticks 10-21): the model keeps a down host's
+    components, and so does a walk of the hosts."""
+    app, _ = descriptors.parse_app(load(APP))
+    net, _ = descriptors.parse_net(load(NET))
+    scenario, _ = descriptors.parse_scenario(load(SCENARIO))
+    w = cli.build_world(app, net, seed=scenario.seed, mode=mode)
+    for ev in scenario.events:
+        w.schedule(ev)
+    down = []
+    for _ in range(scenario.duration):
+        w.step()
+        assert (w.model.canonical()
+                == kernel.reconstruct_model(w).canonical()), w.now - 1
+        if not w.hosts["h2"].desc.up:
+            down.append(w.now - 1)
+    assert down == list(range(10, 22))
 
 
 @pytest.mark.parametrize("mode", ["M1", "M2", "M3", "M4"])

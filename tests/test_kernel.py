@@ -16,7 +16,7 @@ from adaptsim.kernel import (Add, Battery, Connect, Disconnect, HostDescriptor,
                              HostTier, IntrusionLevel, Move, PlatformConfig,
                              Remove, ReplaceBusiness, Service, Subscription,
                              reconstruct_model)
-from adaptsim.simnet import PlatformApi, World
+from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 from adaptsim.store import ContextQuery
 
 
@@ -371,6 +371,17 @@ class TestMove:
         assert "c1" in w.hosts["h1"].containers
         assert w.model.canonical() == before
 
+    def test_a_connected_listener_takes_its_pending_events_along(self):
+        w = make_world()
+        kernel.apply_now(w, Add(desc("l", in_ports=("in",), listener=True),
+                                "h1"))
+        e = PlatformEvent(EventKind.QOS_ALERT, None, priority=3)
+        assert w.hosts["h1"].containers["l"].deliver_event(e)
+        assert kernel.apply_now(w, Move("l", "h2")).applied
+        moved = w.hosts["h2"].containers["l"]
+        assert moved.lifecycle is Lifecycle.CONNECTED
+        assert moved.pending_events() == [e]
+
     def test_forced_recovery_from_a_dead_host_loses_state(self):
         w = make_world()
         kernel.apply_now(w, Add(desc("c1", behavior="counter"), "h1"))
@@ -396,6 +407,27 @@ class TestCausalConnection:
             kernel.apply_now(w, cmd)   # aborts allowed; model must track
             assert (w.model.canonical()
                     == reconstruct_model(w).canonical())
+
+    def test_a_bound_sink_starts_when_its_host_rejoins(self):
+        w = make_world(tiers=("Full", "Full"), links=((0, 1),))
+        kernel.apply_now(w, Add(desc("src", out_ports=("out",),
+                                     behavior="source"), "h1"))
+        kernel.apply_now(w, Add(desc("snk", in_ports=("in",),
+                                     behavior="sink"), "h2"))
+        w.hosts["h2"].desc.up = False
+        assert kernel.apply_now(w, Connect(
+            "k1", Endpoint("src", "out"), (Endpoint("snk", "in"),),
+            FlowPolicy())).applied
+        w.schedule(sim_event(3, SimEventKind.HOST_JOIN, host="h2"))
+        snk = w.hosts["h2"].containers["snk"]
+        w.run(3)
+        assert snk.lifecycle is Lifecycle.CONNECTED
+        w.step()                                  # the join tick
+        assert snk.lifecycle is Lifecycle.RUNNING
+        assert w.model.components["snk"].lifecycle == "Running"
+        assert w.model.canonical() == reconstruct_model(w).canonical()
+        w.run(3)
+        assert w.connectors["k1"].delivered_count > 0
 
 
 class TestIntrusion:

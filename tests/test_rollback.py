@@ -10,7 +10,7 @@ import pytest
 from adaptsim import kernel
 from adaptsim.connector import ConnectorInstance, Endpoint, FlowPolicy
 from adaptsim.container import (ComponentDescriptor, ContainerInstance,
-                                Variant)
+                                Lifecycle, Variant)
 from adaptsim.kernel import (Add, Connect, Disconnect, HostDescriptor,
                              HostTier, Move, Remove, ReplaceBusiness,
                              reconstruct_model)
@@ -78,6 +78,7 @@ COMMANDS = {
     "remove": Remove("lone"),
     "move": Move("mid", "h4"),
     "move_from_down_host": Move("mid", "h4"),
+    "move_connected": Move("b", "h3"),
     "connect": connect("k3", "a.o", "b.i"),
     "disconnect": Disconnect("k2"),
     "replace_behavior": ReplaceBusiness("mid", behavior="identity"),
@@ -240,22 +241,44 @@ def test_random_commands_with_random_faults_roll_back(monkeypatch):
     assert aborted > 20
 
 
+def test_a_connected_component_moves():
+    """A component with an unbound port migrates without a stop, and takes
+    its state along."""
+    w = busy_world()
+    w.hosts["h2"].containers["b"].state = {"seen": 4}
+    assert kernel.apply_now(w, COMMANDS["move_connected"]).applied
+    moved = w.hosts["h3"].containers["b"]
+    assert w.host_of("b") == "h3"
+    assert moved.lifecycle is Lifecycle.CONNECTED
+    assert moved.state == {"seen": 4}
+    assert w.model.components["b"].lifecycle == "Connected"
+
+
 @pytest.mark.parametrize("cmd", [COMMANDS["move"], COMMANDS["disconnect"]],
                          ids=["move", "disconnect"])
 def test_checkpoint_size_does_not_grow_with_the_world(monkeypatch, cmd):
-    taken = []
+    """Neither the checkpoint nor the model syncs of a command grow with
+    the components it does not name."""
+    taken, synced = [], []
     snapshot = World.runtime_snapshot
+    sync = kernel._sync_model_component
 
     def record(self, *scope):
         taken.append(snapshot(self, *scope))
         return taken[-1]
+
+    def count(world, cid, hid, c):
+        synced.append(cid)
+        sync(world, cid, hid, c)
     monkeypatch.setattr(World, "runtime_snapshot", record)
+    monkeypatch.setattr(kernel, "_sync_model_component", count)
     sizes = []
     for unrelated in (5, 100):
         w = busy_world(unrelated)
         taken.clear()
+        synced.clear()
         assert kernel.apply_now(w, cmd).applied
-        sizes.append([len(part) for part in taken[0]])
+        sizes.append(([len(part) for part in taken[0]], sorted(synced)))
     assert sizes[0] == sizes[1]
 
 
