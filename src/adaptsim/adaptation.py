@@ -45,7 +45,9 @@ class Observation:
     at: int
     hosts: dict = field(default_factory=dict)        # id -> HostObs
     links: dict = field(default_factory=dict)        # frozenset -> LinkObs
-    routes: Optional[kernel.Routes] = None           # built on first use
+    # the world's routes narrowed to the up hosts above, or, for an
+    # observation made by hand, routes built from them on first use
+    routes: Optional[kernel.Routes] = None
 
 
 @dataclass
@@ -90,12 +92,12 @@ def observe(world, now: int) -> Observation:
     `up` before the other fields.
     """
     coord = world.coordinator_host
+    routes = world.routes()
     obs = Observation(at=now)
     for hid in sorted(world.hosts):
         host = world.hosts[hid]
         reachable = host.desc.up and (
-            hid == coord or coord is None
-            or kernel.shortest_path(world, coord, hid) is not None)
+            coord is None or routes.path(coord, hid) is not None)
         if not reachable:
             obs.hosts[hid] = HostObs(up=False, cpu_free=0.0, mem_free=0.0,
                                      battery=None)
@@ -114,6 +116,9 @@ def observe(world, now: int) -> Observation:
         link = world.links[pair]
         obs.links[pair] = LinkObs(up=link.up, bandwidth=link.bandwidth,
                                   bw_free=link.bandwidth)
+    # the up hosts are the coordinator's connected part of the world's up
+    # hosts (all of them without a coordinator), so the view is exact
+    obs.routes = routes.view({hid: ho.up for hid, ho in obs.hosts.items()})
     # subtract flow demand along each connector's current route
     for kid in sorted(world.connectors):
         k = world.connectors[kid]

@@ -130,18 +130,13 @@ class ConnectorInstance:
         self.pushed_count += 1
         for sink in self.sinks:
             hop = self.transit(sink)
-            if hop is None:
-                # no route right now; queue locally and retry en route
-                ticks, path = 0, None
-            else:
-                ticks, path = hop
+            # no route right now: queue locally, path None, retry en route
+            ticks, path = (0, None) if hop is None else hop
             # per-sink copy: value semantics, no cross-sink aliasing
             sample = FlowSample(seq=self._seq, payload=payload,
                                 produced_at=now, producer=component)
-            entry = _Queued(sample=sample,
-                            available_at=now + ticks if path is not None
-                            else now,
-                            path=path if path is not None else None)
+            entry = _Queued(sample=sample, available_at=now + ticks,
+                            path=path)
             q = self._queues[sink]
             if self.policy.loss is LossKind.KEEP_LATEST and q:
                 dropped = q.pop(0)

@@ -9,6 +9,7 @@ world owns all mutable runtime state.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
@@ -227,11 +228,13 @@ def reconstruct_model(world) -> ArchitectureModel:
 # -- routing ---------------------------------------------------------------
 
 class Routes:
-    """Fewest-hop routes over one topology: an adjacency index, where adj[a]
-    lists in sorted order every b such that link a-b and host b are up, and
-    one breadth-first search per source asked for.  `links` maps endpoint
-    pairs to records with an `up` flag; no up flag may change while the
-    routes are in use."""
+    """Fewest-hop routes over a snapshot of one topology version: an
+    adjacency index, where adj[a] lists in sorted order every b such that
+    link a-b and host b are up, and one breadth-first search per source
+    asked for.  `links` maps endpoint pairs to records with an `up` flag;
+    the index is built from them once, so a later write makes a new
+    `Routes`, never a changed one.  `view` shares the index and the
+    searches under a narrower `host_up`."""
 
     def __init__(self, host_up: dict, links: dict):
         self.host_up = host_up
@@ -244,6 +247,17 @@ class Routes:
         for nbrs in self.adj.values():
             nbrs.sort()
         self._trees: dict = {}          # src -> (reached, frontier)
+
+    def view(self, host_up: dict) -> "Routes":
+        """These routes, answering only from sources up in `host_up`.
+
+        Exact when the hosts `host_up` marks up are whole connected parts
+        of this index's up hosts: a search from one of them never leaves
+        its part, so it is the search a `Routes` over `host_up` would run.
+        """
+        view = copy.copy(self)
+        view.host_up = host_up
+        return view
 
     def path(self, src: str, dst: str) -> Optional[tuple]:
         """Fewest hops from src to dst, ties to the lexicographically least
@@ -473,16 +487,20 @@ def _find_component(world, cid: str):
     return hid, world.hosts[hid].containers[cid]
 
 
-def _sync_model_component(world, cid, hid, c) -> None:
+def _sync_model_component(world, cid, hid, c) -> bool:
     """The causal-connection rule, applied wherever a container is written:
     a Connected container with every port bound on an up host starts
-    running, and the model records the container as it now is."""
+    running, and the model records the container as it now is.  Returns
+    whether the record changed."""
     if (c.lifecycle is Lifecycle.CONNECTED and c.all_ports_bound()
             and world.hosts[hid].desc.up):
         c.transition(Lifecycle.RUNNING)
-    world.model.components[cid] = ModelComponent(
+    record = ModelComponent(
         host=hid, tier=c.active_variant.tier,
         behavior=c.active_variant.behavior, lifecycle=c.lifecycle.value)
+    changed = world.model.components.get(cid) != record
+    world.model.components[cid] = record
+    return changed
 
 
 def _bound_connectors(c: ContainerInstance) -> list:

@@ -105,6 +105,7 @@ class World:
         self.component_host: dict = {}        # component id -> host id
         self.topology_version = 0             # see kernel.TopologyFlag
         self._routes = None                   # (version, kernel.Routes)
+        self._transit: dict = {}      # (src, dst) host -> connector_transit
         self._rerouted_at = None              # version of the last re-route
         self._events: list = []       # heap of (at, kind order, seq, event)
         self._event_seq = 0
@@ -145,6 +146,7 @@ class World:
         if self._routes is None or self._routes[0] != self.topology_version:
             self._routes = (self.topology_version, kernel.Routes(
                 {hid: h.desc.up for hid, h in self.hosts.items()}, self.links))
+            self._transit = {}
         return self._routes[1]
 
     @property
@@ -176,7 +178,8 @@ class World:
         """(latency ticks, host path) from source to sink, None if no route.
 
         Flow transport is latency-bound; bandwidth enters the QoS score,
-        not per-sample timing.
+        not per-sample timing.  Memoized per host pair with the routes of
+        the topology version: latencies are fixed once a link is added.
         """
         k = self.connectors.get(kid)
         if k is None:
@@ -187,12 +190,13 @@ class World:
             return None
         if src == dst:
             return (0, ())
-        path = kernel.shortest_path(self, src, dst)
-        if path is None:
-            return None
-        ticks = sum(self.links[frozenset((a, b))].latency
-                    for a, b in zip(path, path[1:]))
-        return (ticks, tuple(path))
+        self.routes()                   # drops the memo of an old version
+        if (src, dst) not in self._transit:
+            path = kernel.shortest_path(self, src, dst)
+            self._transit[src, dst] = None if path is None else (
+                sum(self.links[frozenset((a, b))].latency
+                    for a, b in zip(path, path[1:])), tuple(path))
+        return self._transit[src, dst]
 
     def link_up(self, a: str, b: str) -> bool:
         return self.hosts[a].desc.up and b in self.routes().adj.get(a, ())
@@ -319,6 +323,7 @@ class World:
                     host.store.put(obj)
                     self.trace(hid, "CTX", obj.trace_repr())
                     kernel._sync_model_component(self, cid, hid, c)
+                    self.model.bump()
             self._kernel_tick(hid)
         # (5) adaptation cycle
         if self.coordinator is not None \
@@ -390,8 +395,10 @@ class World:
             if host is not None:
                 host.desc.up = True
                 self.trace(hid, "NET", "op=join")
-                for cid, c in sorted(host.containers.items()):
-                    kernel._sync_model_component(self, cid, hid, c)
+                changed = [kernel._sync_model_component(self, cid, hid, c)
+                           for cid, c in sorted(host.containers.items())]
+                if any(changed):
+                    self.model.bump()
         elif kind is SimEventKind.HOST_LEAVE:
             self._host_leave(e.arg("host"))
         elif kind in (SimEventKind.SENSOR_READING,

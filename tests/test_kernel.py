@@ -429,6 +429,43 @@ class TestCausalConnection:
         w.run(3)
         assert w.connectors["k1"].delivered_count > 0
 
+    def test_the_model_version_moves_when_a_rejoin_starts_a_sink(self):
+        w = make_world(tiers=("Full", "Full"), links=((0, 1),))
+        kernel.apply_now(w, Add(desc("src", out_ports=("out",),
+                                     behavior="source"), "h1"))
+        kernel.apply_now(w, Add(desc("snk", in_ports=("in",),
+                                     behavior="sink"), "h2"))
+        w.hosts["h2"].desc.up = False
+        kernel.apply_now(w, Connect("k1", Endpoint("src", "out"),
+                                    (Endpoint("snk", "in"),), FlowPolicy()))
+        w.schedule(sim_event(2, SimEventKind.HOST_JOIN, host="h2"))
+        w.schedule(sim_event(4, SimEventKind.HOST_LEAVE, host="h2"))
+        w.schedule(sim_event(6, SimEventKind.HOST_JOIN, host="h2"))
+        w.run(2)
+        before = w.model.version
+        w.step()                                  # the sink starts
+        assert w.model.components["snk"].lifecycle == "Running"
+        assert w.model.version == before + 1
+        w.run(4)                                  # leave, then rejoin
+        assert w.model.components["snk"].lifecycle == "Running"
+        assert w.model.version == before + 1      # nothing else changed
+
+    def test_the_model_version_moves_when_a_fault_stops_a_component(self):
+        def fail_at_2(state, inputs, events, now, api):
+            if now == 2:
+                raise RuntimeError("kaput")
+            return state, {}
+        behaviors.register("fail_at_2", fail_at_2)
+        w = make_world()
+        kernel.apply_now(w, Add(desc("c", behavior="fail_at_2"), "h1"))
+        w.run(2)
+        before = w.model.version
+        assert w.step()["faults"] == 1
+        assert w.model.components["c"].lifecycle == "Stopped"
+        assert w.model.version == before + 1
+        w.run(2)
+        assert w.model.version == before + 1
+
 
 class TestIntrusion:
     def cfg(self, level):

@@ -1,5 +1,6 @@
 """Routing index and the topology version: oracle and invalidation."""
 
+import dataclasses
 import heapq
 import random
 from types import SimpleNamespace
@@ -109,6 +110,59 @@ def world_of(host_up, links):
     return w
 
 
+def comp(cid, behavior, ins=(), outs=()):
+    return ComponentDescriptor(
+        id=cid, in_ports=ins, out_ports=outs,
+        variants=(Variant("Full", 1.0, 1.0, behavior),))
+
+
+@st.composite
+def partitioned_worlds(draw):
+    """The coordinator's linked part, a linked group of two or more up hosts
+    it cannot reach, and down hosts with up links into both; a chain of
+    components runs inside the group, across it and anywhere."""
+    ids = draw(st.permutations(NAMES))
+    n_coord = draw(st.integers(1, 3))
+    n_cut = draw(st.integers(2, 3))
+    part = ids[:n_coord]
+    cut_off = ids[n_coord:n_coord + n_cut]
+    down = ids[n_coord + n_cut:]
+    w = World(seed=0)
+    for hid in sorted(ids):
+        w.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
+                                  cpu_capacity=4, mem_capacity=4))
+    for group in (part, cut_off):
+        for a, b in zip(group, group[1:]):      # keep the group linked
+            w.add_link(a, b, bandwidth=draw(st.sampled_from([2.0, 10.0])))
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if frozenset((a, b)) in w.links or not draw(st.booleans()):
+                continue
+            same = {a, b} <= set(part) or {a, b} <= set(cut_off)
+            # a link between the two groups is up only through a down host
+            up = same or bool(down and {a, b} & set(down))
+            w.add_link(a, b, up=up and draw(st.booleans()))
+    for hid in down:
+        w.hosts[hid].desc.up = False
+    w.coordinator = Coordinator(draw(st.sampled_from(part)), mode="M1")
+    up = part + cut_off
+    hosts = [draw(st.sampled_from(cut_off)), draw(st.sampled_from(cut_off)),
+             draw(st.sampled_from(part))]
+    hosts += draw(st.lists(st.sampled_from(up), max_size=2))
+    kinds = ["source"] + ["identity"] * (len(hosts) - 2) + ["sink"]
+    for i, (hid, behavior) in enumerate(zip(hosts, kinds)):
+        ins = ("in",) if i else ()
+        outs = ("out",) if i < len(hosts) - 1 else ()
+        assert kernel.apply_now(w, Add(comp(f"c{i}", behavior, ins, outs),
+                                       hid)).applied
+    for i in range(len(hosts) - 1):
+        policy = FlowPolicy(bw_demand=draw(st.sampled_from([0.0, 1.0, 3.0])))
+        assert kernel.apply_now(w, Connect(
+            f"k{i}", Endpoint(f"c{i}", "out"), (Endpoint(f"c{i + 1}", "in"),),
+            policy)).applied
+    return w, cut_off
+
+
 class TestOracle:
     @settings(max_examples=300, deadline=None)
     @given(topologies())
@@ -157,6 +211,22 @@ class TestOracle:
                 assert (adaptation._obs_path(obs, src, dst)
                         == ref_obs_path(seen_up, seen_links, src, dst))
 
+    @settings(max_examples=200, deadline=None)
+    @given(partitioned_worlds())
+    def test_a_partitioned_observation_scores_as_one_with_its_own_routes(
+            self, made):
+        w, cut_off = made
+        obs = adaptation.observe(w, 0)
+        assert not any(obs.hosts[hid].up for hid in cut_off)
+        own = dataclasses.replace(obs, routes=None)
+        got = adaptation.evaluate_qos(w.model, obs, w.descriptors)
+        want = adaptation.evaluate_qos(w.model, own, w.descriptors)
+        assert own.routes is not None and own.routes is not obs.routes
+        assert got.resource == want.resource
+        assert got.link == want.link
+        assert got.battery == want.battery
+        assert got.global_score == want.global_score
+
 
 # -- invalidation ----------------------------------------------------------
 
@@ -170,6 +240,27 @@ def square(battery=None):
     for a, b in (("h1", "h2"), ("h2", "h4"), ("h1", "h3"), ("h3", "h4")):
         w.add_link(a, b, latency=10)
     return w
+
+
+def flow_square(battery=None):
+    """square() with a lossless flow from src on h1 to snk on h4."""
+    w = square(battery)
+    kernel.apply_now(w, Add(comp("src", "source", outs=("out",)), "h1"))
+    kernel.apply_now(w, Add(comp("snk", "sink", ins=("in",)), "h4"))
+    kernel.apply_now(w, Connect("k1", Endpoint("src", "out"),
+                                (Endpoint("snk", "in"),), FlowPolicy()))
+    return w
+
+
+def fresh_transit(w, src, dst):
+    """(latency ticks, path) over routes built for the world as it is."""
+    routes = kernel.Routes({hid: h.desc.up for hid, h in w.hosts.items()},
+                           w.links)
+    path = routes.path(src, dst)
+    if path is None:
+        return None
+    return (sum(w.links[frozenset(hop)].latency
+                for hop in zip(path, path[1:])), path)
 
 
 class TestInvalidation:
@@ -215,16 +306,7 @@ class TestInvalidation:
         # h2 drains to 0 in tick 0 and leaves in phase (3) of tick 1, after
         # that tick's re-route pass; the sample pushed over h2 in tick 0 must
         # be re-pathed by the pass of tick 2
-        w = square(battery=Battery(level=0.5, drain_per_tick=0.5))
-
-        def comp(cid, behavior, ins=(), outs=()):
-            return ComponentDescriptor(
-                id=cid, in_ports=ins, out_ports=outs,
-                variants=(Variant("Full", 1.0, 1.0, behavior),))
-        kernel.apply_now(w, Add(comp("src", "source", outs=("out",)), "h1"))
-        kernel.apply_now(w, Add(comp("snk", "sink", ins=("in",)), "h4"))
-        kernel.apply_now(w, Connect("k1", Endpoint("src", "out"),
-                                    (Endpoint("snk", "in"),), FlowPolicy()))
+        w = flow_square(battery=Battery(level=0.5, drain_per_tick=0.5))
 
         def queue():
             return w.connectors["k1"]._queues[Endpoint("snk", "in")]
@@ -236,6 +318,55 @@ class TestInvalidation:
         w.step()
         assert [e.sample.seq for e in queue()] == [1, 2, 3]
         assert all(e.path == ("h1", "h3", "h4") for e in queue())
+
+    def test_connector_transit_follows_every_topology_write(self):
+        w = flow_square()
+        sink = Endpoint("snk", "in")
+
+        def transit():
+            got = w.connector_transit("k1", sink)
+            assert got == fresh_transit(w, "h1", "h4")
+            return got
+        assert transit() == (20, ("h1", "h2", "h4"))
+        w.hosts["h2"].desc.up = False
+        assert transit() == (20, ("h1", "h3", "h4"))
+        w.links[frozenset(("h3", "h4"))].up = False
+        assert transit() is None
+        w.hosts["h2"].desc.up = True
+        assert transit() == (20, ("h1", "h2", "h4"))
+        w.add_link("h1", "h4", latency=3)
+        assert transit() == (3, ("h1", "h4"))
+        w.links[frozenset(("h1", "h4"))].up = False
+        w.add_host(HostDescriptor(id="h0", tier=HostTier.FULL,
+                                  cpu_capacity=8, mem_capacity=8))
+        assert transit() == (20, ("h1", "h2", "h4"))
+        w.add_link("h0", "h1", latency=1)
+        w.add_link("h0", "h4", latency=1)
+        assert transit() == (2, ("h1", "h0", "h4"))
+        w.schedule(sim_event(0, SimEventKind.HOST_LEAVE, host="h0"))
+        w.schedule(sim_event(1, SimEventKind.HOST_JOIN, host="h0"))
+        w.step()
+        assert transit() == (20, ("h1", "h2", "h4"))
+        w.step()
+        assert transit() == (2, ("h1", "h0", "h4"))
+
+    def test_a_sample_pushed_after_a_link_down_takes_the_new_route(self):
+        w = flow_square()
+        w.add_link("h1", "h4", latency=1)
+        w.schedule(sim_event(3, SimEventKind.LINK_DOWN,
+                             endpoints=("h1", "h4")))
+        w.run(3)
+        assert w.connector_transit("k1", Endpoint("snk", "in")) \
+            == (1, ("h1", "h4"))
+        w.step()                        # tick 3 pushes sample 4
+        [entry] = w.connectors["k1"]._queues[Endpoint("snk", "in")]
+        assert entry.sample.seq == 4
+        assert (entry.available_at, entry.path) == (23, ("h1", "h2", "h4"))
+        w.run(20)
+        delivered = [int(line.split()[0][len("tick="):])
+                     for line in w.trace_lines
+                     if "op=deliver" in line and line.endswith(" seq=4")]
+        assert delivered == [23]
 
 
 # -- component -> host index -----------------------------------------------
