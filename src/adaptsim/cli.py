@@ -119,11 +119,11 @@ def cmd_run(args) -> int:
 
 def cmd_inspect(args) -> int:
     try:
-        records = trace.parse_file(args.trace)
+        out = trace.QUERIES[args.query](trace.parse_file(args.trace))
     except (DescriptorError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    print(trace.QUERIES[args.query](records))
+    print(out)
     return 0
 
 

@@ -93,16 +93,20 @@ class ConnectorInstance:
         self.tracer = tracer
         self._seq = 0
         self._queues: dict = {s: [] for s in self.sinks}
+        self._sink_at = {(s.component, s.port): s for s in self.sinks}
         self.pushed_count = 0
         self.delivered_count = 0
         self._delivered_window = 0   # deliveries since last report
 
     # -- capacity ----------------------------------------------------------
 
-    def _full(self, sink: Endpoint) -> bool:
-        if self.policy.loss is LossKind.KEEP_LATEST:
-            return len(self._queues[sink]) >= 1
-        return len(self._queues[sink]) >= self.policy.capacity
+    def _any_full(self) -> bool:
+        """A lossless queue at capacity: the next push would be refused."""
+        capacity = self.policy.capacity
+        for q in self._queues.values():
+            if len(q) >= capacity:
+                return True
+        return False
 
     def would_block(self) -> bool:
         """True when a push right now could not be accepted.
@@ -110,47 +114,50 @@ class ConnectorInstance:
         Drives producer-side stalling: a full synchronized lossless buffer
         holds the producer for a tick.
         """
-        if (self.policy.loss is LossKind.LOSSLESS
-                and self.policy.sync is FlowSync.SYNCHRONIZED):
-            return any(self._full(s) for s in self.sinks)
-        return False
+        policy = self.policy
+        return (policy.loss is LossKind.LOSSLESS
+                and policy.sync is FlowSync.SYNCHRONIZED
+                and self._any_full())
 
     # -- data path ---------------------------------------------------------
 
     def push(self, component: str, port: str, payload: Any,
              now: int) -> PushResult:
-        if Endpoint(component, port) != self.source:
+        source = self.source
+        if component != source.component or port != source.port:
             raise BindingError(
                 f"{component}.{port} is not the source of {self.id}")
-        if self.policy.loss is LossKind.LOSSLESS:
-            if any(self._full(s) for s in self.sinks):
-                return PushResult.BLOCKED
+        keep_latest = self.policy.loss is LossKind.KEEP_LATEST
+        if not keep_latest and self._any_full():
+            return PushResult.BLOCKED
         result = PushResult.ACCEPTED
         self._seq += 1
+        seq = self._seq
         self.pushed_count += 1
         for sink in self.sinks:
             hop = self.transit(sink)
             # no route right now: queue locally, path None, retry en route
             ticks, path = (0, None) if hop is None else hop
             # per-sink copy: value semantics, no cross-sink aliasing
-            sample = FlowSample(seq=self._seq, payload=payload,
+            sample = FlowSample(seq=seq, payload=payload,
                                 produced_at=now, producer=component)
             entry = _Queued(sample=sample, available_at=now + ticks,
                             path=path)
             q = self._queues[sink]
-            if self.policy.loss is LossKind.KEEP_LATEST and q:
+            if keep_latest and q:
                 dropped = q.pop(0)
                 self._trace(now, "drop", sink, dropped.sample.seq)
                 result = PushResult.OVERWROTE
             q.append(entry)
-        self._trace(now, "push", None, self._seq)
+        self._trace(now, "push", None, seq)
         return result
 
     def pull(self, component: str, port: str, now: int):
         """One sample for this sink if available; None otherwise."""
-        sink = Endpoint(component, port)
-        if sink not in self._queues:
-            raise BindingError(f"{sink} is not a sink of {self.id}")
+        sink = self._sink_at.get((component, port))
+        if sink is None:
+            raise BindingError(
+                f"{component}.{port} is not a sink of {self.id}")
         q = self._queues[sink]
         if not q:
             return None

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Any, Optional
 
 from . import behaviors
-from .context import ContextInformation, ContextNature, Location, stamp
+from .context import ContextInformation, ContextNature
 from .errors import (ComponentFault, LifecycleError, ValidationError,
                      VariantError)
 
@@ -116,6 +116,10 @@ class ContainerInstance:
         self._events: list = []           # (neg priority, arrival seq, event)
         self._event_seq = 0
         self.fault: Optional[str] = None
+        # liveness context, reported while Running (see World._kernel_tick)
+        self.alive_info = ContextInformation(
+            nature=ContextNature.HARDWARE, key="component.alive",
+            value=descriptor.id, producer=descriptor.id)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -165,7 +169,7 @@ class ContainerInstance:
             return {}
         # Synchronized lossless backpressure: stall the whole step while any
         # bound output cannot accept a sample.
-        for port, conn in sorted(self.output_bindings.items()):
+        for conn in self.output_bindings.values():
             if conn.would_block():
                 return {}
         inputs = {}
@@ -176,7 +180,7 @@ class ContainerInstance:
                 conn = self.input_bindings.get(port)
                 inputs[port] = conn.pull(self.descriptor.id, port, now) \
                     if conn is not None else None
-        events = self._consume_events()
+        events = self._consume_events() if self._events else []
         fn = behaviors.resolve(self.active_variant.behavior)
         try:
             self.state, raw = fn(self.state, inputs, events, now, api)
@@ -192,19 +196,12 @@ class ContainerInstance:
             for port, payload in raw.items():
                 if payload is not None:
                     outputs[port] = payload
-        for port, payload in sorted(outputs.items()):
+        for port, payload in (sorted(outputs.items()) if len(outputs) > 1
+                              else outputs.items()):
             conn = self.output_bindings.get(port)
             if conn is not None:
                 conn.push(self.descriptor.id, port, payload, now)
         return outputs
-
-    def heartbeat(self, now: int, host_id: str):
-        """Liveness context object, emitted while Running."""
-        info = ContextInformation(
-            nature=ContextNature.HARDWARE, key="component.alive",
-            value=self.descriptor.id, producer=self.descriptor.id)
-        return stamp(info, now, Location(host=host_id),
-                     owner="platform", base_confidence=1.0)
 
     # -- migration ---------------------------------------------------------
 

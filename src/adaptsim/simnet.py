@@ -18,8 +18,8 @@ from typing import Optional
 from . import kernel
 from .connector import ConnectorInstance, Endpoint, FlowPolicy
 from .container import Lifecycle
-from .context import (ContextInformation, ContextNature, Location, Quantity,
-                      stamp)
+from .context import (ContextInformation, ContextNature, ContextObject,
+                      InformationValidity, Location, Quantity, stamp)
 from .errors import ComponentFault, ScheduleError, ValidationError
 from .kernel import (Battery, HostDescriptor, PlatformConfig, TopologyFlag)
 from .store import ContextStore
@@ -27,7 +27,7 @@ from .store import ContextStore
 REPORTING_INTERVAL = 5      # ticks between a host's context reports
 ADAPTATION_INTERVAL = 5     # ticks between adaptation cycles
 
-_ABSENT = object()          # a checkpointed map had no entry for the key
+_ABSENT = object()          # a map (checkpointed, or a memo) had no entry
 
 
 @dataclass
@@ -165,14 +165,13 @@ class World:
 
     def make_connector(self, kid: str, source: Endpoint, sinks: list,
                        policy: FlowPolicy) -> ConnectorInstance:
-        # lambdas capture the world and plain ids only, so a connector
-        # carries no reference to the state around it
+        # the callbacks hold the world and plain ids only, so a connector
+        # carries no reference to the state around it; transit looks the
+        # method up per call, so a wrapper set on World reaches it
         transit = lambda sink, _w=self, _k=kid: _w.connector_transit(_k, sink)
-        tracer = (lambda conn, now, op, sink, seq, _w=self:
-                  _w.flow_trace(conn, now, op, sink, seq))
         return ConnectorInstance(id=kid, source=source, sinks=sinks,
                                  policy=policy, transit=transit,
-                                 tracer=tracer)
+                                 tracer=self.flow_trace)
 
     def connector_transit(self, kid: str, sink: Endpoint):
         """(latency ticks, host path) from source to sink, None if no route.
@@ -184,19 +183,20 @@ class World:
         k = self.connectors.get(kid)
         if k is None:
             return (0, ())
-        src = self.host_of(k.source.component)
-        dst = self.host_of(sink.component)
+        src = self.component_host.get(k.source.component)
+        dst = self.component_host.get(sink.component)
         if src is None or dst is None:
             return None
         if src == dst:
             return (0, ())
         self.routes()                   # drops the memo of an old version
-        if (src, dst) not in self._transit:
+        hop = self._transit.get((src, dst), _ABSENT)
+        if hop is _ABSENT:
             path = kernel.shortest_path(self, src, dst)
-            self._transit[src, dst] = None if path is None else (
+            hop = self._transit[src, dst] = None if path is None else (
                 sum(self.links[frozenset((a, b))].latency
                     for a, b in zip(path, path[1:])), tuple(path))
-        return self._transit[src, dst]
+        return hop
 
     def link_up(self, a: str, b: str) -> bool:
         return self.hosts[a].desc.up and b in self.routes().adj.get(a, ())
@@ -209,15 +209,22 @@ class World:
         self._trace_seq += 1
 
     def flow_trace(self, conn, now, op, sink, seq) -> None:
+        """One FLOW line, charged to the sink's host for a delivery and to
+        the source's host otherwise."""
         end = sink if op == "deliver" else conn.source
+        host = self.component_host.get(end.component) or "-"
         where = "" if op == "push" else f" sink={sink}"
-        self.trace(self.host_of(end.component) or "-", "FLOW",
-                   f"conn={conn.id} op={op}{where} seq={seq}")
+        self._tick_buffer.append((
+            host, "FLOW", self._trace_seq,
+            f"host={host} kind=FLOW conn={conn.id} op={op}{where} seq={seq}"))
+        self._trace_seq += 1
 
     def _flush_trace(self) -> None:
-        self._tick_buffer.sort(key=lambda t: (t[0], t[1], t[2]))
-        for _, _, _, line in self._tick_buffer:
-            self.trace_lines.append(f"tick={self.now} {line}")
+        # seq is unique within a tick, so the sort never compares lines
+        self._tick_buffer.sort()
+        prefix = f"tick={self.now} "
+        self.trace_lines.extend(prefix + line
+                                for _, _, _, line in self._tick_buffer)
         self._tick_buffer.clear()
         self._trace_seq = 0
 
@@ -341,10 +348,14 @@ class World:
     def _kernel_tick(self, hid: str) -> None:
         host = self.hosts[hid]
         if self.now % REPORTING_INTERVAL == 0:
+            # every object of one report shares its host's validity
+            validity = InformationValidity(
+                timestamp=self.now, location=Location(host=hid),
+                base_confidence=1.0, owner="platform")
             for cid in sorted(host.containers):
                 c = host.containers[cid]
                 if c.lifecycle is Lifecycle.RUNNING:
-                    obj = c.heartbeat(self.now, hid)
+                    obj = ContextObject(c.alive_info, validity)
                     host.store.put(obj)
                     self.trace(hid, "CTX", obj.trace_repr())
             if host.desc.power is not None:
@@ -352,8 +363,7 @@ class World:
                     nature=ContextNature.HARDWARE, key="battery.level",
                     value=Quantity(round(host.desc.power.level, 6), ""),
                     producer=hid)
-                obj = stamp(info, self.now, Location(host=hid),
-                            owner="platform", base_confidence=1.0)
+                obj = ContextObject(info, validity)
                 host.store.put(obj)
                 self.trace(hid, "CTX", obj.trace_repr())
             for kid in sorted(host.connector_sources):
@@ -365,9 +375,7 @@ class World:
                     info = ContextInformation(
                         nature=ContextNature.HARDWARE, key=key,
                         value=Quantity(float(val), ""), producer=kid)
-                    obj = stamp(info, self.now, Location(host=hid),
-                                owner="platform", base_confidence=1.0)
-                    host.store.put(obj)
+                    host.store.put(ContextObject(info, validity))
                 self.trace(hid, "CTX",
                            f"key=flow.rate conn={kid} rate={rate:g} "
                            f"depth={depth}")

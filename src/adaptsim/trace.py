@@ -46,11 +46,15 @@ def parse_line(line: str) -> TraceRecord:
 
 def parse_file(path: str) -> list:
     records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                records.append(parse_line(line))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if line:
+                    records.append(parse_line(line))
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"{path}: not UTF-8 text ({exc.reason} at "
+                              f"byte {exc.start})") from None
     return records
 
 
@@ -93,7 +97,13 @@ def query_commands(records: list) -> str:
 
 
 def flow_summary(records: list) -> dict:
-    """Per (connector, sink): pushed/delivered counts, loss, reorder, dup."""
+    """Per (connector, sink): pushed/delivered counts, loss, reorder, dup.
+
+    A sink's loss counts the drops at that sink; a reorder is a delivery
+    whose seq is lower than the one before it, and a dup a delivery whose
+    seq came before.  A connector with no delivery or drop at any sink
+    gets one entry under its own id.
+    """
     pushed: dict = {}
     delivered: dict = {}
     drops: dict = {}
@@ -102,28 +112,35 @@ def flow_summary(records: list) -> dict:
             continue
         conn = r.get("conn")
         op = r.get("op")
-        seq = int(r.get("seq", 0))
+        try:
+            seq = int(r.get("seq", 0))
+        except ValueError:
+            raise DescriptorError(
+                f"tick {r.tick}: FLOW seq {r.get('seq')!r} is not an "
+                f"integer") from None
         if op == "push":
             pushed.setdefault(conn, []).append(seq)
         elif op == "deliver":
             delivered.setdefault((conn, r.get("sink")), []).append(seq)
         elif op == "drop":
-            drops[conn] = drops.get(conn, 0) + 1
+            key = (conn, r.get("sink"))
+            drops[key] = drops.get(key, 0) + 1
     summary = {}
     for conn in sorted(pushed):
-        sinks = sorted(k for k in delivered if k[0] == conn)
+        sinks = sorted(k for k in delivered.keys() | drops.keys()
+                       if k[0] == conn)
         if not sinks:
             summary[conn] = {"pushed": len(pushed[conn]), "delivered": 0,
-                             "loss": drops.get(conn, 0), "reorder": 0,
-                             "dup": 0}
+                             "loss": 0, "reorder": 0, "dup": 0}
             continue
         for conn_sink in sinks:
-            seqs = delivered[conn_sink]
+            seqs = delivered.get(conn_sink, [])
             dup = len(seqs) - len(set(seqs))
-            reorder = sum(1 for a, b in zip(seqs, seqs[1:]) if b <= a)
+            reorder = sum(1 for a, b in zip(seqs, seqs[1:]) if b < a)
             summary[f"{conn}->{conn_sink[1]}"] = {
                 "pushed": len(pushed[conn]), "delivered": len(seqs),
-                "loss": drops.get(conn, 0), "reorder": reorder, "dup": dup}
+                "loss": drops.get(conn_sink, 0), "reorder": reorder,
+                "dup": dup}
     return summary
 
 

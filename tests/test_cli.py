@@ -180,6 +180,32 @@ class TestCli:
         cmds = capsys.readouterr().out
         assert "cmd=Move comp=relay" in cmds
 
+    @pytest.mark.parametrize("query, content", [
+        ("flows", b"tick=0 host=h1 kind=FLOW conn=k1 op=push seq=x\n"),
+        ("qos", b"\xff\xfe\n"),
+    ], ids=["non-integer-seq", "not-utf8"])
+    def test_inspect_of_a_malformed_trace_is_a_diagnostic(
+            self, tmp_path, capsys, query, content):
+        bad = tmp_path / "bad.trace"
+        bad.write_bytes(content)
+        assert cli.main(["inspect", "--trace", str(bad),
+                         "--query", query]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err and "Traceback" not in captured.err
+
+    def test_flow_summary_keeps_each_sink_to_its_own_losses(self):
+        lines = ["tick=0 host=h1 kind=FLOW conn=k op=push seq=1",
+                 "tick=1 host=h1 kind=FLOW conn=k op=push seq=2",
+                 "tick=1 host=h1 kind=FLOW conn=k op=drop sink=b.in seq=1",
+                 "tick=1 host=h2 kind=FLOW conn=k op=deliver sink=c.in seq=1",
+                 "tick=2 host=h2 kind=FLOW conn=k op=deliver sink=c.in seq=2",
+                 "tick=3 host=h2 kind=FLOW conn=k op=deliver sink=c.in seq=2"]
+        summary = trace.query_flows([trace.parse_line(l) for l in lines])
+        assert summary.splitlines() == [
+            "k->b.in: pushed=2 delivered=0 loss=1 reorder=0 dup=0",
+            "k->c.in: pushed=2 delivered=3 loss=0 reorder=0 dup=1"]
+
     def test_parse_failure_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "x.json"
         bad.write_text("{nope")

@@ -34,6 +34,21 @@ class TestPushPull:
         with pytest.raises(BindingError):
             c.pull("nobody", "in", now=0)
 
+    def test_the_source_component_on_a_wrong_port_is_rejected(self):
+        c = conn()
+        with pytest.raises(BindingError) as exc:
+            c.push("a", "in", 1, now=0)
+        assert str(exc.value) == "a.in is not the source of k"
+        assert c.pushed_count == 0
+
+    def test_the_sink_component_on_a_wrong_port_is_rejected(self):
+        c = conn()
+        c.push("a", "out", 1, now=0)
+        with pytest.raises(BindingError) as exc:
+            c.pull("b", "out", now=0)
+        assert str(exc.value) == "b.out is not a sink of k"
+        assert c.pull("b", "in", now=0) == 1
+
     def test_lossless_blocks_at_capacity(self):
         c = conn(FlowPolicy(capacity=3))
         for i in range(3):

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from adaptsim import behaviors
-from adaptsim.connector import (ConnectorInstance, Endpoint, FlowPolicy)
+from adaptsim import behaviors, kernel
+from adaptsim.connector import (ConnectorInstance, Endpoint, FlowPolicy,
+                                FlowSync)
 from adaptsim.container import (ComponentDescriptor, ContainerInstance,
                                 EventKind, Lifecycle, LEGAL_EDGES,
                                 PlatformEvent, Variant)
 from adaptsim.errors import (ComponentFault, LifecycleError, ValidationError,
                              VariantError)
+from adaptsim.kernel import Add, HostDescriptor, HostTier
+from adaptsim.simnet import World
 
 
 def descriptor(id="c", in_ports=(), out_ports=(), behavior="identity",
@@ -261,10 +264,62 @@ class TestSnapshotRestore:
         assert not hasattr(ConnectorInstance, "deliver_event")
 
 
+class TestOutputs:
+    def two_out(self, policies):
+        """A source with out ports declared z-first, each on its own
+        connector to a sink, and a log of the pushes in order."""
+        src = running(descriptor("src", out_ports=("z", "a"),
+                                 behavior="source"))
+        log = []
+        for port in ("z", "a"):
+            k = ConnectorInstance(
+                f"k{port}", Endpoint("src", port),
+                [Endpoint(f"snk{port}", "in")], policies[port],
+                tracer=lambda k, now, op, sink, seq: log.append((k.id, op)))
+            src.output_bindings[port] = k
+        start(src)
+        return src, log
+
+    def test_pushes_go_out_in_sorted_port_order(self):
+        src, log = self.two_out({"z": FlowPolicy(), "a": FlowPolicy()})
+        assert src.process_step(0) == {"z": 1, "a": 1}
+        assert log == [("ka", "push"), ("kz", "push")]
+
+    @pytest.mark.parametrize("full", ["a", "z"])
+    def test_any_blocking_synchronized_output_stalls_the_step(self, full):
+        src, log = self.two_out({"z": FlowPolicy(capacity=1),
+                                 "a": FlowPolicy(capacity=1)})
+        other = "z" if full == "a" else "a"
+        src.output_bindings[full].push("src", full, 0, now=0)
+        log.clear()
+        assert src.process_step(1) == {}
+        assert log == [] and src.state is None
+        # once the full output has room, the step runs and pushes both
+        src.output_bindings[full].pull(f"snk{full}", "in", now=1)
+        assert src.process_step(2) == {"z": 1, "a": 1}
+        assert src.output_bindings[other].pushed_count == 1
+
+    def test_an_unsynchronized_full_output_does_not_stall(self):
+        src, log = self.two_out({
+            "z": FlowPolicy(sync=FlowSync.UNSYNCHRONIZED, capacity=1),
+            "a": FlowPolicy()})
+        src.output_bindings["z"].push("src", "z", 0, now=0)
+        log.clear()
+        assert src.process_step(1) == {"z": 1, "a": 1}
+        assert log == [("ka", "push")]
+
+
 class TestHeartbeat:
     def test_heartbeat_object(self):
-        c = running(descriptor("c"))
-        obj = c.heartbeat(12, "h9")
+        # a Running container's host reports it alive on a reporting tick
+        w = World(seed=0)
+        w.add_host(HostDescriptor(id="h9", tier=HostTier.FULL,
+                                  cpu_capacity=8, mem_capacity=8))
+        assert kernel.apply_now(w, Add(descriptor("c"), "h9")).applied
+        w.now = 10
+        w.step()
+        obj = w.hosts["h9"].store.latest("component.alive")
         assert obj.info.key == "component.alive"
-        assert obj.validity.timestamp == 12
+        assert obj.info.value == obj.info.producer == "c"
+        assert obj.validity.timestamp == 10
         assert obj.validity.location.host == "h9"

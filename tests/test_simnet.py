@@ -1,10 +1,14 @@
 """Tick loop, scripted events, battery drain and determinism."""
 
+import dataclasses
+import os
+
 import pytest
 
 from adaptsim import kernel
-from adaptsim.connector import Endpoint, FlowPolicy
+from adaptsim.connector import Endpoint, FlowPolicy, FlowSync, LossKind
 from adaptsim.container import ComponentDescriptor, Variant
+from adaptsim.context import Location, stamp
 from adaptsim.errors import ScheduleError
 from adaptsim.kernel import (Add, Battery, Connect, HostDescriptor, HostTier)
 from adaptsim.simnet import SimEventKind, World, sim_event
@@ -159,3 +163,92 @@ class TestDeterminism:
         assert a != b
         diff = [x for x, y in zip(a, b) if x != y]
         assert all("key=temp" in x for x in diff)
+
+
+DATAPLANE_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                                "golden_dataplane.trace")
+
+
+def dataplane_world():
+    """Four battery-powered hosts in a square (h1-h2-h3 and h1-h4-h3) with
+    every kind of flow the data plane carries.
+
+    - `src` (h1) has two out ports.  `a` feeds a two-sink KeepLatest
+      connector: its local sink `x` takes every sample, and its sink `y`
+      (h3), two hops away, loses each sample to the next push.  `b` feeds
+      an Unsynchronized Lossless connector of capacity 1, which refuses
+      pushes while its one sample is in flight.
+    - `gen` (h1) feeds a Synchronized Lossless connector of capacity 2,
+      which stalls `gen` while full.
+    - At tick 3 the h2-h3 link goes down under samples in flight to h3,
+      which re-route over h1-h4-h3; it comes back at tick 9.
+    """
+    w = World(seed=0)
+    for hid, power in (("h1", None),
+                       ("h2", Battery(level=1.0, drain_per_tick=0.01)),
+                       ("h3", Battery(level=0.5, drain_per_tick=0.02)),
+                       ("h4", Battery(level=0.8, drain_per_tick=0.03))):
+        w.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
+                                  cpu_capacity=8, mem_capacity=8,
+                                  power=power))
+    w.add_link("h1", "h2", latency=2)
+    w.add_link("h2", "h3", latency=2)
+    w.add_link("h1", "h4", latency=1)
+    w.add_link("h3", "h4", latency=3)
+    for d, hid in ((desc("src", out_ports=("a", "b"), behavior="source"),
+                    "h1"),
+                   (desc("gen", out_ports=("o",), behavior="source"), "h1"),
+                   (desc("x", in_ports=("in",), behavior="sink"), "h1"),
+                   (desc("y", in_ports=("in",), behavior="sink"), "h3"),
+                   (desc("u", in_ports=("in",), behavior="sink"), "h3"),
+                   (desc("s", in_ports=("in",), behavior="sink"), "h3")):
+        assert kernel.apply_now(w, Add(d, hid)).applied
+    for kid, source, sinks, policy in (
+            ("keep", Endpoint("src", "a"),
+             (Endpoint("x", "in"), Endpoint("y", "in")),
+             FlowPolicy(loss=LossKind.KEEP_LATEST)),
+            ("refuse", Endpoint("src", "b"), (Endpoint("u", "in"),),
+             FlowPolicy(sync=FlowSync.UNSYNCHRONIZED, capacity=1)),
+            ("stall", Endpoint("gen", "o"), (Endpoint("s", "in"),),
+             FlowPolicy(capacity=2))):
+        assert kernel.apply_now(w, Connect(kid, source, sinks,
+                                           policy)).applied
+    w.schedule(sim_event(3, SimEventKind.LINK_DOWN, endpoints=("h2", "h3")))
+    w.schedule(sim_event(9, SimEventKind.LINK_UP, endpoints=("h2", "h3")))
+    w._tick_buffer.clear()
+    w._trace_seq = 0
+    return w
+
+
+def test_the_data_plane_trace_is_pinned():
+    w = dataplane_world()
+    w.run(17)                       # reporting ticks 0, 5, 10 and 15
+    with open(DATAPLANE_GOLDEN) as fh:
+        assert "\n".join(w.trace_lines) + "\n" == fh.read()
+
+
+class TestReports:
+    def reported(self):
+        """Every (host, object) the data-plane world stores in 11 ticks:
+        all of it from the reporting ticks 0, 5 and 10."""
+        w = dataplane_world()
+        w.run(11)
+        return [(hid, obj) for hid in sorted(w.hosts)
+                for obj in w.hosts[hid].store.all_objects()]
+
+    def test_a_stored_report_equals_a_freshly_stamped_object(self):
+        reported = self.reported()
+        assert {obj.info.key for _, obj in reported} == {
+            "component.alive", "battery.level", "flow.rate", "flow.depth"}
+        assert {obj.validity.timestamp for _, obj in reported} == {0, 5, 10}
+        for hid, obj in reported:
+            assert obj == stamp(obj.info, obj.validity.timestamp,
+                                Location(host=hid), "platform", 1.0)
+
+    def test_every_field_of_a_stored_report_is_frozen(self):
+        for _, obj in self.reported():
+            for part in (obj, obj.info, obj.validity,
+                         obj.validity.location):
+                for f in dataclasses.fields(part):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(part, f.name, None)
