@@ -96,7 +96,6 @@ class Snapshot:
 
     component_id: str
     state: Any
-    buffered_inputs: dict       # in_port -> list of payloads
     pending_events: list        # of PlatformEvent
 
 
@@ -112,7 +111,6 @@ class ContainerInstance:
         self.state: Any = None
         self.input_bindings: dict = {}    # in_port -> ConnectorInstance
         self.output_bindings: dict = {}   # out_port -> ConnectorInstance
-        self.buffered_inputs: dict = {p: [] for p in descriptor.in_ports}
         self._events: list = []           # (neg priority, arrival seq, event)
         self._event_seq = 0
         self.fault: Optional[str] = None
@@ -174,12 +172,9 @@ class ContainerInstance:
                 return {}
         inputs = {}
         for port in self.descriptor.in_ports:
-            if self.buffered_inputs[port]:
-                inputs[port] = self.buffered_inputs[port].pop(0)
-            else:
-                conn = self.input_bindings.get(port)
-                inputs[port] = conn.pull(self.descriptor.id, port, now) \
-                    if conn is not None else None
+            conn = self.input_bindings.get(port)
+            inputs[port] = conn.pull(self.descriptor.id, port, now) \
+                if conn is not None else None
         events = self._consume_events() if self._events else []
         fn = behaviors.resolve(self.active_variant.behavior)
         try:
@@ -212,14 +207,12 @@ class ContainerInstance:
         return Snapshot(
             component_id=self.descriptor.id,
             state=copy.deepcopy(self.state),
-            buffered_inputs=copy.deepcopy(self.buffered_inputs),
             pending_events=self.pending_events())
 
     def restore(self, snap: Snapshot) -> None:
         if self.lifecycle not in (Lifecycle.CREATED, Lifecycle.CONNECTED):
             raise LifecycleError(self.lifecycle.value, "restore")
         self.state = copy.deepcopy(snap.state)
-        self.buffered_inputs = copy.deepcopy(snap.buffered_inputs)
         self._events = []
         self._event_seq = 0
         for e in snap.pending_events:

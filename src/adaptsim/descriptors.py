@@ -273,6 +273,9 @@ def _event_args(kind: SimEventKind, raw: dict, where: str,
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             diags.append(f"{where}: {key} must be a number, not {value!r}")
             ok = False
+        elif key in ("level", "confidence") and not 0.0 <= value <= 1.0:
+            diags.append(f"{where}: {key} must be in [0, 1], not {value!r}")
+            ok = False
     if "endpoints" in args:
         ends = args["endpoints"]
         if isinstance(ends, list) and len(ends) == 2 \

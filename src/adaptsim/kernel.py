@@ -186,15 +186,12 @@ class ModelConnector:
 
 @dataclass
 class ArchitectureModel:
-    """Causally connected runtime view: updated in the same step as the
-    deployment it mirrors."""
+    """Causally connected runtime view of one model version, read from the
+    hosts' registries (see `World.model`)."""
 
     components: dict = field(default_factory=dict)   # id -> ModelComponent
     connectors: dict = field(default_factory=dict)   # id -> ModelConnector
     version: int = 0
-
-    def bump(self):
-        self.version += 1
 
     def canonical(self):
         """Content form used for equality checks; version excluded."""
@@ -207,9 +204,16 @@ class ArchitectureModel:
         return (comps, conns)
 
 
+def sourced_connectors(host) -> list:
+    """The connectors whose source is a container on `host`, by id."""
+    return sorted((k for c in host.containers.values()
+                   for k in c.output_bindings.values()), key=lambda k: k.id)
+
+
 def reconstruct_model(world) -> ArchitectureModel:
-    """Rebuild the model by walking every host's registries."""
-    m = ArchitectureModel()
+    """Build the model of the current version by walking every host's
+    registries."""
+    m = ArchitectureModel(version=world.model_version)
     for hid in sorted(world.hosts):
         host = world.hosts[hid]
         for cid in sorted(host.containers):
@@ -218,9 +222,8 @@ def reconstruct_model(world) -> ArchitectureModel:
                 host=hid, tier=c.active_variant.tier,
                 behavior=c.active_variant.behavior,
                 lifecycle=c.lifecycle.value)
-        for kid in sorted(host.connector_sources):
-            k = world.connectors[kid]
-            m.connectors[kid] = ModelConnector(
+        for k in sourced_connectors(host):
+            m.connectors[k.id] = ModelConnector(
                 source=k.source, sinks=tuple(k.sinks), policy=k.policy)
     return m
 
@@ -351,10 +354,11 @@ def service_call(world, host_id: str, service: Service, request: Any = None):
     if service is Service.QOS_MEASURE:
         return world.last_qos
     if service is Service.REFLEXIVITY:
+        model = world.model
         if host.desc.tier is HostTier.FULL:
-            return world.model
-        local = ArchitectureModel(version=world.model.version)
-        for cid, mc in world.model.components.items():
+            return model
+        local = ArchitectureModel(version=model.version)
+        for cid, mc in model.components.items():
             if mc.host == host_id:
                 local.components[cid] = mc
         return local
@@ -434,7 +438,7 @@ def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
         world.runtime_restore(checkpoint)
         result = aborted(f"internal: {exc!r}")
     else:
-        world.model.bump()
+        world.model_version += 1
         result = APPLIED
     world.trace(world.coordinator_host or "-", "CMD",
                 f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} "
@@ -487,20 +491,15 @@ def _find_component(world, cid: str):
     return hid, world.hosts[hid].containers[cid]
 
 
-def _sync_model_component(world, cid, hid, c) -> bool:
+def _start_if_ready(world, hid, c) -> bool:
     """The causal-connection rule, applied wherever a container is written:
     a Connected container with every port bound on an up host starts
-    running, and the model records the container as it now is.  Returns
-    whether the record changed."""
+    running.  Returns whether it started."""
     if (c.lifecycle is Lifecycle.CONNECTED and c.all_ports_bound()
             and world.hosts[hid].desc.up):
         c.transition(Lifecycle.RUNNING)
-    record = ModelComponent(
-        host=hid, tier=c.active_variant.tier,
-        behavior=c.active_variant.behavior, lifecycle=c.lifecycle.value)
-    changed = world.model.components.get(cid) != record
-    world.model.components[cid] = record
-    return changed
+        return True
+    return False
 
 
 def _bound_connectors(c: ContainerInstance) -> list:
@@ -573,7 +572,7 @@ def _exec_add(world, cmd: Add) -> None:
     host.containers[cid] = c
     world.component_host[cid] = cmd.host
     world.descriptors[cid] = cmd.descriptor
-    _sync_model_component(world, cid, cmd.host, c)
+    _start_if_ready(world, cmd.host, c)
 
 
 def _exec_remove(world, cmd: Remove) -> None:
@@ -590,7 +589,6 @@ def _exec_remove(world, cmd: Remove) -> None:
         c.transition(Lifecycle.DESTROYED)
     del world.hosts[hid].containers[cmd.component]
     del world.component_host[cmd.component]
-    world.model.components.pop(cmd.component, None)
     world.descriptors.pop(cmd.component, None)
 
 
@@ -638,7 +636,7 @@ def _exec_move(world, cmd: Move) -> None:
     for (kid, sink), samples in sorted(
             residues.items(), key=lambda t: (t[0][0], str(t[0][1]))):
         world.connectors[kid].refill(sink, samples, world.now)
-    _sync_model_component(world, cmd.component, cmd.target, new)
+    _start_if_ready(world, cmd.target, new)
     if path is not None:
         world.trace(src_hid, "NET",
                     f"op=transfer comp={cmd.component} to={cmd.target} "
@@ -647,11 +645,6 @@ def _exec_move(world, cmd: Move) -> None:
     del world.hosts[src_hid].containers[cmd.component]
     target.containers[cmd.component] = new
     world.component_host[cmd.component] = cmd.target
-    # source-side ownership follows the component's host
-    for k in conns:
-        if k.source.component == cmd.component:
-            world.hosts[src_hid].connector_sources.discard(k.id)
-            target.connector_sources.add(k.id)
 
 
 def _exec_connect(world, cmd: Connect) -> None:
@@ -665,26 +658,23 @@ def _exec_connect(world, cmd: Connect) -> None:
     if cmd.source.port in src_c.output_bindings:
         raise _Abort("port in use")
     sinks = []
-    for s in cmd.sinks:
+    for i, s in enumerate(cmd.sinks):
         hid, c = _find_component(world, s.component)
         if c is None:
             raise _Abort("unknown id")
         if s.port not in c.descriptor.in_ports:
             raise _Abort(f"unknown port {s}")
-        if s.port in c.input_bindings:
+        if s.port in c.input_bindings or s in cmd.sinks[:i]:
             raise _Abort("port in use")
         sinks.append((s, hid, c))
     k = world.make_connector(cmd.connector, cmd.source, list(cmd.sinks),
                              cmd.policy)
     world.connectors[cmd.connector] = k
-    world.hosts[src_hid].connector_sources.add(cmd.connector)
     src_c.output_bindings[cmd.source.port] = k
     for s, _, c in sinks:
         c.input_bindings[s.port] = k
-    for ep, hid, c in [(cmd.source, src_hid, src_c), *sinks]:
-        _sync_model_component(world, ep.component, hid, c)
-    world.model.connectors[cmd.connector] = ModelConnector(
-        source=cmd.source, sinks=tuple(cmd.sinks), policy=cmd.policy)
+    for _, hid, c in [(cmd.source, src_hid, src_c), *sinks]:
+        _start_if_ready(world, hid, c)
 
 
 def _exec_disconnect(world, cmd: Disconnect) -> None:
@@ -700,10 +690,8 @@ def _exec_disconnect(world, cmd: Disconnect) -> None:
             c.input_bindings.pop(ep.port, None)
         if c.lifecycle is Lifecycle.RUNNING and not c.all_ports_bound():
             c.transition(Lifecycle.STOPPED)
-            _sync_model_component(world, ep.component, hid, c)
-        world.hosts[hid].connector_sources.discard(cmd.connector)
+            _start_if_ready(world, hid, c)
     del world.connectors[cmd.connector]
-    world.model.connectors.pop(cmd.connector, None)
 
 
 def _exec_replace(world, cmd: ReplaceBusiness) -> None:
@@ -724,4 +712,4 @@ def _exec_replace(world, cmd: ReplaceBusiness) -> None:
     else:
         raise _Abort("empty replacement")
     c.state = None
-    _sync_model_component(world, cmd.component, hid, c)
+    _start_if_ready(world, hid, c)

@@ -84,7 +84,6 @@ class HostRuntime:
     desc: HostDescriptor
     store: ContextStore = field(default_factory=ContextStore)
     containers: dict = field(default_factory=dict)
-    connector_sources: set = field(default_factory=set)
     config: PlatformConfig = field(default_factory=PlatformConfig)
     persist_log: list = field(default_factory=list)
 
@@ -98,7 +97,8 @@ class World:
         self.links: dict = {}                 # frozenset -> Link
         self.connectors: dict = {}
         self.descriptors: dict = {}           # component id -> descriptor
-        self.model = kernel.ArchitectureModel()
+        self.model_version = 0        # moves wherever the deployment changes
+        self._model = None            # kernel.ArchitectureModel, see `model`
         self.deferred_commands: list = []
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
@@ -148,6 +148,14 @@ class World:
                 {hid: h.desc.up for hid, h in self.hosts.items()}, self.links))
             self._transit = {}
         return self._routes[1]
+
+    @property
+    def model(self) -> kernel.ArchitectureModel:
+        """The architecture model, read from the hosts' registries once per
+        model version; a model a reader holds describes its version."""
+        if self._model is None or self._model.version != self.model_version:
+            self._model = kernel.reconstruct_model(self)
+        return self._model
 
     @property
     def coordinator_host(self) -> Optional[str]:
@@ -246,16 +254,11 @@ class World:
                       for a, v in vars(o).items()}) for o in objs]
         maps = [(self.component_host, components),
                 (self.descriptors, components),
-                (self.model.components, components),
-                (self.connectors, connectors),
-                (self.model.connectors, connectors)]
+                (self.connectors, connectors)]
         maps += [(self.hosts[hid].containers, components) for hid in hosts]
         entries = [(m, key, m.get(key, _ABSENT))
                    for m, keys in maps for key in keys]
-        sources = [(self.hosts[hid].connector_sources, kid,
-                    kid in self.hosts[hid].connector_sources)
-                   for hid in hosts for kid in connectors]
-        return attrs, entries, sources
+        return attrs, entries
 
     def runtime_restore(self, snap) -> None:
         """Write a checkpoint back into the same objects and maps.
@@ -263,7 +266,7 @@ class World:
         A key the command deleted comes back at the end of its map, so
         commands delete keys only after their last step that can fail.
         """
-        attrs, entries, sources = snap
+        attrs, entries = snap
         for obj, saved in attrs:
             vars(obj).clear()
             vars(obj).update(saved)
@@ -272,11 +275,6 @@ class World:
                 m.pop(key, None)
             else:
                 m[key] = old
-        for held, kid, was_held in sources:
-            if was_held:
-                held.add(kid)
-            else:
-                held.discard(kid)
 
     # -- scheduling --------------------------------------------------------
 
@@ -329,8 +327,7 @@ class World:
                                 owner="platform", base_confidence=1.0)
                     host.store.put(obj)
                     self.trace(hid, "CTX", obj.trace_repr())
-                    kernel._sync_model_component(self, cid, hid, c)
-                    self.model.bump()
+                    self.model_version += 1
             self._kernel_tick(hid)
         # (5) adaptation cycle
         if self.coordinator is not None \
@@ -366,18 +363,15 @@ class World:
                 obj = ContextObject(info, validity)
                 host.store.put(obj)
                 self.trace(hid, "CTX", obj.trace_repr())
-            for kid in sorted(host.connector_sources):
-                k = self.connectors.get(kid)
-                if k is None:
-                    continue
+            for k in kernel.sourced_connectors(host):
                 rate, depth = k.take_rate(), k.depth()
                 for key, val in (("flow.rate", rate), ("flow.depth", depth)):
                     info = ContextInformation(
                         nature=ContextNature.HARDWARE, key=key,
-                        value=Quantity(float(val), ""), producer=kid)
+                        value=Quantity(float(val), ""), producer=k.id)
                     host.store.put(ContextObject(info, validity))
                 self.trace(hid, "CTX",
-                           f"key=flow.rate conn={kid} rate={rate:g} "
+                           f"key=flow.rate conn={k.id} rate={rate:g} "
                            f"depth={depth}")
         if self.coordinator is not None and hid == self.coordinator.host:
             kernel.process_deferred(self)
@@ -403,10 +397,10 @@ class World:
             if host is not None:
                 host.desc.up = True
                 self.trace(hid, "NET", "op=join")
-                changed = [kernel._sync_model_component(self, cid, hid, c)
-                           for cid, c in sorted(host.containers.items())]
-                if any(changed):
-                    self.model.bump()
+                started = [kernel._start_if_ready(self, hid, c)
+                           for _, c in sorted(host.containers.items())]
+                if any(started):
+                    self.model_version += 1
         elif kind is SimEventKind.HOST_LEAVE:
             self._host_leave(e.arg("host"))
         elif kind in (SimEventKind.SENSOR_READING,

@@ -306,6 +306,13 @@ def _event(**event):
                                        "to": ["relay.in"],
                                        "mode": "ClientServerPull"}]),
      "connectors[0]: mode must be 'Push', not 'ClientServerPull'"),
+    ("scenario", _event(kind="BatterySet", host="h1", level=1.5),
+     "events[0]: level must be in [0, 1], not 1.5"),
+    ("scenario", _event(kind="BatterySet", host="h3", level=1.5),
+     "events[0]: level must be in [0, 1], not 1.5"),
+    ("scenario", _event(kind="SensorReading", host="h3", key="temp",
+                        value=1.0, confidence=2.0),
+     "events[0]: confidence must be in [0, 1], not 2.0"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):

@@ -50,6 +50,15 @@ def deploy_chain(w, src_host="h1", sink_host="h2"):
     return "src", "snk", "k1"
 
 
+def flow_report_hosts(w, ticks):
+    """Run `ticks` ticks; the `host=` field of each `flow.rate` report of
+    k1 they traced."""
+    start = len(w.trace_lines)
+    w.run(ticks)
+    return [line.split()[1] for line in w.trace_lines[start:]
+            if "key=flow.rate conn=k1 " in line]
+
+
 class TestServiceMatrix:
     def test_light_min_offers_only_cheap_services(self):
         offered = kernel.SERVICE_MATRIX[HostTier.LIGHT_MIN]
@@ -295,7 +304,7 @@ class TestCommands:
         deploy_chain(w)
         assert w.hosts["h1"].containers["src"].lifecycle is Lifecycle.RUNNING
         assert w.hosts["h2"].containers["snk"].lifecycle is Lifecycle.RUNNING
-        assert "k1" in w.hosts["h1"].connector_sources
+        assert flow_report_hosts(w, 1) == ["host=h1"]
 
     def test_connect_rejects_bound_or_unknown_ports(self):
         w = make_world()
@@ -306,6 +315,24 @@ class TestCommands:
         bad = Connect("k3", Endpoint("src", "oops"),
                       (Endpoint("snk", "in"),), FlowPolicy())
         assert "unknown port" in kernel.apply_now(w, bad).reason
+
+    def test_connect_naming_one_sink_twice_aborts(self):
+        w = make_world()
+        kernel.apply_now(w, Add(desc("src", out_ports=("out",),
+                                     behavior="source"), "h1"))
+        kernel.apply_now(w, Add(desc("snk", in_ports=("in",),
+                                     behavior="sink"), "h2"))
+        before = w.model
+        twice = Connect("k1", Endpoint("src", "out"),
+                        (Endpoint("snk", "in"), Endpoint("snk", "in")),
+                        FlowPolicy())
+        assert kernel.apply_now(w, twice).reason == "port in use"
+        assert w.connectors == {}
+        assert w.hosts["h2"].containers["snk"].input_bindings == {}
+        assert w.model.version == before.version
+        assert w.model.canonical() == before.canonical()
+        w.run(3)
+        assert [line for line in w.trace_lines if "kind=FLOW" in line] == []
 
     def test_remove_refuses_wired_component(self):
         w = make_world()
@@ -342,15 +369,15 @@ class TestMove:
     def test_state_and_bindings_survive_migration(self):
         w = make_world()
         deploy_chain(w, "h1", "h1")
+        assert flow_report_hosts(w, 1) == ["host=h1"]
         w.hosts["h1"].containers["src"].state = {"emitted": 9}
         assert kernel.apply_now(w, Move("src", "h2")).applied
         moved = w.hosts["h2"].containers["src"]
         assert moved.state == {"emitted": 9}
         assert moved.lifecycle is Lifecycle.RUNNING
         assert moved.output_bindings["out"] is w.connectors["k1"]
-        assert "k1" in w.hosts["h2"].connector_sources
-        assert "k1" not in w.hosts["h1"].connector_sources
         assert w.model.components["src"].host == "h2"
+        assert flow_report_hosts(w, 5) == ["host=h2"]
 
     def test_in_flight_samples_survive_migration(self):
         w = make_world()
@@ -407,6 +434,17 @@ class TestCausalConnection:
             kernel.apply_now(w, cmd)   # aborts allowed; model must track
             assert (w.model.canonical()
                     == reconstruct_model(w).canonical())
+
+    def test_a_held_model_describes_its_version(self):
+        w = make_world()
+        deploy_chain(w, "h1", "h1")
+        held = w.model
+        assert w.model is held                    # one build per version
+        assert kernel.apply_now(w, Move("src", "h2")).applied
+        assert held.components["src"].host == "h1"
+        assert w.model.components["src"].host == "h2"
+        assert w.model.version == held.version + 1
+        assert w.model.canonical() == reconstruct_model(w).canonical()
 
     def test_a_bound_sink_starts_when_its_host_rejoins(self):
         w = make_world(tiers=("Full", "Full"), links=((0, 1),))

@@ -21,8 +21,7 @@ FAULT_POINTS = [(ContainerInstance, "transition"),
                 (ContainerInstance, "restore"),
                 (ConnectorInstance, "drain"),
                 (ConnectorInstance, "refill"),
-                (kernel, "_sync_model_component"),
-                (kernel, "ModelConnector")]
+                (kernel, "_start_if_ready")]
 
 
 def desc(cid, ins=(), outs=(), behavior="identity"):
@@ -98,7 +97,6 @@ def extract(w):
     lists keep the order of each map."""
     containers = {
         hid: [(cid, c.lifecycle, c.active_variant, c.state, c.fault,
-               {p: list(v) for p, v in c.buffered_inputs.items()},
                c.pending_events(),
                {p: k.id for p, k in c.input_bindings.items()},
                {p: k.id for p, k in c.output_bindings.items()})
@@ -112,8 +110,6 @@ def extract(w):
               k._delivered_window, k.source, list(k.sinks), k.policy)
         for kid, k in w.connectors.items()}
     return {"containers": containers, "connectors": connectors,
-            "sources": {hid: sorted(h.connector_sources)
-                        for hid, h in w.hosts.items()},
             "component_host": list(w.component_host.items()),
             "descriptors": list(w.descriptors.items()),
             "deferred": list(w.deferred_commands),
@@ -142,20 +138,22 @@ def assert_same_objects(w, held):
 
 def inject(monkeypatch, n):
     """Make the n-th call to a fault point inside kernel._execute raise;
-    returns the running count of such calls."""
-    seen = {"active": False, "calls": 0}
+    returns the running count of such calls and the points called."""
+    seen = {"active": False, "calls": 0, "points": set()}
 
-    def guard(fn):
+    def guard(point, fn):
         def wrapper(*args, **kwargs):
             if seen["active"]:
                 seen["calls"] += 1
+                seen["points"].add(point)
                 if seen["calls"] == n:
                     raise RuntimeError("injected")
             return fn(*args, **kwargs)
         return wrapper
 
     for owner, name in FAULT_POINTS:
-        monkeypatch.setattr(owner, name, guard(getattr(owner, name)))
+        monkeypatch.setattr(owner, name,
+                            guard((owner, name), getattr(owner, name)))
     execute = kernel._execute
 
     def watched(world, cmd):
@@ -192,6 +190,19 @@ def test_a_fault_at_any_step_rolls_back_in_place(monkeypatch, name):
         assert untraced_lines(w, 6) == untraced_lines(prepared(name), 6)
     assert n == seen["calls"] + 1 > 1     # each step failed once, then none
     assert extract(w) != before
+
+
+def test_every_fault_point_is_called_by_some_command(monkeypatch):
+    """No entry of FAULT_POINTS is dead: each is called inside
+    kernel._execute by at least one command of COMMANDS."""
+    called = set()
+    for name in sorted(COMMANDS):
+        w = prepared(name)
+        with monkeypatch.context() as m:
+            seen = inject(m, 0)
+            assert kernel.apply_now(w, COMMANDS[name]).applied
+        called |= seen["points"]
+    assert called == set(FAULT_POINTS)
 
 
 def random_command(rng):
@@ -257,21 +268,21 @@ def test_a_connected_component_moves():
 @pytest.mark.parametrize("cmd", [COMMANDS["move"], COMMANDS["disconnect"]],
                          ids=["move", "disconnect"])
 def test_checkpoint_size_does_not_grow_with_the_world(monkeypatch, cmd):
-    """Neither the checkpoint nor the model syncs of a command grow with
+    """Neither the checkpoint nor the start checks of a command grow with
     the components it does not name."""
     taken, synced = [], []
     snapshot = World.runtime_snapshot
-    sync = kernel._sync_model_component
+    start = kernel._start_if_ready
 
     def record(self, *scope):
         taken.append(snapshot(self, *scope))
         return taken[-1]
 
-    def count(world, cid, hid, c):
-        synced.append(cid)
-        sync(world, cid, hid, c)
+    def count(world, hid, c):
+        synced.append(c.descriptor.id)
+        return start(world, hid, c)
     monkeypatch.setattr(World, "runtime_snapshot", record)
-    monkeypatch.setattr(kernel, "_sync_model_component", count)
+    monkeypatch.setattr(kernel, "_start_if_ready", count)
     sizes = []
     for unrelated in (5, 100):
         w = busy_world(unrelated)

@@ -428,7 +428,7 @@ class TestHostOf:
         def fail(*args):
             raise RuntimeError("injected")
         # the last step of a move, after the container changed hosts
-        monkeypatch.setattr(kernel, "_sync_model_component", fail)
+        monkeypatch.setattr(kernel, "_start_if_ready", fail)
         result = kernel.apply_now(w, Move("c", "h4"))
         assert result.status == "Aborted"
         assert w.host_of("c") == "h1"
