@@ -189,11 +189,14 @@ def _link_fit(routes: kernel.Routes, links: dict, src: str, dsts: list,
     return score
 
 
+def _mean(terms) -> float:
+    """The mean of a list of terms, 1 when there are none."""
+    return sum(terms) / len(terms) if terms else 1.0
+
+
 def _global_score(resource, link, battery: float, weights) -> float:
     w_r, w_l, w_b = weights
-    mean_r = sum(resource) / len(resource)
-    mean_l = sum(link) / len(link) if link else 1.0
-    return w_r * mean_r + w_l * mean_l + w_b * battery
+    return w_r * _mean(resource) + w_l * _mean(link) + w_b * battery
 
 
 def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
@@ -287,27 +290,30 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
             return INFEASIBLE
         candidates[cid] = cands
 
-    cache = _ScoreCache(model, obs, descriptors, affected, candidates,
-                        host_tiers, weights)
+    cache = _ScoreCache(model, obs, descriptors, report, affected,
+                        candidates, host_tiers, weights)
 
-    def moves(assignment):
-        return sum(1 for cid, hid in assignment.items()
-                   if model.components[cid].host != hid)
+    def rank(assignment):
+        """Sort key: the highest score, then the fewest moves, then the
+        lexicographically least assignment."""
+        moves = sum(1 for cid, hid in assignment.items()
+                    if model.components[cid].host != hid)
+        return (-_score_assignment(cache, assignment), moves,
+                tuple(sorted(assignment.items())))
+
+    def best(assignments):
+        """(rank, assignment) of the first in rank order, None if none."""
+        return min(((rank(a), a) for a in assignments),
+                   key=lambda ranked: ranked[0], default=None)
 
     space = 1
     for cid in affected:
         space *= len(candidates[cid])
-    best = None
     if space <= EXHAUSTIVE_LIMIT:
-        for combo in itertools.product(*(candidates[c] for c in affected)):
-            assignment = dict(zip(affected, combo))
-            key = (-_score_assignment(cache, assignment),
-                   moves(assignment),
-                   tuple(sorted(assignment.items())))
-            if best is None or key < best[0]:
-                best = (key, assignment)
-        assignment = best[1]
-        best_score = -best[0][0]
+        key, assignment = best(
+            dict(zip(affected, combo)) for combo in
+            itertools.product(*(candidates[c] for c in affected)))
+        best_score = -key[0]
     else:
         assignment = {}
         for cid in affected:
@@ -315,24 +321,13 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
             assignment[cid] = cur if cur in candidates[cid] \
                 else candidates[cid][0]
         best_score = _score_assignment(cache, assignment)
-        improved = True
-        while improved:
-            improved = False
-            step_best = None
-            for cid in affected:
-                for hid in candidates[cid]:
-                    if hid == assignment[cid]:
-                        continue
-                    trial = dict(assignment)
-                    trial[cid] = hid
-                    key = (-_score_assignment(cache, trial), moves(trial),
-                           tuple(sorted(trial.items())))
-                    if step_best is None or key < step_best[0]:
-                        step_best = (key, trial)
-            if step_best is not None and -step_best[0][0] > best_score:
-                assignment = step_best[1]
-                best_score = -step_best[0][0]
-                improved = True
+        while True:
+            step = best({**assignment, cid: hid} for cid in affected
+                        for hid in candidates[cid] if hid != assignment[cid])
+            if step is None or -step[0][0] <= best_score:
+                break
+            key, assignment = step
+            best_score = -key[0]
     commands = [Move(cid, hid) for cid, hid in sorted(assignment.items())
                 if model.components[cid].host != hid]
     return DeploymentPlan(commands=commands, expected_qos=best_score,
@@ -340,8 +335,8 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
 
 
 class _ScoreCache:
-    """The deployment with the affected components lifted off their hosts,
-    scored term by term in `evaluate_qos`'s sorted-id order.
+    """The cycle's report with the affected components lifted off their
+    hosts, kept term by term in `evaluate_qos`'s sorted-id order.
 
     Holds each host's free capacity, the resource term of every unaffected
     component, the link term of every connector with no affected endpoint,
@@ -352,54 +347,51 @@ class _ScoreCache:
     with an affected endpoint.
     """
 
-    def __init__(self, model, obs, descriptors, affected, candidates,
-                 host_tiers, weights):
+    def __init__(self, model, obs, descriptors, report, affected,
+                 candidates, host_tiers, weights):
         self.model = model
         self.routes = _obs_routes(obs)
         self.links = obs.links
         self.weights = weights
+        comps = model.components
         moved = set(affected)
         self.free = {hid: (ho.cpu_free, ho.mem_free)
                      for hid, ho in obs.hosts.items()}
+        left = set()                    # up hosts an affected component left
         for cid in affected:
-            mc = model.components[cid]
+            mc = comps[cid]
             ho = obs.hosts.get(mc.host)
             if ho is not None and ho.up:
                 cpu_d, mem_d = _demands(descriptors, cid, mc.tier)
                 cpu, mem = self.free[mc.host]
                 self.free[mc.host] = (cpu + cpu_d, mem + mem_d)
+                left.add(mc.host)
         # candidate (component, host) -> demands of the host's tier
         self.demand = {(cid, hid): _demands(descriptors, cid, host_tiers[hid])
                        for cid in affected for hid in candidates[cid]}
-        comps = model.components
+        # The report's terms carry over: a link term does not read free
+        # capacity, and a host no affected component left keeps its free
+        # capacity, so only the residents of the hosts in `left` change.
         self.slot = {}                  # affected component -> term index
         self.residents = {}             # host -> [(term index, demands)]
-        self.resource = []
-        for i, cid in enumerate(sorted(comps)):
+        self.resource = list(report.resource.values())
+        for i, cid in enumerate(report.resource):
             mc = comps[cid]
-            ho = obs.hosts.get(mc.host)
-            term = 0.0
             if cid in moved:
                 self.slot[cid] = i
-            elif ho is not None and ho.up:
-                demand = _demands(descriptors, cid, mc.tier)
-                self.residents.setdefault(mc.host, []).append((i, demand))
-                term = _fit(*self.free[mc.host], *demand)
-            self.resource.append(term)
+                self.resource[i] = 0.0
+                continue
+            demand = _demands(descriptors, cid, mc.tier)
+            self.residents.setdefault(mc.host, []).append((i, demand))
+            if mc.host in left:
+                self.resource[i] = _fit(*self.free[mc.host], *demand)
         self.touched = []               # (term index, endpoints, demand)
-        self.link = []
-        for i, kid in enumerate(sorted(model.connectors)):
+        self.link = list(report.link.values())
+        for i, kid in enumerate(report.link):
             mk = model.connectors[kid]
             ends = [mk.source.component] + [s.component for s in mk.sinks]
-            term = 0.0
-            if all(c in comps for c in ends):
-                if moved.isdisjoint(ends):
-                    hosts = [comps[c].host for c in ends]
-                    term = _link_fit(self.routes, self.links, hosts[0],
-                                     hosts[1:], mk.policy.bw_demand)
-                else:
-                    self.touched.append((i, ends, mk.policy.bw_demand))
-            self.link.append(term)
+            if all(c in comps for c in ends) and not moved.isdisjoint(ends):
+                self.touched.append((i, ends, mk.policy.bw_demand))
         self.levels = {hid: ho.battery for hid, ho in obs.hosts.items()
                        if ho.up and ho.battery is not None}
         used = {mc.host for cid, mc in comps.items() if cid not in moved}
@@ -455,13 +447,11 @@ class Coordinator:
         obs = observe(world, now)
         report = evaluate_qos(world.model, obs, world.descriptors)
         world.last_qos = report
-        mean_r = (sum(report.resource.values()) / len(report.resource)
-                  if report.resource else 1.0)
-        mean_l = (sum(report.link.values()) / len(report.link)
-                  if report.link else 1.0)
         world.trace(self.host, "QOS",
-                    f"global={report.global_score:.4f} rmean={mean_r:.4f} "
-                    f"lmean={mean_l:.4f} b={report.battery:.4f}")
+                    f"global={report.global_score:.4f} "
+                    f"rmean={_mean(report.resource.values()):.4f} "
+                    f"lmean={_mean(report.link.values()):.4f} "
+                    f"b={report.battery:.4f}")
         self._store_report(world, report, now)
         triggered = (report.global_score < QOS_THRESHOLD
                      or self._hard_violation(world.model, report, obs))

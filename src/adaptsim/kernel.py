@@ -493,10 +493,13 @@ def _find_component(world, cid: str):
 
 def _start_if_ready(world, hid, c) -> bool:
     """The causal-connection rule, applied wherever a container is written:
-    a Connected container with every port bound on an up host starts
-    running.  Returns whether it started."""
-    if (c.lifecycle is Lifecycle.CONNECTED and c.all_ports_bound()
-            and world.hosts[hid].desc.up):
+    a Connected container, or a Stopped one with no fault (a Disconnect
+    stopped it), with every port bound on an up host starts running.  A
+    container a fault stopped stays stopped.  Returns whether it
+    started."""
+    if ((c.lifecycle is Lifecycle.CONNECTED
+         or c.lifecycle is Lifecycle.STOPPED and c.fault is None)
+            and c.all_ports_bound() and world.hosts[hid].desc.up):
         c.transition(Lifecycle.RUNNING)
         return True
     return False

@@ -391,11 +391,25 @@ def deployments(draw):
     return m, o, ds, tiers
 
 
-def score_cache(m, o, ds, tiers, affected):
+def score_cache(m, o, ds, tiers, affected, report=None):
     candidates = {c: [h for h in sorted(o.hosts) if o.hosts[h].up]
                   for c in affected}
-    return adaptation._ScoreCache(m, o, ds, affected, candidates, tiers,
+    return adaptation._ScoreCache(m, o, ds, report or evaluate_qos(m, o, ds),
+                                  affected, candidates, tiers,
                                   adaptation.QOS_WEIGHTS)
+
+
+def count_scoring(monkeypatch):
+    """Counts, from now until `monkeypatch.undo()`, the calls to the
+    resource and the link term: {"_fit": n, "_link_fit": n}."""
+    counts = {"_fit": 0, "_link_fit": 0}
+    for name in counts:
+        fn = getattr(adaptation, name)
+        monkeypatch.setattr(adaptation, name,
+                            lambda *a, fn=fn, name=name:
+                            counts.__setitem__(name, counts[name] + 1)
+                            or fn(*a))
+    return counts
 
 
 def starved(free, demands):
@@ -445,10 +459,9 @@ class TestIncrementalScoring:
         if plan is not None and plan is not INFEASIBLE:
             assert scored and plan.expected_qos in [s for _, s in scored]
 
-    def recomputed(self, monkeypatch, unrelated):
-        """(resource, link) terms computed while scoring one candidate: a
-        stranded source and its cut-off sink placed together, in a world
-        with `unrelated` other chains on other hosts."""
+    def chains(self, unrelated):
+        """A stranded source and its cut-off sink, in a world with
+        `unrelated` other chains on other hosts; with the affected ids."""
         hosts = {"dead": (False, 0, 0, None), "h1": (True, 8, 8, 0.9)}
         hosts.update({f"h{i}": (True, 500, 500, 0.5) for i in (2, 3, 4)})
         comps = {"a": "dead", "b": "h1"}
@@ -464,14 +477,14 @@ class TestIncrementalScoring:
         tiers = {h: "Full" for h in hosts}
         affected = affected_components(m, evaluate_qos(m, o, ds), o)
         assert affected == ["a", "b"]
+        return m, o, ds, tiers, affected
+
+    def recomputed(self, monkeypatch, unrelated):
+        """(resource, link) terms computed while scoring one candidate: the
+        stranded source and its cut-off sink of `chains` placed together."""
+        m, o, ds, tiers, affected = self.chains(unrelated)
         cache = score_cache(m, o, ds, tiers, affected)
-        counts = {"_fit": 0, "_link_fit": 0}
-        for name in counts:
-            fn = getattr(adaptation, name)
-            monkeypatch.setattr(adaptation, name,
-                                lambda *a, fn=fn, name=name:
-                                counts.__setitem__(name, counts[name] + 1)
-                                or fn(*a))
+        counts = count_scoring(monkeypatch)
         assignment = {"a": "h1", "b": "h1"}
         got = adaptation._score_assignment(cache, assignment)
         monkeypatch.undo()
@@ -484,6 +497,26 @@ class TestIncrementalScoring:
         # a's and b's resource terms, and k's link term
         assert self.recomputed(monkeypatch, 5) == (2, 1)
         assert self.recomputed(monkeypatch, 100) == (2, 1)
+
+    def test_the_cache_lifts_the_report_and_rescores_only_left_hosts(
+            self, monkeypatch):
+        worlds = [self.chains(5), self.chains(100)]
+        # a leaves h0 and r stays there, so only r's term is rescored
+        _, o, ds, tiers = starved(1.0, {"a": 3.0, "r": 1.5, "s": 0.1})
+        m = model_of({"a": "h0", "r": "h0", "s": "h1"})
+        worlds.append((m, o, ds, tiers, ["a"]))
+        for m, o, ds, tiers, affected in worlds:
+            report = evaluate_qos(m, o, ds)
+            assert affected_components(m, report, o) == affected
+            left = {m.components[c].host for c in affected
+                    if o.hosts[m.components[c].host].up}
+            residents = sum(1 for c, mc in m.components.items()
+                            if c not in affected and mc.host in left)
+            counts = count_scoring(monkeypatch)
+            score_cache(m, o, ds, tiers, affected, report)
+            monkeypatch.undo()
+            assert counts == {"_fit": residents, "_link_fit": 0}
+        assert residents == 1
 
 
 def charged(obs, model, placed):

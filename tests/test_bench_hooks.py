@@ -11,6 +11,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import sim  # noqa: E402
 import spans  # noqa: E402
+from adaptsim import cli  # noqa: E402
 from adaptsim.connector import ConnectorInstance  # noqa: E402
 from adaptsim.container import ContainerInstance  # noqa: E402
 from adaptsim.simnet import World  # noqa: E402
@@ -54,6 +55,25 @@ def test_a_traced_world_records_the_data_plane_layers():
                  "simnet.connector_transit", "store.put"):
         assert calls.get(name, 0) > 0, name
     assert ConnectorInstance.push.__name__ == "push"          # restored
+
+
+def test_a_traced_replan_records_the_search(tmp_path):
+    # binds select_deployment's parameters by name, so a signature change
+    # fails here too
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    out = tmp_path / "m3.trace"
+    tracer = spans.Tracer()
+    with spans.patched(sim.Layers(tracer).targets()):
+        assert cli.main(["run", "--app", os.path.join(data, "app.json"),
+                         "--net", os.path.join(data, "net.json"),
+                         "--scenario", os.path.join(data, "scenario.json"),
+                         "--mode", "M3", "--trace", str(out)]) == 0
+    with open(os.path.join(data, "golden_m3.trace"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    calls = {name: agg["calls"]
+             for name, agg in spans.summarize(tracer.records()).items()}
+    assert calls.get("adaptation.select_deployment", 0) > 0
+    assert calls.get("adaptation.score_assignment", 0) > 0
 
 
 @pytest.mark.parametrize("owner, attr", [(ConnectorInstance, "push"),

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +137,20 @@ class TestCli:
         assert any(r.kind == "QOS" for r in records)
         assert records == sorted(
             records, key=lambda r: r.tick)        # tick-ordered
+
+    @pytest.mark.parametrize("hash_seed", ["0", "12345"])
+    def test_run_does_not_depend_on_the_hash_seed(self, tmp_path, hash_seed):
+        out = tmp_path / "run.trace"
+        src = os.path.join(DATA, os.pardir, os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "adaptsim.cli", "run",
+                        "--app", APP, "--net", NET, "--scenario", SCENARIO,
+                        "--mode", "M3", "--trace", str(out)],
+                       env=env, check=True, cwd=tmp_path)
+        with open(os.path.join(DATA, "golden_m3.trace"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     def test_run_exit_two_when_no_feasible_deployment(self, tmp_path):
         # "probe" only runs on the light tier; when the sole light host

@@ -504,6 +504,39 @@ class TestCausalConnection:
         w.run(2)
         assert w.model.version == before + 1
 
+    def test_a_reconnected_chain_runs_again(self):
+        w = make_world()
+        src, snk, _ = deploy_chain(w)
+        assert kernel.apply_now(w, Disconnect("k1")).applied
+        comps = (w.hosts["h1"].containers[src], w.hosts["h2"].containers[snk])
+        assert [c.lifecycle for c in comps] == [Lifecycle.STOPPED] * 2
+        assert kernel.apply_now(w, Connect(
+            "k2", Endpoint(src, "out"), (Endpoint(snk, "in"),),
+            FlowPolicy())).applied
+        assert [c.lifecycle for c in comps] == [Lifecycle.RUNNING] * 2
+        assert w.model.canonical() == reconstruct_model(w).canonical()
+        w.run(6)
+        assert w.connectors["k2"].pushed_count == 6
+        assert w.connectors["k2"].delivered_count == 5
+
+    def test_a_faulted_component_stays_stopped(self):
+        def fail_at_1(state, inputs, events, now, api):
+            if now == 1:
+                raise RuntimeError("kaput")
+            return state, {}
+        behaviors.register("fail_at_1", fail_at_1)
+        w = make_world(tiers=("Full", "Full"), links=((0, 1),))
+        kernel.apply_now(w, Add(desc("c", behavior="fail_at_1"), "h2"))
+        w.schedule(sim_event(3, SimEventKind.HOST_LEAVE, host="h2"))
+        w.schedule(sim_event(4, SimEventKind.HOST_JOIN, host="h2"))
+        w.run(2)
+        c = w.hosts["h2"].containers["c"]
+        assert c.lifecycle is Lifecycle.STOPPED and c.fault is not None
+        assert kernel.apply_now(w, ReplaceBusiness(
+            "c", behavior="identity")).applied
+        w.run(4)                                  # leave, then rejoin
+        assert c.lifecycle is Lifecycle.STOPPED
+
 
 class TestIntrusion:
     def cfg(self, level):
