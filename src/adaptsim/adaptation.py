@@ -199,6 +199,22 @@ def _global_score(resource, link, battery: float, weights) -> float:
     return w_r * _mean(resource) + w_l * _mean(link) + w_b * battery
 
 
+def _report(model: ArchitectureModel, obs: Observation, resource: dict,
+            link: dict, weights) -> QoSReport:
+    """The report of these resource and link terms, with the battery term
+    read from `obs`: the worst level among the up battery-powered hosts in
+    use, 1 when there is none.  An empty model scores 1."""
+    if not model.components:
+        return QoSReport({}, {}, 1.0, 1.0, obs.at)
+    used = {mc.host for mc in model.components.values()}
+    levels = [obs.hosts[h].battery for h in used
+              if obs.hosts.get(h) and obs.hosts[h].up
+              and obs.hosts[h].battery is not None]
+    battery = min(levels) if levels else 1.0
+    g = _global_score(resource.values(), link.values(), battery, weights)
+    return QoSReport(resource, link, battery, g, obs.at)
+
+
 def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
                  weights=QOS_WEIGHTS) -> QoSReport:
     """Score the deployment: resource fit, link fit, battery margin.
@@ -206,11 +222,8 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
     Per component, fit is how many times its demands still fit into the
     host's free capacity, capped at 1 (0 when the host is down).  Per
     connector, the bottleneck link's bandwidth margin (1 when fully local,
-    0 when the route is broken).  Battery is the worst level among
-    battery-powered hosts in use.
+    0 when the route is broken).  Battery: see `_report`.
     """
-    if not model.components:
-        return QoSReport({}, {}, 1.0, 1.0, obs.at)
     resource = {}
     for cid in sorted(model.components):
         mc = model.components[cid]
@@ -229,13 +242,7 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
             0.0 if src_c is None or len(hosts) < len(mk.sinks)
             else _link_fit(_obs_routes(obs), obs.links, src_c.host, hosts,
                            mk.policy.bw_demand))
-    used = {model.components[cid].host for cid in model.components}
-    levels = [obs.hosts[h].battery for h in used
-              if obs.hosts.get(h) and obs.hosts[h].up
-              and obs.hosts[h].battery is not None]
-    battery = min(levels) if levels else 1.0
-    g = _global_score(resource.values(), link.values(), battery, weights)
-    return QoSReport(resource, link, battery, g, obs.at)
+    return _report(model, obs, resource, link, weights)
 
 
 # -- placement search ------------------------------------------------------
@@ -442,10 +449,40 @@ class Coordinator:
         self.mode = mode
         self.alert_since: Optional[int] = None
         self.infeasible_outstanding = False
+        # (key, observation, report) of the last full scoring, where key is
+        # (world, coordinator host, model version, topology version); kept
+        # to itself: a cycle hands out copies of its dicts
+        self._scored: Optional[tuple] = None
+
+    def _observe_and_score(self, world, now: int) -> tuple:
+        """The cycle's observation and report.
+
+        They are observed and scored in full once per world, coordinator
+        host, model version and topology version.  Nothing else they read
+        moves but the batteries, which move every tick and with no version
+        (a BatterySet can give a mains host one), so every cycle re-reads
+        each reachable host's battery and the battery term.
+        """
+        key = (world, world.coordinator_host, world.model_version,
+               world.topology_version)
+        if self._scored is None or self._scored[0] != key:
+            obs = observe(world, now)
+            self._scored = (key, obs, evaluate_qos(world.model, obs,
+                                                   world.descriptors))
+        _, last_obs, last = self._scored
+        hosts = {}
+        for hid, ho in last_obs.hosts.items():
+            if ho.up:
+                power = world.hosts[hid].desc.power
+                ho = HostObs(True, ho.cpu_free, ho.mem_free,
+                             power.level if power else None)
+            hosts[hid] = ho
+        obs = Observation(now, hosts, dict(last_obs.links), last_obs.routes)
+        return obs, _report(world.model, obs, dict(last.resource),
+                            dict(last.link), QOS_WEIGHTS)
 
     def run_cycle(self, world, now: int) -> CycleOutcome:
-        obs = observe(world, now)
-        report = evaluate_qos(world.model, obs, world.descriptors)
+        obs, report = self._observe_and_score(world, now)
         world.last_qos = report
         world.trace(self.host, "QOS",
                     f"global={report.global_score:.4f} "

@@ -334,10 +334,15 @@ def validate(app: AppDescriptor, net: NetDescriptor) -> list:
     if len(host_ids) != len(set(host_ids)):
         diags.append("net: duplicate host ids")
     hosts = {h.id: h for h in net.hosts}
+    pairs: set = set()
     for link in net.links:
         for end in link.endpoints:
             if end not in hosts:
                 diags.append(f"link endpoint {end!r} unknown")
+        if link.endpoints in pairs:     # an unordered pair
+            a, b = sorted(map(str, link.endpoints))
+            diags.append(f"net: duplicate link {a}-{b}")
+        pairs.add(link.endpoints)
     comp_ids = [c.id for c in app.components]
     if len(comp_ids) != len(set(comp_ids)):
         diags.append("app: duplicate component ids")

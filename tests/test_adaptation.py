@@ -7,16 +7,17 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adaptsim import adaptation, kernel
+from adaptsim import adaptation, behaviors, kernel
 from adaptsim.adaptation import (Coordinator, HostObs, INFEASIBLE, LinkObs,
                                  Observation, affected_components,
                                  evaluate_qos, observe, select_deployment)
 from adaptsim.connector import Endpoint, FlowPolicy
 from adaptsim.container import ComponentDescriptor, Variant
 from adaptsim.kernel import (Add, ArchitectureModel, Battery, Connect,
-                             HostDescriptor, HostTier, ModelComponent,
-                             ModelConnector, PlatformConfig)
-from adaptsim.simnet import World
+                             Disconnect, HostDescriptor, HostTier,
+                             ModelComponent, ModelConnector, Move,
+                             PlatformConfig)
+from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 
 
 def desc(cid, cpu=1.0, mem=1.0, in_ports=(), out_ports=(),
@@ -647,3 +648,196 @@ class TestObserve:
         pair = frozenset(("h1", "h2"))
         assert o.links[pair].bw_free == pytest.approx(
             o.links[pair].bandwidth - 1.0)
+
+
+# -- a cycle re-reads only the batteries -----------------------------------
+
+def faulty(state, inputs, events, now, api):
+    """Forwards its input, and fails at every seventh tick."""
+    if now % 7 == 6:
+        raise RuntimeError("kaput")
+    return behaviors.resolve("identity")(state, inputs, events, now, api)
+
+
+@st.composite
+def scripted_worlds(draw):
+    """(world, {tick: [command]}): three to five hosts in a linked line
+    with extra links, mains and draining battery hosts, a source -> faulty
+    -> sink chain and a second pair, under a random mode, with scripted
+    leaves, joins, link changes and battery sets, and app commands (moves,
+    disconnects and connects) to submit before a tick."""
+    hids = [f"h{i}" for i in range(draw(st.integers(3, 5)))]
+    w = World(seed=0)
+    for hid in hids:
+        power = None
+        if hid != "h0" and draw(st.booleans()):
+            power = Battery(draw(st.floats(0.1, 1.0)),
+                            draw(st.sampled_from([0.0, 0.01, 0.04])))
+        w.add_host(HostDescriptor(
+            id=hid, tier=HostTier.FULL if hid == "h0" else draw(
+                st.sampled_from([HostTier.FULL, HostTier.LIGHT_STD])),
+            cpu_capacity=draw(st.sampled_from([2.0, 4.0, 8.0])),
+            mem_capacity=8.0, power=power))
+    for a, b in zip(hids, hids[1:]):
+        w.add_link(a, b, bandwidth=draw(st.sampled_from([1.0, 2.0, 10.0])))
+    for a, b in itertools.combinations(hids, 2):
+        if frozenset((a, b)) not in w.links and draw(st.booleans()):
+            w.add_link(a, b, bandwidth=draw(st.sampled_from([1.0, 10.0])))
+    w.coordinator = Coordinator("h0", draw(st.sampled_from(
+        ["M1", "M2", "M3", "M4"])))
+    comps = {"c0": ("source", (), ("out",)), "c1": ("faulty", ("in",),
+                                                    ("out",)),
+             "c2": ("sink", ("in",), ()), "d0": ("source", (), ("out",)),
+             "d1": ("sink", ("in",), ())}
+    for cid, (behavior, ins, outs) in comps.items():
+        assert kernel.apply_now(w, Add(desc(
+            cid, cpu=draw(st.sampled_from([0.5, 1.0, 3.0])), in_ports=ins,
+            out_ports=outs, behavior=behavior),
+            draw(st.sampled_from(hids)))).applied
+    for kid, src, dst in (("k0", "c0", "c1"), ("k1", "c1", "c2"),
+                          ("k2", "d0", "d1")):
+        assert kernel.apply_now(w, Connect(
+            kid, Endpoint(src, "out"), (Endpoint(dst, "in"),),
+            FlowPolicy(bw_demand=draw(st.sampled_from([0.0, 1.0, 2.5]))))
+            ).applied
+    pairs = sorted(sorted(pair) for pair in w.links)
+    for _ in range(draw(st.integers(0, 8))):
+        at = draw(st.integers(1, 39))
+        kind = draw(st.sampled_from([
+            SimEventKind.HOST_LEAVE, SimEventKind.HOST_JOIN,
+            SimEventKind.LINK_DOWN, SimEventKind.LINK_UP,
+            SimEventKind.BATTERY_SET]))
+        if kind in (SimEventKind.HOST_LEAVE, SimEventKind.HOST_JOIN):
+            w.schedule(sim_event(at, kind, host=draw(st.sampled_from(
+                hids[1:]))))
+        elif kind in (SimEventKind.LINK_DOWN, SimEventKind.LINK_UP):
+            w.schedule(sim_event(at, kind, endpoints=tuple(
+                draw(st.sampled_from(pairs)))))
+        else:
+            w.schedule(sim_event(at, kind, host=draw(st.sampled_from(hids)),
+                                 level=draw(st.floats(0.0, 1.0))))
+    commands = {}
+    for i in range(draw(st.integers(0, 4))):
+        cmd = draw(st.sampled_from([
+            Move(draw(st.sampled_from(sorted(comps))),
+                 draw(st.sampled_from(hids))),
+            Disconnect(draw(st.sampled_from(["k0", "k1", "k2"]))),
+            Connect(f"app{i}", Endpoint(draw(st.sampled_from(
+                ["c0", "c1", "d0"])), "out"), (Endpoint(draw(
+                    st.sampled_from(["c1", "c2", "d1"])), "in"),),
+                FlowPolicy())]))
+        commands.setdefault(draw(st.integers(1, 39)), []).append(cmd)
+    return w, commands
+
+
+def qos_lines(w):
+    return [line for line in w.trace_lines if " kind=QOS " in line]
+
+
+def spoiled_world():
+    """M3 with b stranded on h2, down, and no host able to run it: every
+    cycle plans, finds no placement and changes nothing, while h1's
+    battery drains."""
+    w = seeded_world("M3")
+    w.hosts["h1"].desc.power = Battery(0.9, 0.01)
+    w.hosts["h2"].desc.up = False
+    w.descriptors["b"] = desc("b", behavior="sink", in_ports=("in",),
+                              tiers=("LightMin",))
+    return w
+
+
+class TestCycleMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(scripted_worlds())
+    def test_every_cycle_equals_a_full_observation_and_scoring(self, made):
+        w, commands = made
+        scored = Coordinator._observe_and_score
+
+        def checked(coord, world, now):
+            obs, report = scored(coord, world, now)
+            fresh = observe(world, now)
+            want = evaluate_qos(world.model, fresh, world.descriptors)
+            # repr tells every float bit apart, -0.0 from 0.0 too
+            assert repr((obs.at, obs.hosts, obs.links)) \
+                == repr((fresh.at, fresh.hosts, fresh.links))
+            assert repr(report) == repr(want)
+            for src in obs.hosts:
+                for dst in obs.hosts:
+                    assert adaptation._obs_path(obs, src, dst) \
+                        == adaptation._obs_path(fresh, src, dst)
+            return obs, report
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(behaviors._CATALOG, "faulty", faulty)
+            mp.setattr(Coordinator, "_observe_and_score", checked)
+            for tick in range(40):
+                for cmd in commands.get(tick, ()):
+                    cid = (cmd.component if isinstance(cmd, Move)
+                           else "c0")
+                    PlatformApi(w, w.host_of(cid) or "h0",
+                                cid).submit_command(cmd)
+                w.step()
+
+    def test_a_battery_given_to_a_mains_host_is_scored_at_once(self):
+        # the only change between the two cycles: b's host gets a battery,
+        # which moves neither version
+        w = seeded_world("M1")
+        w.schedule(sim_event(2, SimEventKind.BATTERY_SET, host="h2",
+                             level=0.25))
+        seen = []
+        cycle = Coordinator.run_cycle
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Coordinator, "run_cycle", lambda coord, world, now: (
+                seen.append((world.model_version, world.topology_version)),
+                cycle(coord, world, now))[1])
+            w.run(6)
+        assert len(seen) == 2 and seen[0] == seen[1]
+        report = evaluate_qos(w.model, observe(w, 5), w.descriptors)
+        assert report.battery == 0.25
+        first, second = qos_lines(w)
+        assert first.endswith(" b=1.0000")
+        assert second.endswith(" b=0.2500")
+        assert f" global={report.global_score:.4f} " in second
+
+    def test_one_coordinator_scores_each_world_on_its_own(self):
+        # two worlds at the same versions, where b's host differs
+        worlds = [seeded_world("M1"), seeded_world("M1")]
+        worlds[1].hosts["h2"].desc.cpu_capacity = 0.5
+        coord = Coordinator("h1", "M1")
+        for w in worlds + worlds:
+            coord.run_cycle(w, 0)
+            want = evaluate_qos(w.model, observe(w, 0), w.descriptors)
+            assert repr(w.last_qos) == repr(want)
+        assert worlds[0].last_qos.resource != worlds[1].last_qos.resource
+
+    def test_readers_cannot_corrupt_the_memo(self):
+        plain = spoiled_world()
+        plain.run(16)
+        w = spoiled_world()
+        versions = (w.model_version, w.topology_version)
+        plan_and_apply = Coordinator._plan_and_apply
+
+        def spoiling(coord, world, obs, report):
+            fresh = observe(world, obs.at)
+            assert repr((obs.hosts, obs.links)) \
+                == repr((fresh.hosts, fresh.links))
+            assert repr(report) == repr(
+                evaluate_qos(world.model, fresh, world.descriptors))
+            out = plan_and_apply(coord, world, obs, report)
+            for hid in obs.hosts:
+                obs.hosts[hid] = HostObs(False, 0.0, 0.0, None)
+            obs.links.clear()
+            return out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Coordinator, "_plan_and_apply", spoiling)
+            for _ in range(16):
+                w.step()
+                for terms in (w.last_qos.resource, w.last_qos.link):
+                    for key in terms:
+                        terms[key] = 0.5
+        assert (w.model_version, w.topology_version) == versions
+        assert len(qos_lines(plain)) == 4
+        assert sum("cmd=Plan result=Infeasible" in line
+                   for line in plain.trace_lines) == 4
+        assert qos_lines(w) == qos_lines(plain)
+        assert w.trace_lines == plain.trace_lines

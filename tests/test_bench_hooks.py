@@ -11,7 +11,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import sim  # noqa: E402
 import spans  # noqa: E402
-from adaptsim import cli  # noqa: E402
+from adaptsim import cli, descriptors  # noqa: E402
+from adaptsim.adaptation import Coordinator  # noqa: E402
 from adaptsim.connector import ConnectorInstance  # noqa: E402
 from adaptsim.container import ContainerInstance  # noqa: E402
 from adaptsim.simnet import World  # noqa: E402
@@ -82,3 +83,37 @@ def test_a_renamed_method_breaks_the_wrappers(monkeypatch, owner, attr):
     monkeypatch.delattr(owner, attr)
     with pytest.raises(AttributeError):
         sim.Layers(spans.Tracer()).targets()
+
+
+def test_a_steady_cycle_scores_once_per_version(monkeypatch):
+    """A steady M1 world with no events: every cycle runs, and observes
+    and scores in full only at a model or topology version it has not
+    scored at."""
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+    def steady():
+        app, _ = descriptors.parse_app(descriptors.load_json(
+            os.path.join(data, "app.json")))
+        net, _ = descriptors.parse_net(descriptors.load_json(
+            os.path.join(data, "net.json")))
+        return cli.build_world(app, net, seed=1, mode="M1")
+    plain = steady()
+    plain.run(30)
+    tracer = spans.Tracer()
+    seen = []
+    with spans.patched(sim.Layers(tracer).targets()):
+        traced = steady()
+        cycle = Coordinator.run_cycle
+
+        def versions(coord, world, now):
+            seen.append((world.model_version, world.topology_version))
+            return cycle(coord, world, now)
+        monkeypatch.setattr(Coordinator, "run_cycle", versions)
+        traced.run(30)
+        monkeypatch.undo()
+    assert traced.trace_lines == plain.trace_lines
+    calls = {name: agg["calls"]
+             for name, agg in spans.summarize(tracer.records()).items()}
+    assert len(seen) == 6 == calls["adaptation.run_cycle"]
+    assert calls["adaptation.observe"] == len(set(seen)) == 1
+    assert calls["adaptation.evaluate_qos"] == len(set(seen))

@@ -247,6 +247,13 @@ def _with_first(path, section, field, value):
     return doc
 
 
+def _with_link(a, b):
+    """net.json with a second link between a and b."""
+    doc = load(NET)
+    doc["links"].append({"endpoints": [a, b], "latency": 1, "bandwidth": 5.0})
+    return doc
+
+
 def _event(**event):
     """A scenario whose one event, at tick 2, has these fields."""
     return {"duration": 30, "events": [{"at": 2, **event}]}
@@ -329,6 +336,9 @@ def _event(**event):
     ("scenario", _event(kind="SensorReading", host="h3", key="temp",
                         value=1.0, confidence=2.0),
      "events[0]: confidence must be in [0, 1], not 2.0"),
+    # `run` died in World.add_link; the pair is unordered
+    ("net", _with_link("h1", "h2"), "net: duplicate link h1-h2"),
+    ("net", _with_link("h2", "h1"), "net: duplicate link h1-h2"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
