@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernel
-from .container import EventKind, PlatformEvent
+from .container import EventKind, Lifecycle, PlatformEvent
 from .context import (ContextInformation, ContextNature, Location, Quantity,
                       stamp)
 from .kernel import ArchitectureModel, Move
@@ -104,7 +104,7 @@ def observe(world, now: int) -> Observation:
             continue
         load_cpu = load_mem = 0.0
         for c in host.containers.values():
-            if c.lifecycle.name == "RUNNING":
+            if c.lifecycle is Lifecycle.RUNNING:
                 load_cpu += c.active_variant.cpu_demand
                 load_mem += c.active_variant.mem_demand
         battery = host.desc.power.level if host.desc.power else None
@@ -545,8 +545,7 @@ class Coordinator:
                         not world.hosts[
                             world.host_of(cmd.component) or cmd.target
                         ].desc.up)
-            result = kernel.apply(world, cmd, origin="platform",
-                                  forced=stranded)
+            result = kernel.apply(world, cmd, forced=stranded)
             if result.status == "Deferred":
                 deferred = True
             elif not result.applied:

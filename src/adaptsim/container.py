@@ -43,9 +43,7 @@ LEGAL_EDGES = {
 
 
 class EventKind(Enum):
-    CONTEXT_CHANGED = "ContextChanged"
     QOS_ALERT = "QoSAlert"
-    RECONFIGURED = "Reconfigured"
 
 
 @dataclass(frozen=True)

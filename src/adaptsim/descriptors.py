@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .connector import (Endpoint, FlowPolicy, FlowSync, LossKind)
+from .connector import (DEFAULT_LOSSLESS_CAPACITY, Endpoint, FlowPolicy,
+                        FlowSync, LossKind)
 from .container import ComponentDescriptor, Variant
 from .context import ContextNature
 from .errors import DescriptorError, ValidationError
@@ -100,6 +101,14 @@ def _strings(obj: dict, keys: tuple, where: str, diags: list) -> bool:
     return ok
 
 
+def _negatives(values: dict, where: str, diags: list) -> None:
+    """Report each of `values` that is below 0 or NaN (JSON as Python
+    reads it may hold NaN)."""
+    for key, value in values.items():
+        if not value >= 0:
+            diags.append(f"{where}: {key} must be >= 0, not {value!r}")
+
+
 def _ports(obj: dict, key: str, where: str, diags: list) -> tuple:
     """obj[key] as a tuple of port names; a value that is not a list of
     strings is reported and read as empty."""
@@ -143,18 +152,23 @@ def parse_app(doc: Any) -> tuple:
             continue
         variants = []
         for j, rv in enumerate(_section(raw, "variants", where, diags)):
-            if not _check_fields(rv, _VARIANT_FIELDS,
-                                 f"{where}.variants[{j}]", diags):
+            vwhere = f"{where}.variants[{j}]"
+            if not _check_fields(rv, _VARIANT_FIELDS, vwhere, diags):
                 continue
             try:
-                variants.append(Variant(
-                    tier=rv["tier"], cpu_demand=float(rv["cpu_demand"]),
-                    mem_demand=float(rv["mem_demand"]),
-                    behavior=rv["behavior"]))
+                v = Variant(tier=rv["tier"],
+                            cpu_demand=float(rv["cpu_demand"]),
+                            mem_demand=float(rv["mem_demand"]),
+                            behavior=rv["behavior"])
             except KeyError as exc:
-                diags.append(f"{where}.variants[{j}]: missing {exc}")
+                diags.append(f"{vwhere}: missing {exc}")
+                continue
             except (TypeError, ValueError) as exc:
-                diags.append(f"{where}.variants[{j}]: {exc}")
+                diags.append(f"{vwhere}: {exc}")
+                continue
+            _negatives({"cpu_demand": v.cpu_demand,
+                        "mem_demand": v.mem_demand}, vwhere, diags)
+            variants.append(v)
         try:
             app.components.append(ComponentDescriptor(
                 id=raw["id"],
@@ -184,13 +198,14 @@ def parse_app(doc: Any) -> tuple:
             continue
         try:
             policy = FlowPolicy(
-                sync=FlowSync(raw.get("sync", "Synchronized")),
-                loss=LossKind(raw.get("loss", "Lossless")),
-                capacity=int(raw.get("capacity", 16)),
-                bw_demand=float(raw.get("bw_demand", 1.0)))
+                sync=FlowSync(raw.get("sync", FlowPolicy.sync.value)),
+                loss=LossKind(raw.get("loss", FlowPolicy.loss.value)),
+                capacity=int(raw.get("capacity", DEFAULT_LOSSLESS_CAPACITY)),
+                bw_demand=float(raw.get("bw_demand", FlowPolicy.bw_demand)))
         except (TypeError, ValueError, ValidationError) as exc:
             diags.append(f"{where}: {exc}")
             continue
+        _negatives({"bw_demand": policy.bw_demand}, where, diags)
         app.connectors.append(ConnectorSpec(
             id=raw.get("id", f"k{i}"), source=src, sinks=sinks,
             policy=policy))
@@ -217,16 +232,22 @@ def parse_net(doc: Any) -> tuple:
                                       power.get("drain_per_tick", 0.0)))
             except Exception as exc:
                 diags.append(f"{where}.power: {exc}")
+            else:
+                _negatives({"drain_per_tick": battery.drain_per_tick},
+                           f"{where}.power", diags)
         elif power != "Mains":
             diags.append(f"{where}: power must be 'Mains' or a battery "
                          f"object, not {power!r}")
+        # a host's position is accepted and dropped: no decision reads it
+        if not isinstance(raw.get("location", []), list):
+            diags.append(f"{where}: location must be a list, "
+                         f"not {raw['location']!r}")
         try:
             net.hosts.append(HostDescriptor(
                 id=raw["id"], tier=HostTier(raw["tier"]),
                 cpu_capacity=float(raw["cpu_capacity"]),
                 mem_capacity=float(raw["mem_capacity"]),
                 power=battery,
-                location=tuple(raw.get("location", (0.0, 0.0))),
                 up=bool(raw.get("up", True))))
         except KeyError as exc:
             diags.append(f"{where}: missing {exc}")
@@ -306,6 +327,7 @@ def parse_scenario(doc: Any) -> tuple:
         else:
             diags.append(f"scenario: {key} must be an integer, "
                          f"not {value!r}")
+    _negatives({"duration": sc.duration}, "scenario", diags)
     for i, raw in enumerate(_section(doc, "events", "scenario", diags)):
         where = f"events[{i}]"
         if not _check_fields(raw, _EVENT_FIELDS, where, diags):
@@ -412,7 +434,7 @@ def serialize_net(net: NetDescriptor) -> dict:
              "power": ("Mains" if h.power is None else
                        {"level": h.power.level,
                         "drain_per_tick": h.power.drain_per_tick}),
-             "location": list(h.location), "up": h.up}
+             "up": h.up}
             for h in net.hosts],
         "links": [
             {"endpoints": sorted(l.endpoints), "latency": l.latency,

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from typing import Any, Optional
 
+from . import behaviors
 from .connector import Endpoint, FlowPolicy
 from .container import (ComponentDescriptor, ContainerInstance, Lifecycle,
                         PlatformEvent)
-from .context import ValidityPolicy
 from .errors import (ServiceUnavailable, Unreachable, ValidationError)
 
 
@@ -76,7 +76,6 @@ class HostDescriptor(TopologyFlag):
     cpu_capacity: float
     mem_capacity: float
     power: Optional[Battery] = None       # None means mains
-    location: tuple = (0.0, 0.0)
     up: bool = True
 
     def __post_init__(self):
@@ -92,9 +91,7 @@ class IntrusionLevel(Enum):
 
 @dataclass(frozen=True)
 class Subscription:
-    kinds: Optional[frozenset] = None     # of EventKind; None = all
     min_priority: int = 0
-    filter: Optional[ValidityPolicy] = None
 
 
 @dataclass
@@ -348,6 +345,8 @@ def service_call(world, host_id: str, service: Service, request: Any = None):
         world.trace(host_id, "NET",
                     f"op=query to={remote_id} what=context")
         return world.hosts[remote_id].store.query(query, world.now)
+    if service is Service.ROUTING:
+        return route(world, host_id, request)
     if service is Service.PERSISTENCE:
         host.persist_log.append(f"tick={world.now} {request.trace_repr()}")
         return None
@@ -387,14 +386,8 @@ def emit_event(world, e: PlatformEvent, mode: str,
             if not c.descriptor.listener:
                 continue
             sub = host.config.subscriptions.get(cid, Subscription())
-            if sub.kinds is not None and e.kind not in sub.kinds:
-                continue
             if e.priority < sub.min_priority:
                 continue
-            if sub.filter is not None and hasattr(e.payload, "validity"):
-                from .context import is_valid
-                if not is_valid(e.payload, world.now, sub.filter):
-                    continue
             if c.deliver_event(e):
                 delivered += 1
                 world.trace(hid, "EVT",
@@ -405,26 +398,25 @@ def emit_event(world, e: PlatformEvent, mode: str,
 
 # -- command execution -----------------------------------------------------
 
-def apply(world, cmd, origin: str = "platform",
-          forced: bool = False) -> CommandResult:
-    """Run one reconfiguration command atomically.
+def apply(world, cmd, forced: bool = False) -> CommandResult:
+    """Run one platform-originated reconfiguration command atomically.
 
-    Platform-originated commands respect the intrusion level; forced
-    recovery (component stranded on a dead host) overrides a lock.
+    It respects the intrusion level; forced recovery (component stranded
+    on a dead host) overrides a lock.  An application's command goes
+    through `apply_now` (see `PlatformApi.submit_command`).
     """
     cfg = world.platform_config()
-    if origin == "platform" and not forced \
-            and cfg.intrusion is not IntrusionLevel.OPEN:
+    if not forced and cfg.intrusion is not IntrusionLevel.OPEN:
         # Locked: no due tick; the command waits for the lock to lift
         due = (None if cfg.intrusion is IntrusionLevel.LOCKED
                else world.now + cfg.defer_window)
         world.trace(world.coordinator_host or "-", "CMD",
                     f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} result=Deferred"
                     + ("" if due is None else f" due={due}")
-                    + f" origin={origin}")
-        world.deferred_commands.append((due, cmd, origin))
+                    + " origin=platform")
+        world.deferred_commands.append((due, cmd))
         return DEFERRED
-    return apply_now(world, cmd, origin)
+    return apply_now(world, cmd)
 
 
 def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
@@ -473,14 +465,14 @@ def process_deferred(world) -> None:
     """Run deferred commands whose window elapsed or whose lock lifted."""
     cfg = world.platform_config()
     still = []
-    for due, cmd, origin in world.deferred_commands:
+    for due, cmd in world.deferred_commands:
         runnable = (cfg.intrusion is IntrusionLevel.OPEN
                     or (due is not None and world.now >= due
                         and cfg.intrusion is not IntrusionLevel.LOCKED))
         if runnable:
-            apply_now(world, cmd, origin)
+            apply_now(world, cmd)
         else:
-            still.append((due, cmd, origin))
+            still.append((due, cmd))
     world.deferred_commands = still
 
 
@@ -707,7 +699,6 @@ def _exec_replace(world, cmd: ReplaceBusiness) -> None:
             raise _Abort("variant")
         c.active_variant = variant
     elif cmd.behavior is not None:
-        from . import behaviors
         if cmd.behavior not in behaviors.known():
             raise _Abort("unknown behavior")
         c.active_variant = dc_replace(c.active_variant,

@@ -1,5 +1,5 @@
-"""Per-host context storage: bounded history, filtered queries, location
-prediction.
+"""Per-host context storage: a bounded history per key and filtered
+queries over it.
 
 One store exists per host and is only touched by that host's platform
 activity.  Remote context goes through platform services, never through
@@ -73,33 +73,5 @@ class ContextStore:
             hits = hits[:q.limit]
         return hits
 
-    def latest(self, key: str) -> Optional[ContextObject]:
-        history = self._by_key.get(key)
-        if not history:
-            return None
-        return max(history, key=lambda o: o.validity.timestamp)
-
     def history(self, key: str) -> list[ContextObject]:
         return list(self._by_key.get(key, ()))
-
-    def predict_location(self, entity_key: str, t_future: int):
-        """Linear extrapolation from the two freshest coordinate fixes.
-
-        entity_key is the context key carrying the entity's position.  Only
-        geometric fixes participate; symbolic host locations are skipped.
-        """
-        fixes = [o for o in self._by_key.get(entity_key, ())
-                 if isinstance(o.info.value, tuple)]
-        if not fixes:
-            return None
-        fixes.sort(key=lambda o: o.validity.timestamp)
-        last = fixes[-1]
-        if len(fixes) == 1:
-            return last.info.value
-        prev = fixes[-2]
-        t0, t1 = prev.validity.timestamp, last.validity.timestamp
-        (x0, y0), (x1, y1) = prev.info.value, last.info.value
-        if t1 == t0:
-            return last.info.value
-        f = (t_future - t1) / (t1 - t0)
-        return (x1 + (x1 - x0) * f, y1 + (y1 - y0) * f)

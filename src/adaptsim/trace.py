@@ -89,9 +89,8 @@ def query_commands(records: list) -> str:
         if r.kind == "CMD":
             parts = " ".join(f"{k}={v}" for k, v in r.fields)
             out.append(f"tick={r.tick} {parts}")
-    applied = sum(1 for r in records if r.kind == "CMD"
-                  and r.get("result") == "Applied"
-                  and r.get("origin") in ("platform", "app"))
+    applied = sum(1 for r in app_targeted_commands(records)
+                  if r.get("result") == "Applied")
     out.append(f"app_targeted_applied={applied}")
     return "\n".join(out)
 

@@ -636,8 +636,7 @@ class TestCoordinator:
     def test_qos_report_is_stored_as_context(self):
         w = seeded_world("M3")
         w.coordinator.run_cycle(w, 0)
-        obj = w.hosts["h1"].store.latest("qos.global")
-        assert obj is not None
+        [obj] = w.hosts["h1"].store.history("qos.global")
         assert obj.info.value.value == 1.0
 
 

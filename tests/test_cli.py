@@ -1,6 +1,7 @@
 """Descriptor parsing, validation diagnostics, and the CLI surface."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -151,6 +152,29 @@ class TestCli:
                        env=env, check=True, cwd=tmp_path)
         with open(os.path.join(DATA, "golden_m3.trace"), "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+    @pytest.mark.parametrize("workload, digest", [
+        ("flows_steady", "2b185e25a93f4ebb9ec1581d72b20a7c"
+                         "ef1e980f589f264491c1ff6069fc0747"),
+        ("failover_replan", "24150f4e7fefd56b71cb82c73f93a347"
+                            "386c5269dd2b41fb16e8096b6504177f"),
+        ("link_churn", "c20d0fd6a9e6641bf71e7193e9717ec9"
+                       "4aa4378c021f7d9d2f65e21fbb72f505"),
+    ])
+    def test_generated_worlds_keep_their_trace_bytes(
+            self, tmp_path, monkeypatch, workload, digest):
+        """World 0 of benchmark seed 201 of each workload: the SHA-256 of
+        its trace, as `perfbench/run.py` prints its first 16 digits."""
+        monkeypatch.syspath_prepend(os.path.join(DATA, os.pardir, os.pardir,
+                                                 "perfbench"))
+        import worldgen
+        paths = worldgen.write(workload, 201, 0, str(tmp_path))
+        out = tmp_path / "run.trace"
+        assert cli.main(["run", "--app", paths["app"], "--net", paths["net"],
+                         "--scenario", paths["scenario"],
+                         "--mode", worldgen.WORKLOADS[workload].mode,
+                         "--trace", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_run_exit_two_when_no_feasible_deployment(self, tmp_path):
         # "probe" only runs on the light tier; when the sole light host
@@ -339,6 +363,32 @@ def _event(**event):
     # `run` died in World.add_link; the pair is unordered
     ("net", _with_link("h1", "h2"), "net: duplicate link h1-h2"),
     ("net", _with_link("h2", "h1"), "net: duplicate link h1-h2"),
+    # out-of-range numbers that `run` took and simulated
+    ("net", _with_first(NET, "hosts", "power",
+                        {"level": 0.9, "drain_per_tick": -0.05}),
+     "hosts[0].power: drain_per_tick must be >= 0, not -0.05"),
+    ("app", _with_component("variants", [{"tier": "Full", "cpu_demand": -1,
+                                          "mem_demand": 1.0,
+                                          "behavior": "source"}]),
+     "components[0].variants[0]: cpu_demand must be >= 0, not -1.0"),
+    ("app", _with_component("variants", [{"tier": "Full", "cpu_demand": 1,
+                                          "mem_demand": -0.5,
+                                          "behavior": "source"}]),
+     "components[0].variants[0]: mem_demand must be >= 0, not -0.5"),
+    ("app", _with_component("variants", [{"tier": "Full",
+                                          "cpu_demand": float("nan"),
+                                          "mem_demand": 1.0,
+                                          "behavior": "source"}]),
+     "components[0].variants[0]: cpu_demand must be >= 0, not nan"),
+    ("app", _with(APP, "connectors", [{"from": "reader.out",
+                                       "to": ["relay.in"],
+                                       "bw_demand": -2}]),
+     "connectors[0]: bw_demand must be >= 0, not -2.0"),
+    ("scenario", {"duration": -1}, "scenario: duration must be >= 0, not -1"),
+    ("net", _with_first(NET, "hosts", "location", 5),
+     "hosts[0]: location must be a list, not 5"),
+    ("net", _with_first(NET, "hosts", "location", "lab"),
+     "hosts[0]: location must be a list, not 'lab'"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):

@@ -154,7 +154,7 @@ class TestDeliverEvent:
     def test_fifo_within_priority(self):
         c = running(descriptor(listener=True))
         a = PlatformEvent(EventKind.QOS_ALERT, "first", 5)
-        b = PlatformEvent(EventKind.RECONFIGURED, "second", 5)
+        b = PlatformEvent(EventKind.QOS_ALERT, "second", 5)
         c.deliver_event(a)
         c.deliver_event(b)
         assert [e.payload for e in c.pending_events()] == ["first", "second"]
@@ -318,7 +318,7 @@ class TestHeartbeat:
         assert kernel.apply_now(w, Add(descriptor("c"), "h9")).applied
         w.now = 10
         w.step()
-        obj = w.hosts["h9"].store.latest("component.alive")
+        [obj] = w.hosts["h9"].store.history("component.alive")
         assert obj.info.key == "component.alive"
         assert obj.info.value == obj.info.producer == "c"
         assert obj.validity.timestamp == 10

@@ -126,6 +126,14 @@ class TestServices:
         assert w.hosts["h2"].persist_log == [f"tick=4 {obj.trace_repr()}"]
         assert w.hosts["h1"].persist_log == []
 
+    def test_routing_answers_the_path(self):
+        w = make_world(tiers=("Full", "Full", "LightMin"))
+        assert kernel.service_call(w, "h1", Service.ROUTING, "h2") == \
+            ["h1", "h2"]
+        with pytest.raises(ServiceUnavailable) as err:
+            kernel.service_call(w, "h3", Service.ROUTING, "h1")
+        assert err.value.delegate_hint == "h2"
+
     def test_qos_measure_returns_the_last_report(self):
         w = make_world()
         assert kernel.service_call(w, "h3", Service.QOS_MEASURE) is None
@@ -597,7 +605,8 @@ class TestIntrusion:
         class Co:
             host = "h1"
         w.coordinator = Co()
-        assert kernel.apply(w, Add(desc("c1"), "h2"), origin="app").applied
+        r = PlatformApi(w, "h2", "c").submit_command(Add(desc("c1"), "h2"))
+        assert r.applied
 
 
 class TestEvents:

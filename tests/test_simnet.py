@@ -69,7 +69,7 @@ class TestScheduling:
         w.schedule(sim_event(0, SimEventKind.SENSOR_READING, host="h1",
                              key="temp", value=21.5, unit="C"))
         w.step()
-        obj = w.hosts["h1"].store.latest("temp")
+        [obj] = w.hosts["h1"].store.history("temp")
         assert obj.info.value.value == 21.5
         assert any("kind=CTX key=temp" in l for l in w.trace_lines)
 

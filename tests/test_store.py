@@ -33,7 +33,7 @@ class TestPut:
         s = ContextStore()
         o = obj(ts=4)
         s.put(o)
-        assert s.latest("k") == o
+        assert s.history("k") == [o]
 
     def test_eviction_never_removes_newer(self):
         s = ContextStore(StoreConfig(per_key_capacity=3))
@@ -103,53 +103,3 @@ class TestQuery:
         s.put(obj(key="e", ts=1))
         q = ContextQuery(nature_filter=frozenset({ContextNature.USER}))
         assert s.query(q, now=5) == []
-
-
-class TestLatest:
-    def test_absent(self):
-        assert ContextStore().latest("nope") is None
-
-    def test_max_timestamp(self):
-        s = ContextStore()
-        for t in (1, 4, 2):
-            s.put(obj(ts=t))
-        assert s.latest("k").validity.timestamp == 4
-
-    def test_matches_query_head(self):
-        s = ContextStore()
-        for t in (3, 9, 6):
-            s.put(obj(ts=t))
-        head = s.query(ContextQuery(key_pattern="k", limit=1), now=100)[0]
-        assert s.latest("k") == head
-
-
-class TestPredictLocation:
-    def test_linear(self):
-        s = ContextStore()
-        s.put(obj(key="me", ts=0, value=(0.0, 0.0)))
-        s.put(obj(key="me", ts=10, value=(10.0, 0.0)))
-        assert s.predict_location("me", 20) == (20.0, 0.0)
-
-    def test_single_point_stationary(self):
-        s = ContextStore()
-        s.put(obj(key="me", ts=3, value=(5.0, 5.0)))
-        assert s.predict_location("me", 10) == (5.0, 5.0)
-
-    def test_slope_oracle(self):
-        # slope per tick: ((2-0)/4, (6-0)/4) = (0.5, 1.5); at t=6: (3, 9)
-        s = ContextStore()
-        s.put(obj(key="me", ts=0, value=(0.0, 0.0)))
-        s.put(obj(key="me", ts=4, value=(2.0, 6.0)))
-        assert s.predict_location("me", 6) == (3.0, 9.0)
-
-    def test_at_newest_timestamp_is_exact(self):
-        s = ContextStore()
-        s.put(obj(key="me", ts=2, value=(1.0, 1.0)))
-        s.put(obj(key="me", ts=8, value=(4.0, -2.0)))
-        assert s.predict_location("me", 8) == (4.0, -2.0)
-
-    def test_symbolic_only_absent(self):
-        s = ContextStore()
-        s.put(obj(key="me", ts=0, value=Quantity(1, "")))
-        assert s.predict_location("me", 5) is None
-        assert ContextStore().predict_location("me", 5) is None
