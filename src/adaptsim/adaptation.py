@@ -194,13 +194,13 @@ def _mean(terms) -> float:
     return sum(terms) / len(terms) if terms else 1.0
 
 
-def _global_score(resource, link, battery: float, weights) -> float:
-    w_r, w_l, w_b = weights
+def _global_score(resource, link, battery: float) -> float:
+    w_r, w_l, w_b = QOS_WEIGHTS
     return w_r * _mean(resource) + w_l * _mean(link) + w_b * battery
 
 
 def _report(model: ArchitectureModel, obs: Observation, resource: dict,
-            link: dict, weights) -> QoSReport:
+            link: dict) -> QoSReport:
     """The report of these resource and link terms, with the battery term
     read from `obs`: the worst level among the up battery-powered hosts in
     use, 1 when there is none.  An empty model scores 1."""
@@ -211,12 +211,12 @@ def _report(model: ArchitectureModel, obs: Observation, resource: dict,
               if obs.hosts.get(h) and obs.hosts[h].up
               and obs.hosts[h].battery is not None]
     battery = min(levels) if levels else 1.0
-    g = _global_score(resource.values(), link.values(), battery, weights)
+    g = _global_score(resource.values(), link.values(), battery)
     return QoSReport(resource, link, battery, g, obs.at)
 
 
-def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
-                 weights=QOS_WEIGHTS) -> QoSReport:
+def evaluate_qos(model: ArchitectureModel, obs: Observation,
+                 descriptors) -> QoSReport:
     """Score the deployment: resource fit, link fit, battery margin.
 
     Per component, fit is how many times its demands still fit into the
@@ -242,7 +242,7 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation, descriptors,
             0.0 if src_c is None or len(hosts) < len(mk.sinks)
             else _link_fit(_obs_routes(obs), obs.links, src_c.host, hosts,
                            mk.policy.bw_demand))
-    return _report(model, obs, resource, link, weights)
+    return _report(model, obs, resource, link)
 
 
 # -- placement search ------------------------------------------------------
@@ -268,7 +268,6 @@ def affected_components(model: ArchitectureModel, report: QoSReport,
 
 def select_deployment(model: ArchitectureModel, obs: Observation,
                       descriptors, host_tiers: dict,
-                      weights=QOS_WEIGHTS,
                       report: Optional[QoSReport] = None):
     """Choose the best re-placement of the affected components.
 
@@ -279,7 +278,7 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
     or None when nothing is affected.
     """
     if report is None:
-        report = evaluate_qos(model, obs, descriptors, weights)
+        report = evaluate_qos(model, obs, descriptors)
     affected = affected_components(model, report, obs)
     if not affected:
         return None
@@ -298,7 +297,7 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
         candidates[cid] = cands
 
     cache = _ScoreCache(model, obs, descriptors, report, affected,
-                        candidates, host_tiers, weights)
+                        candidates, host_tiers)
 
     def rank(assignment):
         """Sort key: the highest score, then the fewest moves, then the
@@ -355,11 +354,10 @@ class _ScoreCache:
     """
 
     def __init__(self, model, obs, descriptors, report, affected,
-                 candidates, host_tiers, weights):
+                 candidates, host_tiers):
         self.model = model
         self.routes = _obs_routes(obs)
         self.links = obs.links
-        self.weights = weights
         comps = model.components
         moved = set(affected)
         self.free = {hid: (ho.cpu_free, ho.mem_free)
@@ -433,8 +431,7 @@ def _score_assignment(cache: _ScoreCache, assignment: dict) -> float:
         level = cache.levels.get(hid)
         if level is not None and (battery is None or level < battery):
             battery = level
-    return _global_score(resource, link,
-                         1.0 if battery is None else battery, cache.weights)
+    return _global_score(resource, link, 1.0 if battery is None else battery)
 
 
 # -- control loop ----------------------------------------------------------
@@ -447,6 +444,8 @@ class Coordinator:
             raise ValueError(f"unknown adaptation mode {mode}")
         self.host = host_id
         self.mode = mode
+        # how far the platform may step in; no descriptor sets it
+        self.intrusion = kernel.IntrusionLevel.OPEN
         self.alert_since: Optional[int] = None
         self.infeasible_outstanding = False
         # (key, observation, report) of the last full scoring, where key is
@@ -479,7 +478,7 @@ class Coordinator:
             hosts[hid] = ho
         obs = Observation(now, hosts, dict(last_obs.links), last_obs.routes)
         return obs, _report(world.model, obs, dict(last.resource),
-                            dict(last.link), QOS_WEIGHTS)
+                            dict(last.link))
 
     def run_cycle(self, world, now: int) -> CycleOutcome:
         obs, report = self._observe_and_score(world, now)
@@ -518,7 +517,7 @@ class Coordinator:
     def _alert(self, world, report: QoSReport) -> int:
         e = PlatformEvent(kind=EventKind.QOS_ALERT, payload=report,
                           priority=7)
-        return kernel.emit_event(world, e, self.mode, from_host=self.host)
+        return kernel.emit_event(world, e, self.host)
 
     def _hard_violation(self, model, report, obs) -> bool:
         for cid, mc in model.components.items():

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation or parse failure, 2 runtime failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -23,12 +24,14 @@ def build_world(app: desc.AppDescriptor, net: desc.NetDescriptor,
                 seed: int = 0, mode: str = "M3") -> World:
     """Materialize descriptors into a ready-to-step world.
 
-    Initial deployment commands run as bootstrap: they do not count as
-    adaptation-driven reconfiguration and leave no trace.
+    The world gets its own copy of each host record, so running it leaves
+    the descriptors, and any other world built from them, as they were.
+    The initial deployment commands leave no trace.
     """
     world = World(seed=seed)
     for h in net.hosts:
-        world.add_host(h)
+        world.add_host(dataclasses.replace(h, power=None if h.power is None
+                                           else dataclasses.replace(h.power)))
     for link in net.links:
         a, b = sorted(link.endpoints)
         world.add_link(a, b, latency=link.latency, bandwidth=link.bandwidth,
@@ -38,15 +41,13 @@ def build_world(app: desc.AppDescriptor, net: desc.NetDescriptor,
     if full_hosts:
         world.coordinator = Coordinator(full_hosts[0], mode=mode)
     for c in app.components:
-        result = kernel.apply_now(world, Add(c, c.initial_host),
-                                  origin="bootstrap")
+        result = kernel.apply_now(world, Add(c, c.initial_host))
         if not result.applied:
             raise DescriptorError(
                 f"cannot deploy {c.id} on {c.initial_host}: {result.reason}")
     for k in app.connectors:
         result = kernel.apply_now(
-            world, Connect(k.id, k.source, tuple(k.sinks), k.policy),
-            origin="bootstrap")
+            world, Connect(k.id, k.source, tuple(k.sinks), k.policy))
         if not result.applied:
             raise DescriptorError(
                 f"cannot connect {k.id}: {result.reason}")

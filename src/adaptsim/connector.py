@@ -39,12 +39,13 @@ class PushResult(Enum):
 class FlowPolicy:
     sync: FlowSync = FlowSync.SYNCHRONIZED
     loss: LossKind = LossKind.LOSSLESS
-    capacity: int = DEFAULT_LOSSLESS_CAPACITY
+    capacity: int = DEFAULT_LOSSLESS_CAPACITY   # read only when lossless
     bw_demand: float = 1.0
 
     def __post_init__(self):
-        if self.loss is LossKind.LOSSLESS and self.capacity < 1:
-            raise ValidationError("lossless capacity must be >= 1")
+        if self.capacity < 1:
+            raise ValidationError(
+                f"capacity must be >= 1, not {self.capacity!r}")
 
 
 @dataclass(frozen=True)

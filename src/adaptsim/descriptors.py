@@ -89,13 +89,17 @@ def _section(obj: dict, key: str, where: str, diags: list) -> list:
     return []
 
 
-def _strings(obj: dict, keys: tuple, where: str, diags: list) -> bool:
-    """True when each of obj's `keys` that is present holds a string;
-    each that does not is reported."""
+_TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer"}
+
+
+def _typed(obj: dict, types: dict, where: str, diags: list) -> bool:
+    """True when each key of `types` that obj holds has exactly the JSON
+    type given there (so a boolean is no integer); each that does not is
+    reported."""
     ok = True
-    for key in keys:
-        if key in obj and not isinstance(obj[key], str):
-            diags.append(f"{where}: {key} must be a string, "
+    for key, kind in types.items():
+        if key in obj and type(obj[key]) is not kind:
+            diags.append(f"{where}: {key} must be {_TYPE_NAMES[kind]}, "
                          f"not {obj[key]!r}")
             ok = False
     return ok
@@ -148,7 +152,8 @@ def parse_app(doc: Any) -> tuple:
     for i, raw in enumerate(_section(doc, "components", "app", diags)):
         where = f"components[{i}]"
         if not (_check_fields(raw, _COMPONENT_FIELDS, where, diags)
-                and _strings(raw, ("id", "initial_host"), where, diags)):
+                and _typed(raw, {"id": str, "initial_host": str,
+                                 "listener": bool}, where, diags)):
             continue
         variants = []
         for j, rv in enumerate(_section(raw, "variants", where, diags)):
@@ -175,7 +180,7 @@ def parse_app(doc: Any) -> tuple:
                 in_ports=_ports(raw, "in_ports", where, diags),
                 out_ports=_ports(raw, "out_ports", where, diags),
                 variants=tuple(variants),
-                listener=bool(raw.get("listener", False)),
+                listener=raw.get("listener", False),
                 initial_host=raw.get("initial_host", "")))
         except KeyError as exc:
             diags.append(f"{where}: missing {exc}")
@@ -184,7 +189,7 @@ def parse_app(doc: Any) -> tuple:
     for i, raw in enumerate(_section(doc, "connectors", "app", diags)):
         where = f"connectors[{i}]"
         if not (_check_fields(raw, _CONNECTOR_FIELDS, where, diags)
-                and _strings(raw, ("id",), where, diags)):
+                and _typed(raw, {"id": str, "capacity": int}, where, diags)):
             continue
         src = parse_endpoint(raw.get("from", ""), where, diags)
         sinks = [parse_endpoint(t, where, diags)
@@ -200,7 +205,7 @@ def parse_app(doc: Any) -> tuple:
             policy = FlowPolicy(
                 sync=FlowSync(raw.get("sync", FlowPolicy.sync.value)),
                 loss=LossKind(raw.get("loss", FlowPolicy.loss.value)),
-                capacity=int(raw.get("capacity", DEFAULT_LOSSLESS_CAPACITY)),
+                capacity=raw.get("capacity", DEFAULT_LOSSLESS_CAPACITY),
                 bw_demand=float(raw.get("bw_demand", FlowPolicy.bw_demand)))
         except (TypeError, ValueError, ValidationError) as exc:
             diags.append(f"{where}: {exc}")
@@ -221,7 +226,7 @@ def parse_net(doc: Any) -> tuple:
     for i, raw in enumerate(_section(doc, "hosts", "net", diags)):
         where = f"hosts[{i}]"
         if not (_check_fields(raw, _HOST_FIELDS, where, diags)
-                and _strings(raw, ("id",), where, diags)):
+                and _typed(raw, {"id": str, "up": bool}, where, diags)):
             continue
         power = raw.get("power", "Mains")
         battery = None
@@ -248,22 +253,23 @@ def parse_net(doc: Any) -> tuple:
                 cpu_capacity=float(raw["cpu_capacity"]),
                 mem_capacity=float(raw["mem_capacity"]),
                 power=battery,
-                up=bool(raw.get("up", True))))
+                up=raw.get("up", True)))
         except KeyError as exc:
             diags.append(f"{where}: missing {exc}")
         except Exception as exc:
             diags.append(f"{where}: {exc}")
     for i, raw in enumerate(_section(doc, "links", "net", diags)):
         where = f"links[{i}]"
-        if not _check_fields(raw, _LINK_FIELDS, where, diags):
+        if not (_check_fields(raw, _LINK_FIELDS, where, diags)
+                and _typed(raw, {"latency": int, "up": bool}, where, diags)):
             continue
         try:
             ends = raw["endpoints"]
             net.links.append(Link(
                 endpoints=frozenset(ends),
-                latency=int(raw.get("latency", 1)),
+                latency=raw.get("latency", 1),
                 bandwidth=float(raw.get("bandwidth", 10.0)),
-                up=bool(raw.get("up", True))))
+                up=raw.get("up", True)))
         except KeyError as exc:
             diags.append(f"{where}: missing {exc}")
         except Exception as exc:
@@ -276,12 +282,8 @@ def _event_args(kind: SimEventKind, raw: dict, where: str,
     """The event's arguments as `sim_event` takes them, or None when one of
     them or its tick is missing or malformed (each such is reported)."""
     args = {k: v for k, v in raw.items() if k not in ("at", "kind")}
-    ok = _strings(args, ("host", "key", "unit", "producer", "owner"), where,
-                  diags)
-    at = raw.get("at", 0)
-    if isinstance(at, bool) or not isinstance(at, int):
-        diags.append(f"{where}: at must be an integer, not {at!r}")
-        ok = False
+    ok = _typed(raw, {"at": int, **dict.fromkeys(
+        ("host", "key", "unit", "producer", "owner"), str)}, where, diags)
     for key in _EVENT_REQUIRED[kind]:
         if key not in args:
             diags.append(f"{where}: missing {key!r}")

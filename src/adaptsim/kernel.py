@@ -50,13 +50,13 @@ SERVICE_MATRIX = {
 
 class TopologyFlag:
     """A host or link: writing its `up` flag bumps `topology_version` on
-    each world holding it."""
+    the world holding it (see `World._hold`)."""
 
     def __setattr__(self, name, value):
         object.__setattr__(self, name, value)
-        if name == "up":
-            for world in self.__dict__.get("_worlds", ()):
-                world.topology_version += 1
+        world = self.__dict__.get("_world")
+        if name == "up" and world is not None:
+            world.topology_version += 1
 
 
 @dataclass
@@ -89,16 +89,7 @@ class IntrusionLevel(Enum):
     LOCKED = "Locked"
 
 
-@dataclass(frozen=True)
-class Subscription:
-    min_priority: int = 0
-
-
-@dataclass
-class PlatformConfig:
-    subscriptions: dict = field(default_factory=dict)  # listener id -> Subscription
-    intrusion: IntrusionLevel = IntrusionLevel.OPEN
-    defer_window: int = 5                 # Guarded: ticks before a deferred command runs
+DEFER_WINDOW = 5            # Guarded: ticks before a deferred command runs
 
 
 # -- reconfiguration commands ----------------------------------------------
@@ -366,29 +357,17 @@ def service_call(world, host_id: str, service: Service, request: Any = None):
 
 # -- event emission (flow C) -----------------------------------------------
 
-def emit_event(world, e: PlatformEvent, mode: str,
-               from_host: Optional[str] = None) -> int:
-    """Deliver a platform event to all matching listeners; returns count.
-
-    Modes M1/M3 carry no event flow: nothing is delivered.
-    """
-    if mode in ("M1", "M3"):
-        return 0
+def emit_event(world, e: PlatformEvent, from_host: str) -> int:
+    """Deliver a platform event to every listener on an up host that
+    `from_host` reaches; returns count."""
     delivered = 0
     for hid in sorted(world.hosts):
         host = world.hosts[hid]
-        if not host.desc.up:
-            continue
-        if from_host is not None and route(world, from_host, hid) is None:
+        if not host.desc.up or route(world, from_host, hid) is None:
             continue
         for cid in sorted(host.containers):
             c = host.containers[cid]
-            if not c.descriptor.listener:
-                continue
-            sub = host.config.subscriptions.get(cid, Subscription())
-            if e.priority < sub.min_priority:
-                continue
-            if c.deliver_event(e):
+            if c.descriptor.listener and c.deliver_event(e):
                 delivered += 1
                 world.trace(hid, "EVT",
                             f"event={e.kind.value} prio={e.priority} "
@@ -399,18 +378,19 @@ def emit_event(world, e: PlatformEvent, mode: str,
 # -- command execution -----------------------------------------------------
 
 def apply(world, cmd, forced: bool = False) -> CommandResult:
-    """Run one platform-originated reconfiguration command atomically.
+    """Run one command of the world's coordinator atomically.
 
-    It respects the intrusion level; forced recovery (component stranded
-    on a dead host) overrides a lock.  An application's command goes
-    through `apply_now` (see `PlatformApi.submit_command`).
+    It respects the coordinator's intrusion level; forced recovery
+    (component stranded on a dead host) overrides a lock.  An
+    application's command goes through `apply_now` (see
+    `PlatformApi.submit_command`).
     """
-    cfg = world.platform_config()
-    if not forced and cfg.intrusion is not IntrusionLevel.OPEN:
+    intrusion = world.coordinator.intrusion
+    if not forced and intrusion is not IntrusionLevel.OPEN:
         # Locked: no due tick; the command waits for the lock to lift
-        due = (None if cfg.intrusion is IntrusionLevel.LOCKED
-               else world.now + cfg.defer_window)
-        world.trace(world.coordinator_host or "-", "CMD",
+        due = (None if intrusion is IntrusionLevel.LOCKED
+               else world.now + DEFER_WINDOW)
+        world.trace(world.coordinator.host, "CMD",
                     f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} result=Deferred"
                     + ("" if due is None else f" due={due}")
                     + " origin=platform")
@@ -462,13 +442,14 @@ def _cmd_args(cmd) -> str:
 
 
 def process_deferred(world) -> None:
-    """Run deferred commands whose window elapsed or whose lock lifted."""
-    cfg = world.platform_config()
+    """Run the coordinator's deferred commands whose window elapsed or
+    whose lock lifted."""
+    intrusion = world.coordinator.intrusion
     still = []
     for due, cmd in world.deferred_commands:
-        runnable = (cfg.intrusion is IntrusionLevel.OPEN
+        runnable = (intrusion is IntrusionLevel.OPEN
                     or (due is not None and world.now >= due
-                        and cfg.intrusion is not IntrusionLevel.LOCKED))
+                        and intrusion is not IntrusionLevel.LOCKED))
         if runnable:
             apply_now(world, cmd)
         else:

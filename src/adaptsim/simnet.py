@@ -21,7 +21,7 @@ from .container import Lifecycle
 from .context import (ContextInformation, ContextNature, ContextObject,
                       InformationValidity, Location, Quantity, stamp)
 from .errors import ComponentFault, ScheduleError, ValidationError
-from .kernel import (Battery, HostDescriptor, PlatformConfig, TopologyFlag)
+from .kernel import Battery, HostDescriptor, TopologyFlag
 from .store import ContextStore
 
 REPORTING_INTERVAL = 5      # ticks between a host's context reports
@@ -84,7 +84,6 @@ class HostRuntime:
     desc: HostDescriptor
     store: ContextStore = field(default_factory=ContextStore)
     containers: dict = field(default_factory=dict)
-    config: PlatformConfig = field(default_factory=PlatformConfig)
     persist_log: list = field(default_factory=list)
 
 
@@ -118,9 +117,8 @@ class World:
     def add_host(self, desc: HostDescriptor) -> HostRuntime:
         if desc.id in self.hosts:
             raise ValidationError(f"duplicate host {desc.id}")
-        rt = HostRuntime(desc=desc)
-        self.hosts[desc.id] = rt
         self._hold(desc)
+        rt = self.hosts[desc.id] = HostRuntime(desc=desc)
         return rt
 
     def add_link(self, a: str, b: str, latency: int = 1,
@@ -138,7 +136,11 @@ class World:
         return link
 
     def _hold(self, record: TopologyFlag) -> None:
-        record.__dict__.setdefault("_worlds", []).append(self)
+        """Make this world the one whose topology version `record`'s `up`
+        flag moves; a record another world holds is refused."""
+        if record.__dict__.get("_world", self) is not self:
+            raise ValidationError(f"{record!r} is held by another world")
+        record.__dict__["_world"] = self
         self.topology_version += 1
 
     def routes(self) -> kernel.Routes:
@@ -160,11 +162,6 @@ class World:
     @property
     def coordinator_host(self) -> Optional[str]:
         return self.coordinator.host if self.coordinator else None
-
-    def platform_config(self) -> PlatformConfig:
-        if self.coordinator and self.coordinator.host in self.hosts:
-            return self.hosts[self.coordinator.host].config
-        return PlatformConfig()
 
     def host_of(self, component_id: str) -> Optional[str]:
         return self.component_host.get(component_id)

@@ -31,26 +31,17 @@ class ContextQuery:
             raise ValidationError("limit must be >= 1")
 
 
-@dataclass(frozen=True)
-class StoreConfig:
-    per_key_capacity: int = DEFAULT_CAPACITY
-
-    def __post_init__(self):
-        if self.per_key_capacity < 1:
-            raise ValidationError("per_key_capacity must be >= 1")
-
-
 class ContextStore:
-    """History-preserving ring-buffer store, keyed by context key."""
+    """History-preserving ring-buffer store, keyed by context key: each key
+    keeps its newest `DEFAULT_CAPACITY` objects."""
 
-    def __init__(self, config: StoreConfig = StoreConfig()):
-        self.config = config
+    def __init__(self):
         self._by_key: dict[str, deque] = {}
 
     def put(self, obj: ContextObject) -> None:
         key = obj.info.key
         if key not in self._by_key:
-            self._by_key[key] = deque(maxlen=self.config.per_key_capacity)
+            self._by_key[key] = deque(maxlen=DEFAULT_CAPACITY)
         self._by_key[key].append(obj)
 
     def _matches(self, obj: ContextObject, q: ContextQuery) -> bool:

@@ -15,8 +15,7 @@ from adaptsim.connector import Endpoint, FlowPolicy
 from adaptsim.container import ComponentDescriptor, Variant
 from adaptsim.kernel import (Add, ArchitectureModel, Battery, Connect,
                              Disconnect, HostDescriptor, HostTier,
-                             ModelComponent, ModelConnector, Move,
-                             PlatformConfig)
+                             ModelComponent, ModelConnector, Move)
 from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 
 
@@ -40,8 +39,7 @@ def model_of(components, connectors=()):
     return m
 
 
-def reference_score(model, obs, descriptors, affected, assignment, tiers,
-                    weights=adaptation.QOS_WEIGHTS):
+def reference_score(model, obs, descriptors, affected, assignment, tiers):
     """The placement search's scoring as a full `evaluate_qos` of the
     hypothetical deployment: each affected component lifted off its host
     and charged, at its assigned tier, to its assigned host."""
@@ -67,7 +65,7 @@ def reference_score(model, obs, descriptors, affected, assignment, tiers,
             host=hid, tier=tier, behavior=mc.behavior,
             lifecycle=mc.lifecycle)
     hyp_obs = Observation(at=obs.at, hosts=hyp_hosts, links=obs.links)
-    return evaluate_qos(hyp, hyp_obs, descriptors, weights).global_score
+    return evaluate_qos(hyp, hyp_obs, descriptors).global_score
 
 
 def obs_of(hosts, links=()):
@@ -396,8 +394,7 @@ def score_cache(m, o, ds, tiers, affected, report=None):
     candidates = {c: [h for h in sorted(o.hosts) if o.hosts[h].up]
                   for c in affected}
     return adaptation._ScoreCache(m, o, ds, report or evaluate_qos(m, o, ds),
-                                  affected, candidates, tiers,
-                                  adaptation.QOS_WEIGHTS)
+                                  affected, candidates, tiers)
 
 
 def count_scoring(monkeypatch):

@@ -11,6 +11,8 @@ import sys
 import pytest
 
 from adaptsim import cli, descriptors, kernel, trace
+from adaptsim.errors import ValidationError
+from adaptsim.simnet import World
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 APP = os.path.join(DATA, "app.json")
@@ -304,10 +306,10 @@ def _event(**event):
     ("app", _with(APP, "connectors", [{"from": "reader.out",
                                        "to": ["relay.in"],
                                        "capacity": None}]),
-     "connectors[0]: int() argument"),
+     "connectors[0]: capacity must be an integer, not None"),
     ("app", _with(APP, "connectors", [{"from": "reader.out",
                                        "to": ["relay.in"], "capacity": 0}]),
-     "connectors[0]: lossless capacity must be >= 1"),
+     "connectors[0]: capacity must be >= 1, not 0"),
     ("net", _with(NET, "links", [5]), "links[0]: must be an object, not 5"),
     ("app", _with_component("id", ["reader"]),
      "components[0]: id must be a string, not ['reader']"),
@@ -389,6 +391,22 @@ def _event(**event):
      "hosts[0]: location must be a list, not 5"),
     ("net", _with_first(NET, "hosts", "location", "lab"),
      "hosts[0]: location must be a list, not 'lab'"),
+    # typed fields that `run` coerced: "false" read as up, 2.7 as 2
+    ("net", _with_first(NET, "hosts", "up", "false"),
+     "hosts[0]: up must be a boolean, not 'false'"),
+    ("net", _with_first(NET, "links", "up", "false"),
+     "links[0]: up must be a boolean, not 'false'"),
+    ("net", _with_first(NET, "links", "latency", 1.5),
+     "links[0]: latency must be an integer, not 1.5"),
+    ("app", _with_component("listener", "false"),
+     "components[0]: listener must be a boolean, not 'false'"),
+    ("app", _with_first(APP, "connectors", "capacity", 2.7),
+     "connectors[0]: capacity must be an integer, not 2.7"),
+    ("app", _with(APP, "connectors", [{"from": "reader.out",
+                                       "to": ["relay.in"],
+                                       "loss": "KeepLatest",
+                                       "capacity": -3}]),
+     "connectors[0]: capacity must be >= 1, not -3"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
@@ -415,6 +433,35 @@ class TestBuildWorld:
         assert w._tick_buffer == []
         assert w.coordinator.host == "h1"    # first full-tier host
         assert set(w.model.components) == {"reader", "relay", "writer"}
+
+    def test_worlds_from_one_parse_run_apart(self):
+        """Each world holds its own host records: running one changes
+        neither the parse nor another world built from it."""
+        def parse():
+            return (descriptors.parse_app(load(APP))[0],
+                    descriptors.parse_net(load(NET))[0])
+
+        def run(world):
+            for ev in scenario.events:
+                world.schedule(ev)
+            world.run(scenario.duration)
+            return world.trace_lines
+
+        scenario, _ = descriptors.parse_scenario(load(SCENARIO))
+        app, net = parse()
+        parsed = descriptors.serialize_net(net)
+        first, second = (cli.build_world(app, net, seed=scenario.seed)
+                         for _ in range(2))
+        run(first)
+        assert descriptors.serialize_net(net) == parsed
+        assert run(second) == run(cli.build_world(*parse(),
+                                                  seed=scenario.seed))
+
+    def test_a_host_record_joins_one_world(self):
+        net, _ = descriptors.parse_net(load(NET))
+        World().add_host(net.hosts[0])
+        with pytest.raises(ValidationError, match="another world"):
+            World().add_host(net.hosts[0])
 
     def test_undeployable_app_is_rejected(self):
         app, _ = descriptors.parse_app(load(APP))

@@ -13,9 +13,8 @@ from adaptsim.context import (ContextInformation, ContextNature, Location,
                               Quantity, stamp)
 from adaptsim.errors import ServiceUnavailable, Unreachable
 from adaptsim.kernel import (Add, Battery, Connect, Disconnect, HostDescriptor,
-                             HostTier, IntrusionLevel, Move, PlatformConfig,
-                             Remove, ReplaceBusiness, Service, Subscription,
-                             reconstruct_model)
+                             HostTier, IntrusionLevel, Move, Remove,
+                             ReplaceBusiness, Service, reconstruct_model)
 from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 from adaptsim.store import ContextQuery
 
@@ -166,8 +165,8 @@ class TestServices:
 
     def test_platform_api_commands_are_app_originated(self):
         w = make_world()
-        w.hosts["h1"].config = PlatformConfig(intrusion=IntrusionLevel.LOCKED)
         w.coordinator = adaptation.Coordinator("h1", "M1")
+        w.coordinator.intrusion = IntrusionLevel.LOCKED
         r = PlatformApi(w, "h2", "c").submit_command(Add(desc("c1"), "h3"))
         assert r.applied                     # the lock gates the platform only
         assert "c1" in w.hosts["h3"].containers
@@ -547,35 +546,30 @@ class TestCausalConnection:
 
 
 class TestIntrusion:
-    def cfg(self, level):
-        return PlatformConfig(intrusion=level, defer_window=3)
+    def coordinated(self, level):
+        """make_world with an M1 coordinator on h1 at this intrusion level."""
+        w = make_world()
+        w.coordinator = adaptation.Coordinator("h1", "M1")
+        w.coordinator.intrusion = level
+        return w
 
     def test_guarded_defers_then_applies(self):
-        w = make_world()
-        w.hosts["h1"].config = self.cfg(IntrusionLevel.GUARDED)
-        # platform config comes from the coordinator host; fake one
-        class Co:            # minimal stand-in with a host attribute
-            host = "h1"
-        w.coordinator = Co()
+        w = self.coordinated(IntrusionLevel.GUARDED)
         r = kernel.apply(w, Add(desc("c1"), "h2"))
         assert r.status == "Deferred"
         assert w._tick_buffer[-1][3] == (
-            "host=h1 kind=CMD cmd=Add comp=c1 host=h2 result=Deferred due=3 "
+            "host=h1 kind=CMD cmd=Add comp=c1 host=h2 result=Deferred due=5 "
             "origin=platform")
         assert "c1" not in w.hosts["h2"].containers
-        w.now = 2
+        w.now = 4
         kernel.process_deferred(w)
         assert "c1" not in w.hosts["h2"].containers
-        w.now = 3
+        w.now = 5
         kernel.process_deferred(w)
         assert "c1" in w.hosts["h2"].containers
 
     def test_locked_holds_until_unlocked(self):
-        w = make_world()
-        w.hosts["h1"].config = self.cfg(IntrusionLevel.LOCKED)
-        class Co:
-            host = "h1"
-        w.coordinator = Co()
+        w = self.coordinated(IntrusionLevel.LOCKED)
         assert kernel.apply(w, Add(desc("c1"), "h2")).status == "Deferred"
         assert w._tick_buffer[-1][3] == (
             "host=h1 kind=CMD cmd=Add comp=c1 host=h2 result=Deferred "
@@ -583,16 +577,12 @@ class TestIntrusion:
         w.now = 50
         kernel.process_deferred(w)
         assert "c1" not in w.hosts["h2"].containers
-        w.hosts["h1"].config = self.cfg(IntrusionLevel.OPEN)
+        w.coordinator.intrusion = IntrusionLevel.OPEN
         kernel.process_deferred(w)
         assert "c1" in w.hosts["h2"].containers
 
     def test_forced_recovery_overrides_a_lock(self):
-        w = make_world()
-        w.hosts["h1"].config = self.cfg(IntrusionLevel.LOCKED)
-        class Co:
-            host = "h1"
-        w.coordinator = Co()
+        w = self.coordinated(IntrusionLevel.LOCKED)
         kernel.apply_now(w, Add(desc("c1"), "h2"))
         w.hosts["h2"].desc.up = False
         r = kernel.apply(w, Move("c1", "h3"), forced=True)
@@ -600,44 +590,90 @@ class TestIntrusion:
         assert "c1" in w.hosts["h3"].containers
 
     def test_app_commands_ignore_intrusion(self):
-        w = make_world()
-        w.hosts["h1"].config = self.cfg(IntrusionLevel.LOCKED)
-        class Co:
-            host = "h1"
-        w.coordinator = Co()
+        w = self.coordinated(IntrusionLevel.LOCKED)
         r = PlatformApi(w, "h2", "c").submit_command(Add(desc("c1"), "h2"))
         assert r.applied
 
+    def starved_world(self, level):
+        """An M3 coordinator on h1 at this level, and `b` on h2, which
+        cannot fit it and runs on a battery at 0.2: every cycle scores
+        0.64 and plans Move(b, h1), with h2 up."""
+        w = World(seed=1)
+        w.add_host(HostDescriptor(id="h1", tier=HostTier.FULL,
+                                  cpu_capacity=8.0, mem_capacity=8.0))
+        w.add_host(HostDescriptor(id="h2", tier=HostTier.FULL,
+                                  cpu_capacity=0.5, mem_capacity=8.0,
+                                  power=Battery(0.2)))
+        w.add_link("h1", "h2")
+        w.coordinator = adaptation.Coordinator("h1", "M3")
+        w.coordinator.intrusion = level
+        kernel.apply_now(w, Add(desc("a", out_ports=("out",),
+                                     behavior="source"), "h1"))
+        kernel.apply_now(w, Add(desc("b", in_ports=("in",),
+                                     behavior="sink"), "h2"))
+        kernel.apply_now(w, Connect("k1", Endpoint("a", "out"),
+                                    (Endpoint("b", "in"),), FlowPolicy()))
+        w._tick_buffer.clear()
+        return w
+
+    MOVE = "host=h1 kind=CMD cmd=Move comp=b target=h1 result="
+
+    def commands(self, w):
+        return [l for l in w.trace_lines if "kind=CMD" in l]
+
+    def test_a_guarded_replan_applies_a_window_later(self):
+        w = self.starved_world(IntrusionLevel.GUARDED)
+        w.run(5)
+        assert w.last_qos.global_score == pytest.approx(0.64)
+        assert self.commands(w) == [
+            f"tick=0 {self.MOVE}Deferred due=5 origin=platform"]
+        assert w.host_of("b") == "h2"
+        w.step()
+        assert self.commands(w)[1:] == [
+            f"tick=5 {self.MOVE}Applied origin=platform"]
+        assert w.host_of("b") == "h1"
+        assert w.last_qos.global_score == 1.0
+
+    def test_a_locked_replan_waits_for_open(self):
+        w = self.starved_world(IntrusionLevel.LOCKED)
+        w.run(12)
+        assert self.commands(w) == [
+            f"tick={t} {self.MOVE}Deferred origin=platform"
+            for t in (0, 5, 10)]
+        assert w.host_of("b") == "h2"
+        w.coordinator.intrusion = IntrusionLevel.OPEN
+        w.step()
+        assert self.commands(w)[3] == (
+            f"tick=12 {self.MOVE}Applied origin=platform")
+        assert w.host_of("b") == "h1"
+
+    def test_a_stranded_move_applies_under_locked(self):
+        w = self.starved_world(IntrusionLevel.LOCKED)
+        w.schedule(sim_event(3, SimEventKind.HOST_LEAVE, host="h2"))
+        w.run(6)
+        assert self.commands(w) == [
+            f"tick=0 {self.MOVE}Deferred origin=platform",
+            f"tick=5 {self.MOVE}Applied origin=platform"]
+        assert w.host_of("b") == "h1"
+
 
 class TestEvents:
-    def listener_world(self, min_priority=0):
+    def listener_world(self):
         w = make_world()
-        w.hosts["h2"].config.subscriptions["ear"] = Subscription(
-            min_priority=min_priority)
         kernel.apply_now(w, Add(desc("ear", listener=True), "h2"))
         return w
 
-    def evt(self, prio=5):
+    def evt(self):
         return PlatformEvent(kind=EventKind.QOS_ALERT, payload=None,
-                             priority=prio)
-
-    def test_silent_modes_deliver_nothing(self):
-        w = self.listener_world()
-        assert kernel.emit_event(w, self.evt(), "M1") == 0
-        assert kernel.emit_event(w, self.evt(), "M3") == 0
+                             priority=5)
 
     def test_event_modes_deliver_to_listeners(self):
         w = self.listener_world()
-        assert kernel.emit_event(w, self.evt(), "M2") == 1
-        assert kernel.emit_event(w, self.evt(), "M4") == 1
-
-    def test_min_priority_filters(self):
-        w = self.listener_world(min_priority=7)
-        assert kernel.emit_event(w, self.evt(prio=5), "M2") == 0
-        assert kernel.emit_event(w, self.evt(prio=7), "M2") == 1
+        for mode in ("M2", "M4"):
+            assert adaptation.Coordinator("h1", mode)._alert(w, None) == 1
 
     def test_unreachable_listener_is_skipped(self):
         w = self.listener_world()
         w.links[frozenset(("h1", "h2"))].up = False
         w.links[frozenset(("h2", "h3"))].up = False
-        assert kernel.emit_event(w, self.evt(), "M2", from_host="h1") == 0
+        assert kernel.emit_event(w, self.evt(), "h1") == 0

@@ -1,11 +1,8 @@
 import random
 
-import pytest
-
 from adaptsim.context import (ContextInformation, ContextNature, Location,
                               Quantity, ValidityPolicy, is_valid, stamp)
-from adaptsim.errors import ValidationError
-from adaptsim.store import ContextQuery, ContextStore, StoreConfig
+from adaptsim.store import DEFAULT_CAPACITY, ContextQuery, ContextStore
 
 
 def obj(key="k", ts=0, producer="p", value=None, host="h1", coords=None):
@@ -18,16 +15,19 @@ def obj(key="k", ts=0, producer="p", value=None, host="h1", coords=None):
 
 class TestPut:
     def test_ring_eviction(self):
-        s = ContextStore(StoreConfig(per_key_capacity=2))
-        for t in (1, 2, 3):
+        s = ContextStore()
+        for t in range(DEFAULT_CAPACITY + 1):
             s.put(obj(ts=t))
-        assert [o.validity.timestamp for o in s.history("k")] == [2, 3]
+        assert [o.validity.timestamp for o in s.history("k")] == \
+            list(range(1, DEFAULT_CAPACITY + 1))
 
     def test_independent_keys(self):
-        s = ContextStore(StoreConfig(per_key_capacity=1))
-        s.put(obj(key="a", ts=1))
-        s.put(obj(key="b", ts=2))
-        assert len(s.history("a")) == 1 and len(s.history("b")) == 1
+        s = ContextStore()
+        for t in range(DEFAULT_CAPACITY + 1):
+            s.put(obj(key="a", ts=t))
+        s.put(obj(key="b", ts=0))
+        assert len(s.history("a")) == DEFAULT_CAPACITY
+        assert len(s.history("b")) == 1
 
     def test_round_trip(self):
         s = ContextStore()
@@ -36,15 +36,11 @@ class TestPut:
         assert s.history("k") == [o]
 
     def test_eviction_never_removes_newer(self):
-        s = ContextStore(StoreConfig(per_key_capacity=3))
-        for t in range(10):
+        s = ContextStore()
+        for t in range(DEFAULT_CAPACITY + 7):
             s.put(obj(ts=t))
         kept = [o.validity.timestamp for o in s.history("k")]
-        assert kept == [7, 8, 9]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValidationError):
-            StoreConfig(per_key_capacity=0)
+        assert kept == list(range(7, DEFAULT_CAPACITY + 7))
 
 
 class TestQuery:
