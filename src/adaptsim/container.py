@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Any, Optional
 
 from . import behaviors
-from .context import ContextInformation, ContextNature
 from .errors import (ComponentFault, LifecycleError, ValidationError,
                      VariantError)
 
@@ -109,13 +108,12 @@ class ContainerInstance:
         self.state: Any = None
         self.input_bindings: dict = {}    # in_port -> ConnectorInstance
         self.output_bindings: dict = {}   # out_port -> ConnectorInstance
+        # the firing plan of the variant and bindings above, built at the
+        # first firing; the writers below drop it (see `firing_plan`)
+        self._plan: Optional[tuple] = None
         self._events: list = []           # (neg priority, arrival seq, event)
         self._event_seq = 0
         self.fault: Optional[str] = None
-        # liveness context, reported while Running (see World._kernel_tick)
-        self.alive_info = ContextInformation(
-            nature=ContextNature.HARDWARE, key="component.alive",
-            value=descriptor.id, producer=descriptor.id)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -123,6 +121,39 @@ class ContainerInstance:
         if (self.lifecycle, target) not in LEGAL_EDGES:
             raise LifecycleError(self.lifecycle.value, target.value)
         self.lifecycle = target
+
+    # -- bindings and variant: the only writers, each dropping the plan ----
+
+    def bind(self, port: str, conn) -> None:
+        """Bind an in or out port (port names are unique) to a connector."""
+        if port in self.descriptor.in_ports:
+            self.input_bindings[port] = conn
+        else:
+            self.output_bindings[port] = conn
+        self._plan = None
+
+    def unbind(self, port: str) -> None:
+        self.input_bindings.pop(port, None)
+        self.output_bindings.pop(port, None)
+        self._plan = None
+
+    def set_variant(self, variant: Variant) -> None:
+        self.active_variant = variant
+        self._plan = None
+
+    def firing_plan(self) -> tuple:
+        """(behaviour, pulls, pushes) of the current variant and bindings:
+        the variant's behaviour function, (in port, connector or None) in
+        descriptor order, and (out port, connector) of the bound out ports
+        in port order.  Built once, and again only after a writer above
+        dropped it; a checkpoint saves and restores it with the bindings.
+        """
+        if self._plan is None:
+            self._plan = (behaviors.resolve(self.active_variant.behavior),
+                          tuple((port, self.input_bindings.get(port))
+                                for port in self.descriptor.in_ports),
+                          tuple(sorted(self.output_bindings.items())))
+        return self._plan
 
     def all_ports_bound(self) -> bool:
         return (all(p in self.input_bindings for p in self.descriptor.in_ports)
@@ -163,37 +194,38 @@ class ContainerInstance:
         """
         if self.lifecycle is not Lifecycle.RUNNING:
             return {}
+        plan = self._plan or self.firing_plan()
+        fn, pulls, pushes = plan
         # Synchronized lossless backpressure: stall the whole step while any
         # bound output cannot accept a sample.
-        for conn in self.output_bindings.values():
+        for _, conn in pushes:
             if conn.would_block():
                 return {}
+        cid = self.descriptor.id
         inputs = {}
-        for port in self.descriptor.in_ports:
-            conn = self.input_bindings.get(port)
-            inputs[port] = conn.pull(self.descriptor.id, port, now) \
-                if conn is not None else None
+        for port, conn in pulls:
+            inputs[port] = None if conn is None else conn.pull(cid, port, now)
         events = self._consume_events() if self._events else []
-        fn = behaviors.resolve(self.active_variant.behavior)
         try:
             self.state, raw = fn(self.state, inputs, events, now, api)
         except Exception as exc:  # fault containment: stop only this container
             self.fault = repr(exc)
             self.transition(Lifecycle.STOPPED)
-            raise ComponentFault(f"{self.descriptor.id}: {exc!r}") from exc
-        outputs = {}
+            raise ComponentFault(f"{cid}: {exc!r}") from exc
+        if self._plan is not plan:
+            # a command the behaviour submitted rebound a port
+            pushes = self.firing_plan()[2]
         if "__all__" in raw:
-            for port in self.descriptor.out_ports:
-                outputs[port] = raw["__all__"]
+            payload = raw["__all__"]
+            outputs = dict.fromkeys(self.descriptor.out_ports, payload)
+            for port, conn in pushes:
+                conn.push(cid, port, payload, now)
         else:
-            for port, payload in raw.items():
-                if payload is not None:
-                    outputs[port] = payload
-        for port, payload in (sorted(outputs.items()) if len(outputs) > 1
-                              else outputs.items()):
-            conn = self.output_bindings.get(port)
-            if conn is not None:
-                conn.push(self.descriptor.id, port, payload, now)
+            outputs = {port: payload for port, payload in raw.items()
+                       if payload is not None}
+            for port, conn in pushes:
+                if port in outputs:
+                    conn.push(cid, port, outputs[port], now)
         return outputs
 
     # -- migration ---------------------------------------------------------

@@ -34,8 +34,7 @@ class Quantity:
     unit: str
 
 
-Coordinate = tuple[float, float]
-ContextValue = Union[Quantity, str, Coordinate]
+ContextValue = Union[Quantity, str]
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,18 @@ class ContextInformation:
         if not self.key:
             raise ValidationError("context key must be non-empty")
 
+    def trace_repr(self) -> str:
+        """The information half of a trace line."""
+        v = self.value
+        val = f"{v.value:g}{v.unit}" if isinstance(v, Quantity) else str(v)
+        return f"key={self.key} nature={self.nature.short} val={val}"
+
 
 @dataclass(frozen=True)
 class Location:
-    """Where a reading was taken: a host identity, coordinates, or both."""
+    """Where a reading was taken: a host identity."""
 
     host: Optional[str] = None
-    coords: Optional[Coordinate] = None
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,11 @@ class InformationValidity:
         if self.timestamp < 0:
             raise ValidationError("timestamp must be non-negative")
 
+    def trace_repr(self) -> str:
+        """The validity half of a trace line."""
+        return (f"t={self.timestamp} loc={self.location.host or '?'} "
+                f"conf={self.base_confidence:g} own={self.owner}")
+
 
 @dataclass(frozen=True)
 class ContextObject:
@@ -82,22 +91,7 @@ class ContextObject:
 
     def trace_repr(self) -> str:
         """Serialize for trace lines."""
-        v = self.info.value
-        if isinstance(v, Quantity):
-            val = f"{v.value:g}{v.unit}"
-        elif isinstance(v, tuple):
-            val = f"{v[0]:g},{v[1]:g}"
-        else:
-            val = str(v)
-        loc = self.validity.location
-        if loc.coords is not None:
-            where = f"{loc.coords[0]:g},{loc.coords[1]:g}"
-        else:
-            where = loc.host or "?"
-        return (f"key={self.info.key} nature={self.info.nature.short} "
-                f"val={val} t={self.validity.timestamp} loc={where} "
-                f"conf={self.validity.base_confidence:g} "
-                f"own={self.validity.owner}")
+        return f"{self.info.trace_repr()} {self.validity.trace_repr()}"
 
 
 DEFAULT_HALF_LIFE = 32
@@ -107,13 +101,12 @@ DEFAULT_HALF_LIFE = 32
 class ValidityPolicy:
     """Filter bounds for deciding whether a context object is still usable.
 
-    Absent fields pass everything.  spatial_scope is either a set of host
-    ids or a (center, radius) pair checked with Euclidean distance.
+    Absent fields pass everything.  spatial_scope is a set of host ids.
     """
 
     max_age: Optional[int] = None
     min_confidence: float = 0.0
-    spatial_scope: Optional[Union[frozenset, tuple]] = None
+    spatial_scope: Optional[frozenset] = None
     owner_filter: Optional[frozenset] = None
     half_life: int = DEFAULT_HALF_LIFE
 
@@ -150,18 +143,6 @@ def effective_confidence(obj: ContextObject, now: int,
     return obj.validity.base_confidence * math.pow(2.0, -age / half_life)
 
 
-def _in_spatial_scope(obj: ContextObject, scope) -> bool:
-    loc = obj.validity.location
-    if isinstance(scope, (set, frozenset)):
-        return loc.host in scope
-    center, radius = scope
-    if loc.coords is None:
-        return False
-    dx = loc.coords[0] - center[0]
-    dy = loc.coords[1] - center[1]
-    return math.hypot(dx, dy) <= radius
-
-
 def is_valid(obj: ContextObject, now: int, policy: ValidityPolicy) -> bool:
     """Conjunction of the age, confidence, spatial and ownership filters."""
     try:
@@ -172,8 +153,8 @@ def is_valid(obj: ContextObject, now: int, policy: ValidityPolicy) -> bool:
         return False
     if effective_confidence(obj, now, policy.half_life) < policy.min_confidence:
         return False
-    if policy.spatial_scope is not None and not _in_spatial_scope(
-            obj, policy.spatial_scope):
+    if policy.spatial_scope is not None and \
+            obj.validity.location.host not in policy.spatial_scope:
         return False
     if policy.owner_filter is not None and \
             obj.validity.owner not in policy.owner_filter:

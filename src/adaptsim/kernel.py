@@ -383,8 +383,13 @@ def apply(world, cmd, forced: bool = False) -> CommandResult:
     It respects the coordinator's intrusion level; forced recovery
     (component stranded on a dead host) overrides a lock.  An
     application's command goes through `apply_now` (see
-    `PlatformApi.submit_command`).
+    `PlatformApi.submit_command`).  A Move replaces the deferred Moves of
+    its component: the newest plan for a component is the one that waits.
     """
+    if isinstance(cmd, Move):
+        world.deferred_commands = [
+            (due, c) for due, c in world.deferred_commands
+            if not (isinstance(c, Move) and c.component == cmd.component)]
     intrusion = world.coordinator.intrusion
     if not forced and intrusion is not IntrusionLevel.OPEN:
         # Locked: no due tick; the command waits for the lock to lift
@@ -400,6 +405,9 @@ def apply(world, cmd, forced: bool = False) -> CommandResult:
 
 
 def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
+    # a Move to the component's own host changes no registry
+    stays = (isinstance(cmd, Move)
+             and world.component_host.get(cmd.component) == cmd.target)
     checkpoint = world.runtime_snapshot(*_scope(world, cmd))
     try:
         _execute(world, cmd)
@@ -410,7 +418,8 @@ def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
         world.runtime_restore(checkpoint)
         result = aborted(f"internal: {exc!r}")
     else:
-        world.model_version += 1
+        if not stays:
+            world.model_version += 1
         result = APPLIED
     world.trace(world.coordinator_host or "-", "CMD",
                 f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} "
@@ -605,10 +614,10 @@ def _exec_move(world, cmd: Move) -> None:
     # carry the flow bindings to the new container
     for k in conns:
         if k.source.component == cmd.component:
-            new.output_bindings[k.source.port] = k
+            new.bind(k.source.port, k)
         for s in k.sinks:
             if s.component == cmd.component:
-                new.input_bindings[s.port] = k
+                new.bind(s.port, k)
     for (kid, sink), samples in sorted(
             residues.items(), key=lambda t: (t[0][0], str(t[0][1]))):
         world.connectors[kid].refill(sink, samples, world.now)
@@ -646,9 +655,9 @@ def _exec_connect(world, cmd: Connect) -> None:
     k = world.make_connector(cmd.connector, cmd.source, list(cmd.sinks),
                              cmd.policy)
     world.connectors[cmd.connector] = k
-    src_c.output_bindings[cmd.source.port] = k
+    src_c.bind(cmd.source.port, k)
     for s, _, c in sinks:
-        c.input_bindings[s.port] = k
+        c.bind(s.port, k)
     for _, hid, c in [(cmd.source, src_hid, src_c), *sinks]:
         _start_if_ready(world, hid, c)
 
@@ -662,8 +671,7 @@ def _exec_disconnect(world, cmd: Disconnect) -> None:
         hid, c = _find_component(world, ep.component)
         if c is None:
             continue
-        c.output_bindings.pop(ep.port, None) if ep == k.source else \
-            c.input_bindings.pop(ep.port, None)
+        c.unbind(ep.port)
         if c.lifecycle is Lifecycle.RUNNING and not c.all_ports_bound():
             c.transition(Lifecycle.STOPPED)
             _start_if_ready(world, hid, c)
@@ -678,12 +686,11 @@ def _exec_replace(world, cmd: ReplaceBusiness) -> None:
         variant = c.descriptor.variant_for(cmd.tier)
         if variant is None:
             raise _Abort("variant")
-        c.active_variant = variant
+        c.set_variant(variant)
     elif cmd.behavior is not None:
         if cmd.behavior not in behaviors.known():
             raise _Abort("unknown behavior")
-        c.active_variant = dc_replace(c.active_variant,
-                                      behavior=cmd.behavior)
+        c.set_variant(dc_replace(c.active_variant, behavior=cmd.behavior))
     else:
         raise _Abort("empty replacement")
     c.state = None

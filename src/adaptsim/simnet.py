@@ -98,6 +98,10 @@ class World:
         self.descriptors: dict = {}           # component id -> descriptor
         self.model_version = 0        # moves wherever the deployment changes
         self._model = None            # kernel.ArchitectureModel, see `model`
+        # (model version, host -> firing order, host -> sourced connectors)
+        self._registry = (None, {}, {})
+        self._apis: dict = {}                 # (host, component) -> api
+        self._last_report: dict = {}  # (producer, key) -> see _reported
         self.deferred_commands: list = []
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
@@ -162,6 +166,31 @@ class World:
     @property
     def coordinator_host(self) -> Optional[str]:
         return self.coordinator.host if self.coordinator else None
+
+    def _at_version(self) -> tuple:
+        """This model version's memo of the hosts' registries; each host's
+        entries are built when first asked for."""
+        if self._registry[0] != self.model_version:
+            self._registry = (self.model_version, {}, {})
+        return self._registry
+
+    def firing_order(self, hid: str) -> list:
+        """The host's (component id, container) pairs in id order, sorted
+        once per model version: every write of a registry bumps it."""
+        orders = self._at_version()[1]
+        order = orders.get(hid)
+        if order is None:
+            order = orders[hid] = sorted(self.hosts[hid].containers.items())
+        return order
+
+    def _sourced(self, hid: str) -> list:
+        """`kernel.sourced_connectors` of the host, once per model
+        version."""
+        sourced = self._at_version()[2]
+        ks = sourced.get(hid)
+        if ks is None:
+            ks = sourced[hid] = kernel.sourced_connectors(self.hosts[hid])
+        return ks
 
     def host_of(self, component_id: str) -> Optional[str]:
         return self.component_host.get(component_id)
@@ -311,8 +340,12 @@ class World:
             host = self.hosts[hid]
             if not host.desc.up:
                 continue
-            for cid in sorted(host.containers):
-                c = host.containers[cid]
+            registry = host.containers
+            for cid, c in self.firing_order(hid):
+                # an application's command may have moved it this tick; a
+                # container that arrived on a later host fires there
+                if registry.get(cid) is not c:
+                    continue
                 try:
                     c.process_step(self.now, api=self._api(hid, cid))
                 except ComponentFault:
@@ -342,39 +375,55 @@ class World:
     def _kernel_tick(self, hid: str) -> None:
         host = self.hosts[hid]
         if self.now % REPORTING_INTERVAL == 0:
-            # every object of one report shares its host's validity
+            # every object of one report shares its host's validity, and
+            # every line of it the validity's text
             validity = InformationValidity(
                 timestamp=self.now, location=Location(host=hid),
                 base_confidence=1.0, owner="platform")
-            for cid in sorted(host.containers):
-                c = host.containers[cid]
+            tail = validity.trace_repr()
+            put = host.store.put
+            for cid, c in self.firing_order(hid):
                 if c.lifecycle is Lifecycle.RUNNING:
-                    obj = ContextObject(c.alive_info, validity)
-                    host.store.put(obj)
-                    self.trace(hid, "CTX", obj.trace_repr())
+                    _, info, head = self._reported(cid, "component.alive",
+                                                   cid)
+                    put(ContextObject(info, validity))
+                    self.trace(hid, "CTX", f"{head} {tail}")
             if host.desc.power is not None:
-                info = ContextInformation(
-                    nature=ContextNature.HARDWARE, key="battery.level",
-                    value=Quantity(round(host.desc.power.level, 6), ""),
-                    producer=hid)
-                obj = ContextObject(info, validity)
-                host.store.put(obj)
-                self.trace(hid, "CTX", obj.trace_repr())
-            for k in kernel.sourced_connectors(host):
+                _, info, head = self._reported(
+                    hid, "battery.level", round(host.desc.power.level, 6))
+                put(ContextObject(info, validity))
+                self.trace(hid, "CTX", f"{head} {tail}")
+            for k in self._sourced(hid):
                 rate, depth = k.take_rate(), k.depth()
-                for key, val in (("flow.rate", rate), ("flow.depth", depth)):
-                    info = ContextInformation(
-                        nature=ContextNature.HARDWARE, key=key,
-                        value=Quantity(float(val), ""), producer=k.id)
-                    host.store.put(ContextObject(info, validity))
+                put(ContextObject(self._reported(k.id, "flow.rate", rate)[1],
+                                  validity))
+                put(ContextObject(self._reported(k.id, "flow.depth",
+                                                 depth)[1], validity))
                 self.trace(hid, "CTX",
                            f"key=flow.rate conn={k.id} rate={rate:g} "
                            f"depth={depth}")
         if self.coordinator is not None and hid == self.coordinator.host:
             kernel.process_deferred(self)
 
+    def _reported(self, producer: str, key: str, value) -> tuple:
+        """(value, information, its trace text) of a report's `value` for
+        this producer and key: the last one reported while the value holds.
+        A number is reported as a unitless Quantity."""
+        last = self._last_report.get((producer, key))
+        if last is None or last[0] != value:
+            info = ContextInformation(
+                nature=ContextNature.HARDWARE, key=key, producer=producer,
+                value=value if isinstance(value, str)
+                else Quantity(float(value), ""))
+            last = self._last_report[producer, key] = (
+                value, info, info.trace_repr())
+        return last
+
     def _api(self, hid: str, cid: str):
-        return PlatformApi(self, hid, cid)
+        api = self._apis.get((hid, cid))
+        if api is None:
+            api = self._apis[hid, cid] = PlatformApi(self, hid, cid)
+        return api
 
     # -- scripted event handlers ------------------------------------------
 

@@ -9,11 +9,10 @@ from adaptsim.context import (ContextInformation, ContextNature, Location,
 from adaptsim.errors import ClockSkewError, ValidationError
 
 
-def make_obj(ts=0, conf=1.0, owner="app", host="h1", coords=None,
-             key="battery.level"):
+def make_obj(ts=0, conf=1.0, owner="app", host="h1", key="battery.level"):
     info = ContextInformation(nature=ContextNature.HARDWARE, key=key,
                               value=Quantity(0.5, "%"), producer="sensor")
-    return stamp(info, ts, Location(host=host, coords=coords), owner, conf)
+    return stamp(info, ts, Location(host=host), owner, conf)
 
 
 class TestStamp:
@@ -129,13 +128,6 @@ class TestIsValid:
             half_life=10_000)      # keep decay negligible here
         assert is_valid(obj, now, policy) == (
             age_ok and conf_ok and space_ok and owner_ok)
-
-    def test_geometric_scope(self):
-        policy = ValidityPolicy(spatial_scope=((0.0, 0.0), 5.0))
-        assert is_valid(make_obj(coords=(3.0, 4.0)), 0, policy)
-        assert not is_valid(make_obj(coords=(3.1, 4.0)), 0, policy)
-        # symbolic-only location never matches a geometric scope
-        assert not is_valid(make_obj(coords=None), 0, policy)
 
     def test_value_immutable(self):
         obj = make_obj()

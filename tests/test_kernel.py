@@ -426,6 +426,16 @@ class TestMove:
         assert fresh.state is None               # no snapshot was reachable
         assert fresh.lifecycle is Lifecycle.RUNNING
 
+    def test_a_move_to_its_own_host_bumps_no_version(self):
+        w = make_world()
+        kernel.apply_now(w, Add(desc("c1"), "h2"))
+        version = w.model_version
+        assert kernel.apply_now(w, Move("c1", "h2")).applied
+        assert w._tick_buffer[-1][3] == (
+            "host=- kind=CMD cmd=Move comp=c1 target=h2 result=Applied "
+            "origin=platform")
+        assert w.model_version == version
+
 
 class TestCausalConnection:
     def test_model_matches_reconstruction_after_random_commands(self):
@@ -655,6 +665,34 @@ class TestIntrusion:
             f"tick=0 {self.MOVE}Deferred origin=platform",
             f"tick=5 {self.MOVE}Applied origin=platform"]
         assert w.host_of("b") == "h1"
+
+    def test_a_repeated_locked_replan_applies_once(self):
+        # every cycle plans Move(b, h1) again; the newest copy replaces the
+        # waiting one, so the unlock applies one Move and bumps one version
+        w = self.starved_world(IntrusionLevel.LOCKED)
+        w.run(12)
+        assert self.commands(w) == [
+            f"tick={t} {self.MOVE}Deferred origin=platform"
+            for t in (0, 5, 10)]
+        assert w.deferred_commands == [(None, Move("b", "h1"))]
+        version = w.model_version
+        w.coordinator.intrusion = IntrusionLevel.OPEN
+        w.step()
+        assert self.commands(w)[3:] == [
+            f"tick=12 {self.MOVE}Applied origin=platform"]
+        assert w.model_version == version + 1
+        assert w.host_of("b") == "h1"
+
+    def test_a_forced_move_drops_the_deferred_one(self):
+        w = self.starved_world(IntrusionLevel.LOCKED)
+        w.schedule(sim_event(3, SimEventKind.HOST_LEAVE, host="h2"))
+        w.run(6)
+        assert w.deferred_commands == []
+        version = w.model_version
+        w.coordinator.intrusion = IntrusionLevel.OPEN
+        w.step()
+        assert len(self.commands(w)) == 2
+        assert w.model_version == version
 
 
 class TestEvents:

@@ -19,6 +19,9 @@ from adaptsim.simnet import World
 # every call that writes runtime state inside a command
 FAULT_POINTS = [(ContainerInstance, "transition"),
                 (ContainerInstance, "restore"),
+                (ContainerInstance, "bind"),
+                (ContainerInstance, "unbind"),
+                (ContainerInstance, "set_variant"),
                 (ConnectorInstance, "drain"),
                 (ConnectorInstance, "refill"),
                 (kernel, "_start_if_ready")]
@@ -99,7 +102,8 @@ def extract(w):
         hid: [(cid, c.lifecycle, c.active_variant, c.state, c.fault,
                c.pending_events(),
                {p: k.id for p, k in c.input_bindings.items()},
-               {p: k.id for p, k in c.output_bindings.items()})
+               {p: k.id for p, k in c.output_bindings.items()},
+               c._plan)
               for cid, c in h.containers.items()]
         for hid, h in w.hosts.items()}
     connectors = {

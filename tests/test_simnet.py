@@ -5,12 +5,13 @@ import os
 
 import pytest
 
-from adaptsim import kernel
+from adaptsim import behaviors, kernel
 from adaptsim.connector import Endpoint, FlowPolicy, FlowSync, LossKind
 from adaptsim.container import ComponentDescriptor, Variant
 from adaptsim.context import Location, stamp
 from adaptsim.errors import ScheduleError
-from adaptsim.kernel import (Add, Battery, Connect, HostDescriptor, HostTier)
+from adaptsim.kernel import (Add, Battery, Connect, HostDescriptor, HostTier,
+                             Move)
 from adaptsim.simnet import SimEventKind, World, sim_event
 
 
@@ -125,6 +126,25 @@ class TestHostPhase:
         assert any(l.startswith("tick=5") for l in beats)
         assert not any(l.startswith("tick=2") for l in beats)
         assert any("key=flow.rate conn=k1" in l for l in w.trace_lines)
+
+    def test_a_firing_may_move_a_later_container_of_its_host(self):
+        # `a` moves `b`, which comes after it on h1, to h2 while it fires:
+        # the tick skips b on h1 and fires it once, on h2
+        def mover(state, inputs, events, now, api):
+            if state is None:
+                assert api.submit_command(Move("b", "h2")).applied
+            return 1, {}
+
+        def tally(state, inputs, events, now, api):
+            return (state or 0) + 1, {}
+        behaviors.register("mover", mover)
+        behaviors.register("tally", tally)
+        w = two_hosts()
+        for cid, behavior in (("a", "mover"), ("b", "tally")):
+            kernel.apply_now(w, Add(desc(cid, behavior=behavior), "h1"))
+        w.step()
+        assert w.host_of("b") == "h2"
+        assert w.hosts["h2"].containers["b"].state == 1
 
     def test_trace_lines_sorted_within_a_tick(self):
         w = self.deployed()

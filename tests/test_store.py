@@ -5,12 +5,12 @@ from adaptsim.context import (ContextInformation, ContextNature, Location,
 from adaptsim.store import DEFAULT_CAPACITY, ContextQuery, ContextStore
 
 
-def obj(key="k", ts=0, producer="p", value=None, host="h1", coords=None):
+def obj(key="k", ts=0, producer="p", value=None, host="h1"):
     info = ContextInformation(
         nature=ContextNature.ENVIRONMENT, key=key,
         value=value if value is not None else Quantity(1.0, "u"),
         producer=producer)
-    return stamp(info, ts, Location(host=host, coords=coords), "app", 1.0)
+    return stamp(info, ts, Location(host=host), "app", 1.0)
 
 
 class TestPut:
