@@ -376,7 +376,7 @@ class World:
         host = self.hosts[hid]
         if self.now % REPORTING_INTERVAL == 0:
             # every object of one report shares its host's validity, and
-            # every line of it the validity's text
+            # every line of the report the validity's trace text
             validity = InformationValidity(
                 timestamp=self.now, location=Location(host=hid),
                 base_confidence=1.0, owner="platform")
