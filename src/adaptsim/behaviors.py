@@ -29,8 +29,9 @@ def resolve(name: str):
     return _CATALOG[name]
 
 
-def known() -> list[str]:
-    return sorted(_CATALOG)
+def known():
+    """The registered names, a live view: test membership with `in`."""
+    return _CATALOG.keys()
 
 
 def _source(state, inputs, events, now, api):

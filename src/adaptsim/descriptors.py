@@ -1,44 +1,35 @@
 """JSON descriptors: application graph, network, scenario script.
 
-Field names match the in-memory types one to one.  Unknown fields are
-diagnostics, not silently dropped; a parse produces (value, diagnostics)
-and the value is usable only when the diagnostics list is empty.
+Each record type has one table, field -> (check, default), and one walker,
+`_read`, reads every record against its table.  It reports a record that
+is no object, each unknown field, each missing required one and each value
+its check refuses.  A check takes exactly the JSON types it names (a
+boolean is no number) and converts nothing: only an integer in a number
+field of a variant, connector, battery, host or link is widened to float,
+and an event's arguments are kept as written.  Field names match the
+in-memory types, so a record is made from the fields read, as keywords.
+A parse produces (value, diagnostics); the value is usable only when the
+diagnostics list is empty.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any
 
-from .connector import (DEFAULT_LOSSLESS_CAPACITY, Endpoint, FlowPolicy,
-                        FlowSync, LossKind)
+from . import behaviors
+from .connector import Endpoint, FlowPolicy, FlowSync, LossKind
 from .container import ComponentDescriptor, Variant
 from .context import ContextNature
 from .errors import DescriptorError, ValidationError
 from .kernel import Battery, HostDescriptor, HostTier
 from .simnet import Link, SimEventKind, sim_event
 
-_COMPONENT_FIELDS = {"id", "in_ports", "out_ports", "variants", "listener",
-                     "initial_host"}
-_VARIANT_FIELDS = {"tier", "cpu_demand", "mem_demand", "behavior"}
-_CONNECTOR_FIELDS = {"id", "from", "to", "mode", "sync", "loss", "capacity",
-                     "bw_demand"}
-_HOST_FIELDS = {"id", "tier", "cpu_capacity", "mem_capacity", "power",
-                "location", "up"}
-_LINK_FIELDS = {"endpoints", "latency", "bandwidth", "up"}
-_EVENT_FIELDS = {"at", "kind", "endpoints", "host", "key", "value", "unit",
-                 "nature", "noise", "producer", "owner", "confidence",
-                 "level"}
-_EVENT_REQUIRED = {
-    SimEventKind.LINK_UP: ("endpoints",),
-    SimEventKind.LINK_DOWN: ("endpoints",),
-    SimEventKind.HOST_JOIN: ("host",),
-    SimEventKind.HOST_LEAVE: ("host",),
-    SimEventKind.SENSOR_READING: ("host", "key"),
-    SimEventKind.USER_PROFILE: ("host", "key"),
-    SimEventKind.BATTERY_SET: ("host", "level"),
-}
+REQUIRED = object()     # a table default: the record needs the field
+OPTIONAL = object()     # a table default: an absent field is left out, so
+                        # the default of the record's type holds
 
 
 @dataclass
@@ -68,62 +59,6 @@ class ScenarioScript:
     events: list = field(default_factory=list)
 
 
-def _check_fields(obj: Any, allowed: set, where: str, diags: list) -> bool:
-    """Report unknown fields; False, reported, when obj is not an object."""
-    if not isinstance(obj, dict):
-        diags.append(f"{where}: must be an object, not {obj!r}")
-        return False
-    for key in obj:
-        if key not in allowed:
-            diags.append(f"{where}: unknown field {key!r}")
-    return True
-
-
-def _section(obj: dict, key: str, where: str, diags: list) -> list:
-    """obj[key] when it is a list (empty when absent); anything else is
-    reported and read as empty."""
-    value = obj.get(key, [])
-    if isinstance(value, list):
-        return value
-    diags.append(f"{where}: {key!r} must be a list, not {value!r}")
-    return []
-
-
-_TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer"}
-
-
-def _typed(obj: dict, types: dict, where: str, diags: list) -> bool:
-    """True when each key of `types` that obj holds has exactly the JSON
-    type given there (so a boolean is no integer); each that does not is
-    reported."""
-    ok = True
-    for key, kind in types.items():
-        if key in obj and type(obj[key]) is not kind:
-            diags.append(f"{where}: {key} must be {_TYPE_NAMES[kind]}, "
-                         f"not {obj[key]!r}")
-            ok = False
-    return ok
-
-
-def _negatives(values: dict, where: str, diags: list) -> None:
-    """Report each of `values` that is below 0 or NaN (JSON as Python
-    reads it may hold NaN)."""
-    for key, value in values.items():
-        if not value >= 0:
-            diags.append(f"{where}: {key} must be >= 0, not {value!r}")
-
-
-def _ports(obj: dict, key: str, where: str, diags: list) -> tuple:
-    """obj[key] as a tuple of port names; a value that is not a list of
-    strings is reported and read as empty."""
-    ports = _section(obj, key, where, diags)
-    if all(isinstance(p, str) for p in ports):
-        return tuple(ports)
-    diags.append(f"{where}: {key!r} must be a list of strings, "
-                 f"not {ports!r}")
-    return ()
-
-
 def load_json(path: str):
     try:
         with open(path) as fh:
@@ -135,220 +70,278 @@ def load_json(path: str):
         raise DescriptorError(f"{path}: {exc}") from exc
 
 
-def parse_endpoint(text: str, where: str, diags: list) -> Optional[Endpoint]:
-    if not isinstance(text, str) or text.count(".") != 1:
-        diags.append(f"{where}: endpoint {text!r} must be 'component.port'")
+def _read(table: dict, make, raw: Any, where: str, diags: list):
+    """make(**fields) of the record `raw` read against `table`, or None
+    when raw is no object, a field is unknown or missing, or a check or
+    `make` refuses a value; each such is reported under `where`."""
+    if type(raw) is not dict:
+        diags.append(f"{where}: must be an object, not {raw!r}")
         return None
-    comp, port = text.split(".")
-    return Endpoint(comp, port)
+    before = len(diags)
+    if not raw.keys() <= table.keys():
+        diags.extend(f"{where}: unknown field {key!r}"
+                     for key in raw if key not in table)
+    fields = {}
+    for key, (check, default) in table.items():
+        if key in raw:
+            try:
+                fields[key] = check(raw[key], where, key, diags)
+            except ValidationError as exc:
+                diags.append(f"{where}: {key} {exc}")
+        elif default is REQUIRED:
+            diags.append(f"{where}: missing {key!r}")
+        elif default is not OPTIONAL:
+            fields[key] = default
+    if len(diags) == before:
+        try:
+            return make(**fields)
+        except ValidationError as exc:
+            diags.append(f"{where}: {exc}")
+    return None
+
+
+# -- checks: check(value, where, key, diags) is the value to keep of the
+# field `key` of the record at `where`, or raises ValidationError saying
+# what the value must be
+
+
+def _path(where: str, key: str) -> str:
+    """The path of a record's field; a document's are named from the
+    root: components[0], not app.components[0]."""
+    return key if where in ("app", "net", "scenario") else f"{where}.{key}"
+
+
+_JSON_TYPES = {str: "a string", bool: "a boolean", int: "an integer",
+               float: "a number", list: "a list", dict: "an object"}
+_NUMBER = (int, float)
+
+
+def _check(types, ok=None, rule: str = "", read=None):
+    """A check: the value's exact type is one of `types` (named by the
+    last; None when `ok` tests the type too), ok(value) holds, else the
+    value must be `rule`, and read(value), or the value itself, is kept."""
+    def check(value, where, key, diags):
+        if types is not None and type(value) not in types:
+            raise ValidationError(
+                f"must be {_JSON_TYPES[types[-1]]}, not {value!r}")
+        if ok is not None and not ok(value):
+            raise ValidationError(f"must be {rule}, not {value!r}")
+        return value if read is None else read(value)
+    return check
+
+
+def _one_of(names, read=None):
+    """A check: a string in `names`, read as read(name).  `names` may be
+    a live view: tests register behaviours of their own."""
+    def check(value, where, key, diags):
+        if type(value) is str and value in names:
+            return value if read is None else read(value)
+        raise ValidationError(f"must be one of {list(names)}, "
+                              f"not {value!r}")
+    return check
+
+
+def _values(enum) -> list:
+    return [member.value for member in enum]
+
+
+def _records(read_one, into=list):
+    """A check: a list whose i-th item is read by read_one(item,
+    f"{path}[{i}]", diags), `path` being the field's."""
+    def check(value, where, key, diags):
+        if type(value) is not list:
+            raise ValidationError(f"must be a list, not {value!r}")
+        path = _path(where, key)
+        return into([read_one(raw, f"{path}[{i}]", diags)
+                     for i, raw in enumerate(value)])
+    return check
+
+
+def _power(value, where, key, diags):
+    """None for mains power, or a battery."""
+    if value == "Mains":
+        return None
+    if type(value) is dict:
+        return _read(_BATTERY, Battery, value, _path(where, key), diags)
+    raise ValidationError(
+        f"must be 'Mains' or a battery object, not {value!r}")
+
+
+def _is_endpoint(text) -> bool:
+    return type(text) is str and text.count(".") == 1
+
+
+def _endpoint(text: str) -> Endpoint:
+    return Endpoint(*text.split("."))
+
+
+def _two_ids(ends) -> bool:
+    return (type(ends) is list and len(ends) == 2
+            and all(type(e) is str for e in ends))
+
+
+_TEXT = _check((str,))
+_INT = _check((int,))
+_NAME = _check((str,), bool, "non-empty")           # a context key, owner
+_FLAG = _check((bool,))
+_TICKS = _check((int,), lambda v: v >= 0, ">= 0")
+_DEMAND = _check(_NUMBER, lambda v: v >= 0, ">= 0", float)
+_SIZE = _check(_NUMBER, lambda v: v > 0, "> 0", float)
+_PORTS = _check(None, lambda v: type(v) is list and all(
+    type(p) is str for p in v), "a list of strings", tuple)
+
+_VARIANT = {
+    "tier": (_one_of(_values(HostTier)), REQUIRED),
+    "cpu_demand": (_DEMAND, REQUIRED),
+    "mem_demand": (_DEMAND, REQUIRED),
+    "behavior": (_one_of(behaviors.known()), REQUIRED),
+}
+_COMPONENT = {
+    "id": (_TEXT, REQUIRED),
+    "in_ports": (_PORTS, ()),
+    "out_ports": (_PORTS, ()),
+    "variants": (_records(partial(_read, _VARIANT, Variant), tuple),
+                 REQUIRED),
+    "listener": (_FLAG, OPTIONAL),
+    "initial_host": (_TEXT, OPTIONAL),
+}
+_CONNECTOR = {
+    "id": (_TEXT, OPTIONAL),                    # unnamed: see _app
+    "from": (_check((str,), _is_endpoint, "'component.port'", _endpoint),
+             REQUIRED),
+    "to": (_check(None, lambda v: type(v) is list and v
+                  and all(map(_is_endpoint, v)),
+                  "a non-empty list of 'component.port'",
+                  lambda v: [_endpoint(t) for t in v]), REQUIRED),
+    "mode": (_check((str,), "Push".__eq__, "'Push'"), OPTIONAL),  # it pushes
+    "sync": (_one_of(_values(FlowSync), FlowSync), OPTIONAL),
+    "loss": (_one_of(_values(LossKind), LossKind), OPTIONAL),
+    "capacity": (_check((int,), lambda v: v >= 1, ">= 1"), OPTIONAL),
+    "bw_demand": (_DEMAND, OPTIONAL),
+}
+
+
+def _connector(to, id=None, mode=None, **policy) -> ConnectorSpec:
+    return ConnectorSpec(id, policy.pop("from"), to, FlowPolicy(**policy))
+
+
+def _app(**fields) -> AppDescriptor:
+    app = AppDescriptor(**fields)
+    for i, k in enumerate(app.connectors):      # named after their index
+        if k.id is None:
+            k.id = f"k{i}"
+    return app
+
+
+_APP = {
+    "components": (_records(partial(_read, _COMPONENT, ComponentDescriptor)),
+                   OPTIONAL),
+    "connectors": (_records(partial(_read, _CONNECTOR, _connector)),
+                   OPTIONAL),
+}
+
+_BATTERY = {
+    "level": (_check(_NUMBER, lambda v: 0 <= v <= 1, "in [0, 1]", float),
+              REQUIRED),
+    "drain_per_tick": (_DEMAND, OPTIONAL),
+}
+_HOST = {
+    "id": (_TEXT, REQUIRED),
+    "tier": (_one_of(_values(HostTier), HostTier), REQUIRED),
+    "cpu_capacity": (_SIZE, REQUIRED),
+    "mem_capacity": (_SIZE, REQUIRED),
+    "power": (_power, OPTIONAL),
+    "location": (_check((list,)), OPTIONAL),    # dropped: see _host
+    "up": (_FLAG, OPTIONAL),
+}
+
+
+def _host(location=None, **fields) -> HostDescriptor:
+    """A host's position is accepted and dropped: no decision reads it."""
+    return HostDescriptor(**fields)
+
+
+_LINK = {
+    "endpoints": (_check(None, _two_ids, "a list of two host ids",
+                         frozenset), REQUIRED),
+    "latency": (_TICKS, OPTIONAL),
+    "bandwidth": (_SIZE, OPTIONAL),
+    "up": (_FLAG, OPTIONAL),
+}
+_NET = {
+    "hosts": (_records(partial(_read, _HOST, _host)), OPTIONAL),
+    "links": (_records(partial(_read, _LINK, Link)), OPTIONAL),
+}
+
+# events: one table per kind; an event's arguments are kept as written
+_SHARE = _check(_NUMBER, lambda v: 0 <= v <= 1, "in [0, 1]")
+_EVENT = {"at": (_INT, REQUIRED),               # SimEvent: >= 0
+          "kind": (_one_of(_values(SimEventKind), SimEventKind), REQUIRED)}
+_ON_HOST = {**_EVENT, "host": (_TEXT, REQUIRED)}
+_ON_LINK = {**_EVENT, "endpoints": (_check(None, _two_ids,
+                                           "a list of two host ids", tuple),
+                                    REQUIRED)}
+_CONTEXT = {
+    **_ON_HOST,
+    "key": (_NAME, REQUIRED),
+    "producer": (_TEXT, OPTIONAL),
+    "owner": (_NAME, OPTIONAL),
+    "confidence": (_SHARE, OPTIONAL),
+}
+_EVENTS = {
+    "LinkUp": _ON_LINK,
+    "LinkDown": _ON_LINK,
+    "HostJoin": _ON_HOST,
+    "HostLeave": _ON_HOST,
+    "SensorReading": {
+        **_CONTEXT,
+        "value": (_check(_NUMBER), OPTIONAL),
+        "unit": (_TEXT, OPTIONAL),
+        "nature": (_one_of(_values(ContextNature)), OPTIONAL),
+        "noise": (_check(_NUMBER, lambda v: v >= 0, ">= 0"), OPTIONAL),
+    },
+    "UserProfile": {**_CONTEXT, "value": (_TEXT, OPTIONAL)},
+    "BatterySet": {**_ON_HOST, "level": (_SHARE, REQUIRED)},
+}
+# an event of no known kind: only its kind is read
+_ANY_EVENT = {key: (_check(None), OPTIONAL)
+              for table in _EVENTS.values() for key in table}
+_ANY_EVENT["kind"] = _EVENT["kind"]
+
+
+def _event(raw: Any, where: str, diags: list):
+    kind = raw.get("kind") if type(raw) is dict else None
+    table = _EVENTS.get(kind) if type(kind) is str else None
+    return _read(table or _ANY_EVENT, sim_event, raw, where, diags)
+
+
+_SCENARIO = {
+    "duration": (_TICKS, OPTIONAL),
+    "seed": (_INT, OPTIONAL),
+    "events": (_records(_event), OPTIONAL),
+}
 
 
 def parse_app(doc: Any) -> tuple:
     diags: list = []
-    app = AppDescriptor()
-    if not isinstance(doc, dict):
-        return app, ["app: top level must be an object"]
-    _check_fields(doc, {"components", "connectors"}, "app", diags)
-    for i, raw in enumerate(_section(doc, "components", "app", diags)):
-        where = f"components[{i}]"
-        if not (_check_fields(raw, _COMPONENT_FIELDS, where, diags)
-                and _typed(raw, {"id": str, "initial_host": str,
-                                 "listener": bool}, where, diags)):
-            continue
-        variants = []
-        for j, rv in enumerate(_section(raw, "variants", where, diags)):
-            vwhere = f"{where}.variants[{j}]"
-            if not _check_fields(rv, _VARIANT_FIELDS, vwhere, diags):
-                continue
-            try:
-                v = Variant(tier=rv["tier"],
-                            cpu_demand=float(rv["cpu_demand"]),
-                            mem_demand=float(rv["mem_demand"]),
-                            behavior=rv["behavior"])
-            except KeyError as exc:
-                diags.append(f"{vwhere}: missing {exc}")
-                continue
-            except (TypeError, ValueError) as exc:
-                diags.append(f"{vwhere}: {exc}")
-                continue
-            _negatives({"cpu_demand": v.cpu_demand,
-                        "mem_demand": v.mem_demand}, vwhere, diags)
-            variants.append(v)
-        try:
-            app.components.append(ComponentDescriptor(
-                id=raw["id"],
-                in_ports=_ports(raw, "in_ports", where, diags),
-                out_ports=_ports(raw, "out_ports", where, diags),
-                variants=tuple(variants),
-                listener=raw.get("listener", False),
-                initial_host=raw.get("initial_host", "")))
-        except KeyError as exc:
-            diags.append(f"{where}: missing {exc}")
-        except Exception as exc:
-            diags.append(f"{where}: {exc}")
-    for i, raw in enumerate(_section(doc, "connectors", "app", diags)):
-        where = f"connectors[{i}]"
-        if not (_check_fields(raw, _CONNECTOR_FIELDS, where, diags)
-                and _typed(raw, {"id": str, "capacity": int}, where, diags)):
-            continue
-        src = parse_endpoint(raw.get("from", ""), where, diags)
-        sinks = [parse_endpoint(t, where, diags)
-                 for t in _section(raw, "to", where, diags)]
-        if src is None or any(s is None for s in sinks) or not sinks:
-            if not sinks:
-                diags.append(f"{where}: needs at least one sink")
-            continue
-        if raw.get("mode", "Push") != "Push":     # connectors only push
-            diags.append(f"{where}: mode must be 'Push', not {raw['mode']!r}")
-            continue
-        try:
-            policy = FlowPolicy(
-                sync=FlowSync(raw.get("sync", FlowPolicy.sync.value)),
-                loss=LossKind(raw.get("loss", FlowPolicy.loss.value)),
-                capacity=raw.get("capacity", DEFAULT_LOSSLESS_CAPACITY),
-                bw_demand=float(raw.get("bw_demand", FlowPolicy.bw_demand)))
-        except (TypeError, ValueError, ValidationError) as exc:
-            diags.append(f"{where}: {exc}")
-            continue
-        _negatives({"bw_demand": policy.bw_demand}, where, diags)
-        app.connectors.append(ConnectorSpec(
-            id=raw.get("id", f"k{i}"), source=src, sinks=sinks,
-            policy=policy))
-    return app, diags
+    return _read(_APP, _app, doc, "app", diags) or AppDescriptor(), diags
 
 
 def parse_net(doc: Any) -> tuple:
     diags: list = []
-    net = NetDescriptor()
-    if not isinstance(doc, dict):
-        return net, ["net: top level must be an object"]
-    _check_fields(doc, {"hosts", "links"}, "net", diags)
-    for i, raw in enumerate(_section(doc, "hosts", "net", diags)):
-        where = f"hosts[{i}]"
-        if not (_check_fields(raw, _HOST_FIELDS, where, diags)
-                and _typed(raw, {"id": str, "up": bool}, where, diags)):
-            continue
-        power = raw.get("power", "Mains")
-        battery = None
-        if isinstance(power, dict):
-            try:
-                battery = Battery(level=float(power["level"]),
-                                  drain_per_tick=float(
-                                      power.get("drain_per_tick", 0.0)))
-            except Exception as exc:
-                diags.append(f"{where}.power: {exc}")
-            else:
-                _negatives({"drain_per_tick": battery.drain_per_tick},
-                           f"{where}.power", diags)
-        elif power != "Mains":
-            diags.append(f"{where}: power must be 'Mains' or a battery "
-                         f"object, not {power!r}")
-        # a host's position is accepted and dropped: no decision reads it
-        if not isinstance(raw.get("location", []), list):
-            diags.append(f"{where}: location must be a list, "
-                         f"not {raw['location']!r}")
-        try:
-            net.hosts.append(HostDescriptor(
-                id=raw["id"], tier=HostTier(raw["tier"]),
-                cpu_capacity=float(raw["cpu_capacity"]),
-                mem_capacity=float(raw["mem_capacity"]),
-                power=battery,
-                up=raw.get("up", True)))
-        except KeyError as exc:
-            diags.append(f"{where}: missing {exc}")
-        except Exception as exc:
-            diags.append(f"{where}: {exc}")
-    for i, raw in enumerate(_section(doc, "links", "net", diags)):
-        where = f"links[{i}]"
-        if not (_check_fields(raw, _LINK_FIELDS, where, diags)
-                and _typed(raw, {"latency": int, "up": bool}, where, diags)):
-            continue
-        try:
-            ends = raw["endpoints"]
-            net.links.append(Link(
-                endpoints=frozenset(ends),
-                latency=raw.get("latency", 1),
-                bandwidth=float(raw.get("bandwidth", 10.0)),
-                up=raw.get("up", True)))
-        except KeyError as exc:
-            diags.append(f"{where}: missing {exc}")
-        except Exception as exc:
-            diags.append(f"{where}: {exc}")
-    return net, diags
-
-
-def _event_args(kind: SimEventKind, raw: dict, where: str,
-                diags: list) -> Optional[dict]:
-    """The event's arguments as `sim_event` takes them, or None when one of
-    them or its tick is missing or malformed (each such is reported)."""
-    args = {k: v for k, v in raw.items() if k not in ("at", "kind")}
-    ok = _typed(raw, {"at": int, **dict.fromkeys(
-        ("host", "key", "unit", "producer", "owner"), str)}, where, diags)
-    for key in _EVENT_REQUIRED[kind]:
-        if key not in args:
-            diags.append(f"{where}: missing {key!r}")
-            ok = False
-    numbers = ("level", "noise", "confidence")
-    if kind is SimEventKind.SENSOR_READING:
-        numbers += ("value",)
-    for key in numbers:
-        value = args.get(key, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            diags.append(f"{where}: {key} must be a number, not {value!r}")
-            ok = False
-        elif key in ("level", "confidence") and not 0.0 <= value <= 1.0:
-            diags.append(f"{where}: {key} must be in [0, 1], not {value!r}")
-            ok = False
-    if "endpoints" in args:
-        ends = args["endpoints"]
-        if isinstance(ends, list) and len(ends) == 2 \
-                and all(isinstance(e, str) for e in ends):
-            args["endpoints"] = tuple(ends)
-        else:
-            diags.append(f"{where}: endpoints must be a list of two host "
-                         f"ids, not {ends!r}")
-            ok = False
-    natures = [n.value for n in ContextNature]
-    if args.get("nature", natures[0]) not in natures:
-        diags.append(f"{where}: nature must be one of {natures}, "
-                     f"not {args['nature']!r}")
-        ok = False
-    return args if ok else None
+    return (_read(_NET, NetDescriptor, doc, "net", diags) or NetDescriptor(),
+            diags)
 
 
 def parse_scenario(doc: Any) -> tuple:
     diags: list = []
-    sc = ScenarioScript()
-    if not isinstance(doc, dict):
-        return sc, ["scenario: top level must be an object"]
-    _check_fields(doc, {"duration", "seed", "events"}, "scenario", diags)
-    for key in ("duration", "seed"):
-        value = doc.get(key, 0)
-        if isinstance(value, int) and not isinstance(value, bool):
-            setattr(sc, key, value)
-        else:
-            diags.append(f"scenario: {key} must be an integer, "
-                         f"not {value!r}")
-    _negatives({"duration": sc.duration}, "scenario", diags)
-    for i, raw in enumerate(_section(doc, "events", "scenario", diags)):
-        where = f"events[{i}]"
-        if not _check_fields(raw, _EVENT_FIELDS, where, diags):
-            continue
-        try:
-            kind = SimEventKind(raw["kind"])
-            args = _event_args(kind, raw, where, diags)
-            if args is None:
-                continue
-            ev = sim_event(raw["at"], kind, **args)
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            diags.append(f"{where}: {exc}")
-            continue
+    sc = (_read(_SCENARIO, ScenarioScript, doc, "scenario", diags)
+          or ScenarioScript())
+    for i, ev in enumerate(sc.events):
         if ev.at > sc.duration:
-            diags.append(f"{where}: tick {ev.at} beyond duration "
+            diags.append(f"events[{i}]: tick {ev.at} beyond duration "
                          f"{sc.duration}")
-            continue
-        sc.events.append(ev)
-    return sc, diags
+    return (ScenarioScript() if diags else sc), diags
 
 
 def validate(app: AppDescriptor, net: NetDescriptor) -> list:

@@ -33,8 +33,8 @@ _ABSENT = object()          # a map (checkpointed, or a memo) had no entry
 @dataclass
 class Link(TopologyFlag):
     endpoints: frozenset            # of two host ids
-    latency: int
-    bandwidth: float
+    latency: int = 1
+    bandwidth: float = 10.0
     up: bool = True
 
     def __post_init__(self):
@@ -125,8 +125,8 @@ class World:
         rt = self.hosts[desc.id] = HostRuntime(desc=desc)
         return rt
 
-    def add_link(self, a: str, b: str, latency: int = 1,
-                 bandwidth: float = 10.0, up: bool = True) -> Link:
+    def add_link(self, a: str, b: str, latency: int = Link.latency,
+                 bandwidth: float = Link.bandwidth, up: bool = True) -> Link:
         for end in (a, b):
             if end not in self.hosts:
                 raise ValidationError(f"link endpoint {end} unknown")

@@ -285,6 +285,19 @@ def _event(**event):
     return {"duration": 30, "events": [{"at": 2, **event}]}
 
 
+def _with_variant(field, value):
+    doc = load(APP)
+    doc["components"][0]["variants"][0][field] = value
+    return doc
+
+
+def _with_battery(change):
+    """net.json with h3's battery object changed by `change`."""
+    doc = load(NET)
+    change(doc["hosts"][2]["power"])
+    return doc
+
+
 @pytest.mark.parametrize("which, doc, diag", [
     ("scenario", {"duration": "x"},
      "scenario: duration must be an integer, not 'x'"),
@@ -293,7 +306,7 @@ def _event(**event):
     ("scenario", {"duration": 30, "events": ["oops"]},
      "events[0]: must be an object, not 'oops'"),
     ("scenario", {"duration": 30, "events": 5},
-     "scenario: 'events' must be a list, not 5"),
+     "scenario: events must be a list, not 5"),
     ("scenario", {"duration": 30, "events": [
         {"at": -1, "kind": "HostLeave", "host": "h2"}]},
      "events[0]: event tick must be >= 0"),
@@ -302,7 +315,7 @@ def _event(**event):
     ("app", _with_component("variants", [{"tier": "Full", "cpu_demand": "x",
                                           "mem_demand": 1.0,
                                           "behavior": "sink"}]),
-     "components[0].variants[0]: could not convert"),
+     "components[0].variants[0]: cpu_demand must be a number, not 'x'"),
     ("app", _with(APP, "connectors", [{"from": "reader.out",
                                        "to": ["relay.in"],
                                        "capacity": None}]),
@@ -320,9 +333,9 @@ def _event(**event):
     ("net", _with_first(NET, "hosts", "id", ["h1"]),
      "hosts[0]: id must be a string, not ['h1']"),
     ("app", _with_component("out_ports", "out"),
-     "components[0]: 'out_ports' must be a list, not 'out'"),
+     "components[0]: out_ports must be a list of strings, not 'out'"),
     ("app", _with_first(APP, "components", "in_ports", ["in", 7]),
-     "components[0]: 'in_ports' must be a list of strings, not ['in', 7]"),
+     "components[0]: in_ports must be a list of strings, not ['in', 7]"),
     ("scenario", {"duration": 30, "events": [
         {"at": 2.5, "kind": "HostLeave", "host": "h2"}]},
      "events[0]: at must be an integer, not 2.5"),
@@ -372,7 +385,7 @@ def _event(**event):
     ("app", _with_component("variants", [{"tier": "Full", "cpu_demand": -1,
                                           "mem_demand": 1.0,
                                           "behavior": "source"}]),
-     "components[0].variants[0]: cpu_demand must be >= 0, not -1.0"),
+     "components[0].variants[0]: cpu_demand must be >= 0, not -1"),
     ("app", _with_component("variants", [{"tier": "Full", "cpu_demand": 1,
                                           "mem_demand": -0.5,
                                           "behavior": "source"}]),
@@ -385,7 +398,7 @@ def _event(**event):
     ("app", _with(APP, "connectors", [{"from": "reader.out",
                                        "to": ["relay.in"],
                                        "bw_demand": -2}]),
-     "connectors[0]: bw_demand must be >= 0, not -2.0"),
+     "connectors[0]: bw_demand must be >= 0, not -2"),
     ("scenario", {"duration": -1}, "scenario: duration must be >= 0, not -1"),
     ("net", _with_first(NET, "hosts", "location", 5),
      "hosts[0]: location must be a list, not 5"),
@@ -407,6 +420,46 @@ def _event(**event):
                                        "loss": "KeepLatest",
                                        "capacity": -3}]),
      "connectors[0]: capacity must be >= 1, not -3"),
+    # number fields that `run` coerced with float()
+    ("net", _with_first(NET, "hosts", "cpu_capacity", "8"),
+     "hosts[0]: cpu_capacity must be a number, not '8'"),
+    ("net", _with_first(NET, "links", "bandwidth", True),
+     "links[0]: bandwidth must be a number, not True"),
+    ("app", _with_variant("cpu_demand", "1.5"),
+     "components[0].variants[0]: cpu_demand must be a number, not '1.5'"),
+    ("app", _with_variant("mem_demand", True),
+     "components[0].variants[0]: mem_demand must be a number, not True"),
+    ("app", _with_first(APP, "connectors", "bw_demand", "1"),
+     "connectors[0]: bw_demand must be a number, not '1'"),
+    ("net", _with_first(NET, "hosts", "mem_capacity", False),
+     "hosts[0]: mem_capacity must be a number, not False"),
+    ("net", _with_battery(lambda p: p.update(level="0.9")),
+     "hosts[2].power: level must be a number, not '0.9'"),
+    ("net", _with_battery(lambda p: p.update(drain_per_tick=True)),
+     "hosts[2].power: drain_per_tick must be a number, not True"),
+    # values `run` took as they were
+    ("app", _with_variant("tier", "Bogus"),
+     "components[0].variants[0]: tier must be one of "
+     "['Full', 'LightStd', 'LightMin'], not 'Bogus'"),
+    ("app", _with_variant("tier", 5),
+     "components[0].variants[0]: tier must be one of "
+     "['Full', 'LightStd', 'LightMin'], not 5"),
+    ("net", _with_battery(lambda p: p.update(colour="red")),
+     "hosts[2].power: unknown field 'colour'"),
+    ("net", _with_first(NET, "links", "endpoints", "h1"),
+     "links[0]: endpoints must be a list of two host ids, not 'h1'"),
+    ("net", _with_first(NET, "links", "endpoints", ["h1", "h2", 3]),
+     "links[0]: endpoints must be a list of two host ids, "
+     "not ['h1', 'h2', 3]"),
+    ("scenario", _event(kind="HostLeave", host="h2", level=0.5),
+     "events[0]: unknown field 'level'"),
+    ("scenario", _event(kind="SensorReading", host="h3", key="temp",
+                        value=1.0, noise=-0.5),
+     "events[0]: noise must be >= 0, not -0.5"),
+    # reworded: the text of a KeyError was the diagnostic
+    ("net", _with_battery(lambda p: p.pop("level")),
+     "hosts[2].power: missing 'level'"),
+    ("scenario", _event(host="h2"), "events[0]: missing 'kind'"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
@@ -422,6 +475,39 @@ def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
         assert cli.main(argv + ["--app", paths["app"],
                                 "--net", paths["net"]]) == 1
         assert diag in capsys.readouterr().out
+
+
+def test_an_unknown_behavior_is_a_diagnostic(tmp_path, capsys):
+    """`validate` passed it, and `run` raised out of `World.step`."""
+    doc = load(APP)
+    doc["components"][1]["variants"][0]["behavior"] = "nosuch"
+    app = write(tmp_path, "app.json", doc)
+    diag = "components[1].variants[0]: behavior must be one of ["
+    for argv in (["validate"], ["run", "--scenario", SCENARIO,
+                                "--trace", str(tmp_path / "run.trace")]):
+        assert cli.main(argv + ["--app", app, "--net", NET]) == 1
+        captured = capsys.readouterr()
+        assert diag in captured.out and "'nosuch'" in captured.out
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("event, diag", [
+    ({"kind": "SensorReading", "host": "h3", "key": "", "value": 1.0},
+     "events[0]: key must be non-empty, not ''"),
+    ({"kind": "UserProfile", "host": "h1", "key": "user.mode",
+      "value": "mobile", "owner": ""},
+     "events[0]: owner must be non-empty, not ''"),
+], ids=["key", "owner"])
+def test_an_empty_context_key_or_owner_is_a_diagnostic(tmp_path, capsys,
+                                                       event, diag):
+    """Both parsed, and `run` raised out of `World.step`."""
+    sc = write(tmp_path, "sc.json",
+               {"duration": 30, "events": [{"at": 2, **event}]})
+    assert cli.main(["run", "--app", APP, "--net", NET, "--scenario", sc,
+                     "--trace", str(tmp_path / "run.trace")]) == 1
+    captured = capsys.readouterr()
+    assert diag in captured.out
+    assert "Traceback" not in captured.err
 
 
 class TestBuildWorld:
