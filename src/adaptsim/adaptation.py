@@ -8,8 +8,10 @@ directly, or alert first and reconfigure after a grace period.
 
 from __future__ import annotations
 
-import itertools
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import add
 from typing import Optional
 
 from . import kernel
@@ -189,9 +191,22 @@ def _link_fit(routes: kernel.Routes, links: dict, src: str, dsts: list,
     return score
 
 
+def _plain_sum(terms) -> float:
+    """The terms added left to right: raising one never lowers the sum."""
+    return reduce(add, terms, 0.0)
+
+
+# `_bound` needs a sum that never falls when a term rises.  Up to Python
+# 3.11, `sum` adds floats left to right, about three times as fast as
+# `_plain_sum`; from 3.12 on it compensates (Neumaier, gh-100425), which is
+# not monotone.
+_sum = sum if sys.version_info < (3, 12) else _plain_sum
+
+
 def _mean(terms) -> float:
-    """The mean of a list of terms, 1 when there are none."""
-    return sum(terms) / len(terms) if terms else 1.0
+    """The mean of a list of terms, 1 when there are none.  Raising a term
+    never lowers it."""
+    return _sum(terms) / len(terms) if terms else 1.0
 
 
 def _global_score(resource, link, battery: float) -> float:
@@ -271,11 +286,11 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
                       report: Optional[QoSReport] = None):
     """Choose the best re-placement of the affected components.
 
-    Exhaustive over all candidate assignments when the space is small,
-    greedy single-move hill climbing otherwise.  Ties fall to the fewest
-    moves, then the lexicographically least assignment.  Returns a
-    DeploymentPlan, INFEASIBLE when some component has no candidate host,
-    or None when nothing is affected.
+    Exact when the space of candidate assignments is small (see
+    `_depth_first`), greedy single-move hill climbing otherwise.  Ties fall
+    to the fewest moves, then the lexicographically least assignment.
+    Returns a DeploymentPlan, INFEASIBLE when some component has no
+    candidate host, or None when nothing is affected.
     """
     if report is None:
         report = evaluate_qos(model, obs, descriptors)
@@ -316,9 +331,7 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
     for cid in affected:
         space *= len(candidates[cid])
     if space <= EXHAUSTIVE_LIMIT:
-        key, assignment = best(
-            dict(zip(affected, combo)) for combo in
-            itertools.product(*(candidates[c] for c in affected)))
+        key, assignment = _depth_first(cache, affected, candidates, rank)
         best_score = -key[0]
     else:
         assignment = {}
@@ -340,13 +353,59 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
                           assignment=assignment)
 
 
+def _depth_first(cache, affected: list, candidates: dict, rank):
+    """(rank key, assignment) of the least `rank` key over every candidate
+    assignment, as `min` over all of them would give.
+
+    Places the components depth-first in `affected` order, which is
+    sorted, each on its current host first when that is a candidate, then
+    on its other candidates in sorted order, and ranks each complete
+    assignment.  A partial assignment is cut when the least key any of its
+    completions can have ranks after the best so far: minus its `_bound`,
+    its moves plus the moves forced later (a component whose current host
+    is no candidate), then its own items, which lead every completion's.
+    No float margin: ties are common, and the bound holds for the computed
+    floats.
+    """
+    comps = cache.model.components
+    orders = [sorted(candidates[c], key=lambda h, c=c: h != comps[c].host)
+              for c in affected]
+    forced = [sum(comps[c].host not in candidates[c] for c in affected[i:])
+              for i in range(len(affected) + 1)]
+    best = None
+    partial = {}
+    stack = [iter(orders[0])]
+    while stack:
+        depth = len(stack) - 1
+        hid = next(stack[-1], None)
+        if hid is None:
+            stack.pop()
+            del partial[affected[depth]]
+            continue
+        partial[affected[depth]] = hid
+        if depth + 1 == len(affected):
+            key = rank(partial)
+            if best is None or key < best[0]:
+                best = (key, dict(partial))
+            continue
+        if best is not None:
+            moves = sum(1 for c, h in partial.items() if comps[c].host != h)
+            least = (-_bound(cache, partial), moves + forced[depth + 1],
+                     tuple(partial.items()))
+            if least > best[0]:
+                continue
+        stack.append(iter(orders[depth + 1]))
+    return best
+
+
 class _ScoreCache:
     """The cycle's report with the affected components lifted off their
     hosts, kept term by term in `evaluate_qos`'s sorted-id order.
 
     Holds each host's free capacity, the resource term of every unaffected
-    component, the link term of every connector with no affected endpoint,
-    and the lowest battery level among the hosts unaffected components use.
+    component, the link term of every connector with no affected endpoint
+    (1 for the others), and the lowest battery level among the hosts
+    unaffected components use.
     A candidate assignment can change none of these but the resource terms
     on the hosts it charges, so `_score_assignment` recomputes only those,
     the affected components' own terms and the link terms of connectors
@@ -390,6 +449,8 @@ class _ScoreCache:
             self.residents.setdefault(mc.host, []).append((i, demand))
             if mc.host in left:
                 self.resource[i] = _fit(*self.free[mc.host], *demand)
+        # A connector with an affected end scores 1, the most a route can,
+        # until every such end is placed.
         self.touched = []               # (term index, endpoints, demand)
         self.link = list(report.link.values())
         for i, kid in enumerate(report.link):
@@ -397,19 +458,34 @@ class _ScoreCache:
             ends = [mk.source.component] + [s.component for s in mk.sinks]
             if all(c in comps for c in ends) and not moved.isdisjoint(ends):
                 self.touched.append((i, ends, mk.policy.bw_demand))
+                self.link[i] = 1.0
         self.levels = {hid: ho.battery for hid, ho in obs.hosts.items()
                        if ho.up and ho.battery is not None}
         used = {mc.host for cid, mc in comps.items() if cid not in moved}
         self.battery = min((self.levels[h] for h in used
                             if h in self.levels), default=None)
 
+    @cached_property
+    def alone(self) -> dict:
+        """Affected component -> the best resource term it gets alone on a
+        lifted candidate host.  The descriptors admit no negative demand, so
+        more load on that host gives it no more.  Only `_bound` reads it."""
+        alone = {}
+        for (cid, hid), (cpu_d, mem_d) in self.demand.items():
+            cpu, mem = self.free[hid]
+            fit = _fit(cpu - cpu_d, mem - mem_d, cpu_d, mem_d)
+            alone[cid] = max(fit, alone.get(cid, fit))
+        return alone
 
-def _score_assignment(cache: _ScoreCache, assignment: dict) -> float:
-    """The global score `evaluate_qos` gives the deployment with each
-    affected component on its assigned host, at that host's tier, charged
-    to that host's free capacity.  Every assigned host is up."""
+
+def _terms(cache: _ScoreCache, placed: dict) -> tuple:
+    """(resource terms, link terms, battery) with each affected component
+    in `placed` on its host, at that host's tier, charged to that host's
+    free capacity, in `placed` order.  Every placed host is up.  Another
+    affected component keeps its lifted resource term, 0, and a connector
+    with such an end its link term, 1."""
     free = {}
-    for cid, hid in assignment.items():
+    for cid, hid in placed.items():
         cpu_d, mem_d = cache.demand[cid, hid]
         cpu, mem = free[hid] if hid in free else cache.free[hid]
         free[hid] = (cpu - cpu_d, mem - mem_d)
@@ -417,21 +493,47 @@ def _score_assignment(cache: _ScoreCache, assignment: dict) -> float:
     for hid, (cpu, mem) in free.items():
         for i, demand in cache.residents.get(hid, ()):
             resource[i] = _fit(cpu, mem, *demand)
-    for cid, hid in assignment.items():
+    for cid, hid in placed.items():
         resource[cache.slot[cid]] = _fit(*free[hid], *cache.demand[cid, hid])
     link = list(cache.link)
     comps = cache.model.components
     for i, ends, bw_demand in cache.touched:
-        hosts = [assignment[c] if c in assignment else comps[c].host
-                 for c in ends]
-        link[i] = _link_fit(cache.routes, cache.links, hosts[0], hosts[1:],
-                            bw_demand)
+        hosts = [placed[c] if c in placed else
+                 None if c in cache.slot else comps[c].host for c in ends]
+        if None not in hosts:
+            link[i] = _link_fit(cache.routes, cache.links, hosts[0],
+                                hosts[1:], bw_demand)
     battery = cache.battery
     for hid in free:
         level = cache.levels.get(hid)
         if level is not None and (battery is None or level < battery):
             battery = level
-    return _global_score(resource, link, 1.0 if battery is None else battery)
+    return resource, link, 1.0 if battery is None else battery
+
+
+def _score_assignment(cache: _ScoreCache, assignment: dict) -> float:
+    """The global score `evaluate_qos` gives the deployment with each
+    affected component on its assigned host, at that host's tier, charged
+    to that host's free capacity.  Every assigned host is up."""
+    return _global_score(*_terms(cache, assignment))
+
+
+def _bound(cache: _ScoreCache, partial: dict) -> float:
+    """No less than `_score_assignment` of any completion of `partial`.
+
+    Each term is no less than in a completion: an affected component not
+    placed charges nothing and scores its best fit alone, a connector with
+    such an end scores 1, and the battery minimum leaves out the hosts of
+    the components not placed.  Subtracting a demand, `_fit`, `_link_fit`,
+    `min` and `_mean` are all monotone, and the terms keep
+    `_score_assignment`'s order, so this holds for the computed floats, not
+    only for the reals.
+    """
+    resource, link, battery = _terms(cache, partial)
+    for cid, fit in cache.alone.items():
+        if cid not in partial:
+            resource[cache.slot[cid]] = fit
+    return _global_score(resource, link, battery)
 
 
 # -- control loop ----------------------------------------------------------

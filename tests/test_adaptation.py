@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -515,6 +516,187 @@ class TestIncrementalScoring:
             monkeypatch.undo()
             assert counts == {"_fit": residents, "_link_fit": 0}
         assert residents == 1
+
+
+# -- the exact search against ranking every assignment ---------------------
+
+def nonnegative(deployment):
+    """The deployment with each demand at its magnitude.  The descriptors
+    reject a negative demand, and the search's bound charges nothing for a
+    component not yet placed, which bounds only demands that take
+    capacity."""
+    m, o, ds, tiers = deployment
+    ds = {cid: replace(d, variants=tuple(
+        replace(v, cpu_demand=abs(v.cpu_demand), mem_demand=abs(v.mem_demand))
+        for v in d.variants)) for cid, d in ds.items()}
+    return m, o, ds, tiers
+
+
+def failover(hosts, sources=("src",)):
+    """A failover replan's shape: each of `sources` stranded on a down host,
+    their cut-off peer `mid` on h01, and `hosts` roomy up hosts in a row of
+    wide links, so every placement scores the same."""
+    up = [f"h{i:02d}" for i in range(hosts)]
+    spec = {"down": (False, 0, 0, None)}
+    spec.update({h: (True, 8, 8, None) for h in up})
+    return (model_of({"mid": "h01", **{s: "down" for s in sources}},
+                     {f"k{s}": (s, "mid", 1.0) for s in sources}),
+            obs_of(spec, [(a, b, 100.0) for a, b in zip(up, up[1:])]),
+            {c: desc(c) for c in ("mid",) + tuple(sources)},
+            {h: "Full" for h in spec})
+
+
+def search_space(m, o, ds, tiers):
+    """(report, affected, candidates) as `select_deployment` finds them."""
+    report = evaluate_qos(m, o, ds)
+    affected = affected_components(m, report, o)
+    candidates = {c: [h for h in sorted(o.hosts) if o.hosts[h].up
+                      and ds[c].variant_for(tiers[h]) is not None]
+                  for c in affected}
+    return report, affected, candidates
+
+
+def ranked_exhaustively(m, o, ds, tiers):
+    """(assignment, score, commands) of the least rank key, as
+    `select_deployment` ranks plans, over every candidate assignment, each
+    scored by a full `evaluate_qos`; None or INFEASIBLE as it returns."""
+    _, affected, candidates = search_space(m, o, ds, tiers)
+    if not affected:
+        return None
+    if not all(candidates.values()):
+        return INFEASIBLE
+
+    def rank(a):
+        score = reference_score(m, o, ds, affected, a,
+                                {c: tiers[h] for c, h in a.items()})
+        moves = sum(1 for c, h in a.items() if m.components[c].host != h)
+        return -score, moves, tuple(sorted(a.items()))
+    key, a = min(((rank(a), a) for a in (
+        dict(zip(affected, combo)) for combo in
+        itertools.product(*(candidates[c] for c in affected)))),
+        key=lambda ranked: ranked[0])
+    return a, -key[0], [Move(c, h) for c, h in sorted(a.items())
+                        if m.components[c].host != h]
+
+
+# b on a down host, a on h0, both ends of a cut-off connector
+DOWN = (model_of({"a": "h0", "b": "h1"}, {"k": ("a", "b", 1.0)}),
+        obs_of({"h0": (True, 1.5, 8, 0.4), "h1": (False, 0, 0, None),
+                "h2": (True, 1.0, 8, None), "h3": (True, 2.5, 0.5, 0.9)},
+               [("h0", "h2", 0.8), ("h2", "h3", 4.0)]),
+        {"a": desc("a"), "b": desc("b", mem=0.5)},
+        {h: "Full" for h in ("h0", "h1", "h2", "h3")})
+# a runs at LightStd on a LightStd host, and has only a Full variant
+NO_VARIANT = (
+    model_of({"a": "h1", "b": "down"}, {"k": ("b", "a", 1.0)}),
+    obs_of({"h0": (True, 1.0, 8, None), "h1": (True, 0.5, 8, None),
+            "h2": (True, 4.0, 8, 0.5), "down": (False, 0, 0, None)},
+           [("h0", "h1", 2.0), ("h1", "h2", 2.0)]),
+    {"a": desc("a", tiers=("Full",)), "b": desc("b")},
+    {"h0": "Full", "h1": "LightStd", "h2": "Full", "down": "Full"})
+NO_VARIANT[0].components["a"] = replace(NO_VARIANT[0].components["a"],
+                                        tier="LightStd")
+# a and b starve each other on h1: moving either one off scores best, and
+# the plan that moves a sorts first though the search tries b's move first
+SWAP = (model_of({"a": "h1", "b": "h1"}),
+        obs_of({"h0": (True, 8, 8, None), "h1": (True, 0.2, 8, None)}),
+        {c: desc(c, cpu=1.0, mem=0.5) for c in "ab"},
+        {"h0": "Full", "h1": "Full"})
+# three components stranded: the best plan lies in the last subtree
+THREE = (model_of({c: "dead" for c in "abc"}),
+         obs_of({"dead": (False, 0, 0, None), "h0": (True, 2.0, 8, 0.6),
+                 "h1": (True, 2.0, 8, None), "h2": (True, 9.0, 8, None)}),
+         {"a": desc("a", cpu=6.0), "b": desc("b"), "c": desc("c")},
+         {h: "Full" for h in ("dead", "h0", "h1", "h2")})
+
+
+class TestDepthFirstSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(deployments().map(nonnegative))
+    @example(failover(4))               # a flat landscape: every plan ties
+    @example(DOWN)
+    @example(NO_VARIANT)
+    @example(SWAP)
+    @example(THREE)
+    @example(failover(3, ("s1", "s2")))
+    def test_the_plan_is_the_least_rank_over_every_assignment(
+            self, deployment):
+        plan = select_deployment(*deployment)
+        want = ranked_exhaustively(*deployment)
+        if plan is None or plan is INFEASIBLE:
+            assert plan is want
+        else:
+            assert (plan.assignment, plan.expected_qos, plan.commands) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(deployments().map(nonnegative))
+    @example(failover(4))
+    @example(DOWN)
+    @example(NO_VARIANT)
+    @example(SWAP)
+    @example(THREE)
+    @example(failover(3, ("s1", "s2")))
+    def test_a_bound_is_no_less_than_any_completion_scores(self, deployment):
+        m, o, ds, tiers = deployment
+        report, affected, candidates = search_space(m, o, ds, tiers)
+        if not all(candidates.values()):
+            return
+        cache = adaptation._ScoreCache(m, o, ds, report, affected,
+                                       candidates, tiers)
+        # a partial assignment, None where a component is not placed
+        bound = {}
+        for partial in itertools.product(
+                *([None] + candidates[c] for c in affected)):
+            bound[partial] = adaptation._bound(cache, {
+                c: h for c, h in zip(affected, partial) if h is not None})
+        for combo in itertools.product(*(candidates[c] for c in affected)):
+            score = adaptation._score_assignment(
+                cache, dict(zip(affected, combo)))
+            for placed in itertools.product((False, True),
+                                            repeat=len(affected)):
+                assert bound[tuple(h if keep else None for h, keep
+                                   in zip(combo, placed))] >= score
+
+    @pytest.mark.parametrize("sources", [("src",), ("s1", "s2")])
+    def test_a_failover_replan_scores_each_host_once(self, monkeypatch,
+                                                     sources):
+        hosts = 12
+        calls = {"_score_assignment": 0, "_bound": 0}
+        for name in calls:
+            fn = getattr(adaptation, name)
+            monkeypatch.setattr(adaptation, name,
+                                lambda *a, fn=fn, name=name:
+                                calls.__setitem__(name, calls[name] + 1)
+                                or fn(*a))
+        plan = select_deployment(*failover(hosts, sources))
+        # mid stays and the last source tries every host; mid's other hosts
+        # are cut for their moves, an earlier source's for sorting later
+        assert calls == {"_score_assignment": hosts,
+                         "_bound": len(sources) * (hosts - 1)}
+        assert plan.assignment == {"mid": "h01",
+                                   **{s: "h00" for s in sources}}
+        assert plan.commands == [Move(s, "h00") for s in sources]
+
+
+class TestMean:
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason=(
+        "sum() of floats is compensated from Python 3.12 on (gh-100425), "
+        "so it may round otherwise than adding left to right"))
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1))
+    def test_the_mean_is_sum_over_len(self, terms):
+        # the sum used from Python 3.12 on gives the bits `sum` gives before
+        values = dict(enumerate(terms)).values()
+        for ts in (terms, values):
+            assert adaptation._mean(ts).hex() == (sum(ts) / len(ts)).hex()
+            assert adaptation._plain_sum(ts).hex() == sum(ts).hex()
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1), st.data())
+    def test_raising_a_term_never_lowers_the_mean(self, terms, data):
+        i = data.draw(st.integers(0, len(terms) - 1))
+        raised = list(terms)
+        raised[i] = data.draw(st.floats(terms[i], 1.0))
+        assert adaptation._mean(raised) >= adaptation._mean(terms)
+        assert adaptation._plain_sum(raised) >= adaptation._plain_sum(terms)
 
 
 def charged(obs, model, placed):

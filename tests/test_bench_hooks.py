@@ -11,7 +11,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import sim  # noqa: E402
 import spans  # noqa: E402
-from adaptsim import cli, descriptors  # noqa: E402
+from adaptsim import adaptation, cli, descriptors  # noqa: E402
 from adaptsim.adaptation import Coordinator  # noqa: E402
 from adaptsim.connector import ConnectorInstance  # noqa: E402
 from adaptsim.container import ContainerInstance  # noqa: E402
@@ -32,7 +32,10 @@ def test_the_traced_layers_find_every_method_they_wrap():
             (World, ("host_of", "connector_transit", "runtime_snapshot",
                      "step")),
             (ContainerInstance, ("process_step",)),
-            (ContextStore, ("put", "query"))):
+            (ContextStore, ("put", "query")),
+            (adaptation, ("observe", "evaluate_qos", "_obs_path",
+                          "select_deployment", "_score_assignment")),
+            (Coordinator, ("run_cycle",))):
         for attr in attrs:
             assert (owner, attr) in names
 
