@@ -8,7 +8,6 @@ directly, or alert first and reconfigure after a grace period.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
@@ -191,22 +190,12 @@ def _link_fit(routes: kernel.Routes, links: dict, src: str, dsts: list,
     return score
 
 
-def _plain_sum(terms) -> float:
-    """The terms added left to right: raising one never lowers the sum."""
-    return reduce(add, terms, 0.0)
-
-
-# `_bound` needs a sum that never falls when a term rises.  Up to Python
-# 3.11, `sum` adds floats left to right, about three times as fast as
-# `_plain_sum`; from 3.12 on it compensates (Neumaier, gh-100425), which is
-# not monotone.
-_sum = sum if sys.version_info < (3, 12) else _plain_sum
-
-
 def _mean(terms) -> float:
-    """The mean of a list of terms, 1 when there are none.  Raising a term
-    never lowers it."""
-    return _sum(terms) / len(terms) if terms else 1.0
+    """The mean of a list of terms, 1 when there are none.  The terms are
+    added left to right, so raising one never lowers the mean: from Python
+    3.12 on `sum` compensates (Neumaier, gh-100425), which is not
+    monotone."""
+    return reduce(add, terms, 0.0) / len(terms) if terms else 1.0
 
 
 def _global_score(resource, link, battery: float) -> float:
@@ -468,8 +457,8 @@ class _ScoreCache:
     @cached_property
     def alone(self) -> dict:
         """Affected component -> the best resource term it gets alone on a
-        lifted candidate host.  The descriptors admit no negative demand, so
-        more load on that host gives it no more.  Only `_bound` reads it."""
+        lifted candidate host.  A variant admits no negative demand, so more
+        load on that host gives it no more.  Only `_bound` reads it."""
         alone = {}
         for (cid, hid), (cpu_d, mem_d) in self.demand.items():
             cpu, mem = self.free[hid]

@@ -63,6 +63,13 @@ class Variant:
     mem_demand: float
     behavior: str
 
+    def __post_init__(self):
+        # the placement search's bound needs demands that take capacity
+        for name in ("cpu_demand", "mem_demand"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValidationError(f"{name} must be >= 0, not {value!r}")
+
 
 @dataclass(frozen=True)
 class ComponentDescriptor:

@@ -44,6 +44,13 @@ def wire(src, dst, policy=None, conn_id="k"):
     return k
 
 
+@pytest.mark.parametrize("cpu, mem", [(-0.5, 1.0), (1.0, -1e-9),
+                                      (float("nan"), 1.0)])
+def test_a_variant_rejects_a_demand_that_gives_capacity(cpu, mem):
+    with pytest.raises(ValidationError, match="demand must be >= 0"):
+        Variant("Full", cpu, mem, "identity")
+
+
 class TestLifecycle:
     def test_legal_chain(self):
         c = ContainerInstance(descriptor(), "Full")
