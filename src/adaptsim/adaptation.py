@@ -58,6 +58,7 @@ class QoSReport:
     battery: float
     global_score: float
     at: int
+    means: tuple                # `_mean` of the resource, of the link terms
 
 
 class Infeasible:
@@ -198,25 +199,25 @@ def _mean(terms) -> float:
     return reduce(add, terms, 0.0) / len(terms) if terms else 1.0
 
 
-def _global_score(resource, link, battery: float) -> float:
+def _global_score(rmean: float, lmean: float, battery: float) -> float:
     w_r, w_l, w_b = QOS_WEIGHTS
-    return w_r * _mean(resource) + w_l * _mean(link) + w_b * battery
+    return w_r * rmean + w_l * lmean + w_b * battery
 
 
 def _report(model: ArchitectureModel, obs: Observation, resource: dict,
-            link: dict) -> QoSReport:
-    """The report of these resource and link terms, with the battery term
-    read from `obs`: the worst level among the up battery-powered hosts in
+            link: dict, means: tuple) -> QoSReport:
+    """The report of these resource and link terms, whose `_mean`s are
+    `means`, with the battery term read from `obs`: the worst level among the up battery-powered hosts in
     use, 1 when there is none.  An empty model scores 1."""
     if not model.components:
-        return QoSReport({}, {}, 1.0, 1.0, obs.at)
+        return QoSReport({}, {}, 1.0, 1.0, obs.at, (1.0, 1.0))
     used = {mc.host for mc in model.components.values()}
     levels = [obs.hosts[h].battery for h in used
               if obs.hosts.get(h) and obs.hosts[h].up
               and obs.hosts[h].battery is not None]
     battery = min(levels) if levels else 1.0
-    g = _global_score(resource.values(), link.values(), battery)
-    return QoSReport(resource, link, battery, g, obs.at)
+    return QoSReport(resource, link, battery,
+                     _global_score(*means, battery), obs.at, means)
 
 
 def evaluate_qos(model: ArchitectureModel, obs: Observation,
@@ -246,7 +247,8 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation,
             0.0 if src_c is None or len(hosts) < len(mk.sinks)
             else _link_fit(_obs_routes(obs), obs.links, src_c.host, hosts,
                            mk.policy.bw_demand))
-    return _report(model, obs, resource, link)
+    return _report(model, obs, resource, link,
+                   (_mean(resource.values()), _mean(link.values())))
 
 
 # -- placement search ------------------------------------------------------
@@ -504,7 +506,8 @@ def _score_assignment(cache: _ScoreCache, assignment: dict) -> float:
     """The global score `evaluate_qos` gives the deployment with each
     affected component on its assigned host, at that host's tier, charged
     to that host's free capacity.  Every assigned host is up."""
-    return _global_score(*_terms(cache, assignment))
+    resource, link, battery = _terms(cache, assignment)
+    return _global_score(_mean(resource), _mean(link), battery)
 
 
 def _bound(cache: _ScoreCache, partial: dict) -> float:
@@ -522,7 +525,7 @@ def _bound(cache: _ScoreCache, partial: dict) -> float:
     for cid, fit in cache.alone.items():
         if cid not in partial:
             resource[cache.slot[cid]] = fit
-    return _global_score(resource, link, battery)
+    return _global_score(_mean(resource), _mean(link), battery)
 
 
 # -- control loop ----------------------------------------------------------
@@ -551,7 +554,8 @@ class Coordinator:
         host, model version and topology version.  Nothing else they read
         moves but the batteries, which move every tick and with no version
         (a BatterySet can give a mains host one), so every cycle re-reads
-        each reachable host's battery and the battery term.
+        each reachable host's battery and the battery term, and keeps the
+        full scoring's terms and their means.
         """
         key = (world, world.coordinator_host, world.model_version,
                world.topology_version)
@@ -569,15 +573,15 @@ class Coordinator:
             hosts[hid] = ho
         obs = Observation(now, hosts, dict(last_obs.links), last_obs.routes)
         return obs, _report(world.model, obs, dict(last.resource),
-                            dict(last.link))
+                            dict(last.link), last.means)
 
     def run_cycle(self, world, now: int) -> CycleOutcome:
         obs, report = self._observe_and_score(world, now)
         world.last_qos = report
         world.trace(self.host, "QOS",
                     f"global={report.global_score:.4f} "
-                    f"rmean={_mean(report.resource.values()):.4f} "
-                    f"lmean={_mean(report.link.values()):.4f} "
+                    f"rmean={report.means[0]:.4f} "
+                    f"lmean={report.means[1]:.4f} "
                     f"b={report.battery:.4f}")
         self._store_report(world, report, now)
         triggered = (report.global_score < QOS_THRESHOLD
