@@ -207,8 +207,9 @@ def _global_score(rmean: float, lmean: float, battery: float) -> float:
 def _report(model: ArchitectureModel, obs: Observation, resource: dict,
             link: dict, means: tuple) -> QoSReport:
     """The report of these resource and link terms, whose `_mean`s are
-    `means`, with the battery term read from `obs`: the worst level among the up battery-powered hosts in
-    use, 1 when there is none.  An empty model scores 1."""
+    `means`, with the battery term read from `obs`: the worst level among
+    the up battery-powered hosts in use, 1 when there is none.  An empty
+    model scores 1."""
     if not model.components:
         return QoSReport({}, {}, 1.0, 1.0, obs.at, (1.0, 1.0))
     used = {mc.host for mc in model.components.values()}
