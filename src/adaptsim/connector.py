@@ -48,7 +48,7 @@ class FlowPolicy:
                 f"capacity must be >= 1, not {self.capacity!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endpoint:
     component: str
     port: str
@@ -57,7 +57,7 @@ class Endpoint:
         return f"{self.component}.{self.port}"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSample:
     seq: int
     payload: Any
@@ -65,7 +65,7 @@ class FlowSample:
     producer: str
 
 
-@dataclass
+@dataclass(slots=True)
 class _Queued:
     sample: FlowSample
     available_at: int
@@ -75,14 +75,17 @@ class _Queued:
 class ConnectorInstance:
     """One flow: a source endpoint fanned out to per-sink queues.
 
-    `transit` is an injected callable (src_component_host -> sink host)
-    returning (ticks, path) for a sample in flight, or None when no route
-    currently exists; the default treats everything as local.
+    `transit` is an injected callable (sink endpoint -> (ticks, path)) for
+    a sample in flight from the source to that sink, None when no route
+    currently exists; the default treats everything as local.  `hops` is
+    an injected callable (sinks -> [transit of each sink, in order]), the
+    one a push reads; the default calls `transit` per sink.
     """
 
     def __init__(self, id: str, source: Endpoint, sinks: list,
                  policy: FlowPolicy,
                  transit: Optional[Callable] = None,
+                 hops: Optional[Callable] = None,
                  tracer=None):
         if not sinks:
             raise ValidationError(f"connector {id}: at least one sink")
@@ -91,6 +94,7 @@ class ConnectorInstance:
         self.sinks: list = list(sinks)
         self.policy = policy
         self.transit = transit or (lambda sink: (0, ()))
+        self.hops = hops or (lambda sinks: [self.transit(s) for s in sinks])
         self.tracer = tracer
         self._seq = 0
         self._queues: dict = {s: [] for s in self.sinks}
@@ -135,16 +139,14 @@ class ConnectorInstance:
         self._seq += 1
         seq = self._seq
         self.pushed_count += 1
-        for sink in self.sinks:
-            hop = self.transit(sink)
+        # the queues are in sink order, as are the hops
+        for (sink, q), hop in zip(self._queues.items(),
+                                  self.hops(self.sinks)):
             # no route right now: queue locally, path None, retry en route
             ticks, path = (0, None) if hop is None else hop
             # per-sink copy: value semantics, no cross-sink aliasing
-            sample = FlowSample(seq=seq, payload=payload,
-                                produced_at=now, producer=component)
-            entry = _Queued(sample=sample, available_at=now + ticks,
-                            path=path)
-            q = self._queues[sink]
+            entry = _Queued(FlowSample(seq, payload, now, component),
+                            now + ticks, path)
             if keep_latest and q:
                 dropped = q.pop(0)
                 self._trace(now, "drop", sink, dropped.sample.seq)
@@ -224,7 +226,7 @@ class ConnectorInstance:
     # -- reporting ---------------------------------------------------------
 
     def depth(self) -> int:
-        return max((len(q) for q in self._queues.values()), default=0)
+        return max(map(len, self._queues.values()), default=0)
 
     def take_rate(self) -> int:
         rate = self._delivered_window

@@ -26,7 +26,7 @@ class ContextNature(Enum):
         return self.value[0]  # U / H / E
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quantity:
     """A numeric context value with its unit tag."""
 
@@ -37,7 +37,7 @@ class Quantity:
 ContextValue = Union[Quantity, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextInformation:
     nature: ContextNature
     key: str
@@ -55,14 +55,14 @@ class ContextInformation:
         return f"key={self.key} nature={self.nature.short} val={val}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """Where a reading was taken: a host identity."""
 
     host: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationValidity:
     timestamp: int
     location: Location
@@ -84,7 +84,7 @@ class InformationValidity:
                 f"conf={self.base_confidence:g} own={self.owner}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextObject:
     info: ContextInformation
     validity: InformationValidity

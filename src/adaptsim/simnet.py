@@ -85,6 +85,10 @@ class HostRuntime:
     store: ContextStore = field(default_factory=ContextStore)
     containers: dict = field(default_factory=dict)
     persist_log: list = field(default_factory=list)
+    location: Location = field(init=False)    # of every reading it stamps
+
+    def __post_init__(self):
+        self.location = Location(host=self.desc.id)
 
 
 class World:
@@ -102,6 +106,7 @@ class World:
         self._registry = (None, {}, {})
         self._apis: dict = {}                 # (host, component) -> api
         self._last_report: dict = {}  # (producer, key) -> see _reported
+        self._flow_infos: dict = {}   # (connector, key, value) -> info
         self.deferred_commands: list = []
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
@@ -109,6 +114,8 @@ class World:
         self.topology_version = 0             # see kernel.TopologyFlag
         self._routes = None                   # (version, kernel.Routes)
         self._transit: dict = {}      # (src, dst) host -> connector_transit
+        # ((model version, topology version), connector id -> its hops)
+        self._hops = (None, {})
         self._rerouted_at = None              # version of the last re-route
         self._events: list = []       # heap of (at, kind order, seq, event)
         self._event_seq = 0
@@ -200,12 +207,29 @@ class World:
     def make_connector(self, kid: str, source: Endpoint, sinks: list,
                        policy: FlowPolicy) -> ConnectorInstance:
         # the callbacks hold the world and plain ids only, so a connector
-        # carries no reference to the state around it; transit looks the
-        # method up per call, so a wrapper set on World reaches it
+        # carries no reference to the state around it.  A push reads its
+        # hops from `connector_hops`, which calls `connector_transit` only
+        # at a version it has no hops for; both callbacks look the method
+        # up per call, so a wrapper set on World reaches it
         transit = lambda sink, _w=self, _k=kid: _w.connector_transit(_k, sink)
+        hops = lambda sinks, _w=self, _k=kid: _w.connector_hops(_k, sinks)
         return ConnectorInstance(id=kid, source=source, sinks=sinks,
-                                 policy=policy, transit=transit,
+                                 policy=policy, transit=transit, hops=hops,
                                  tracer=self.flow_trace)
+
+    def connector_hops(self, kid: str, sinks: list) -> list:
+        """`connector_transit` of each of the connector's sinks, in order,
+        once per (model version, topology version): a sink's transit moves
+        only with `component_host` or an `up` flag, and every write of
+        either moves one of the two."""
+        versions = (self.model_version, self.topology_version)
+        if self._hops[0] != versions:
+            self._hops = (versions, {})
+        hops = self._hops[1].get(kid)
+        if hops is None:
+            hops = self._hops[1][kid] = [self.connector_transit(kid, sink)
+                                         for sink in sinks]
+        return hops
 
     def connector_transit(self, kid: str, sink: Endpoint):
         """(latency ticks, host path) from source to sink, None if no route.
@@ -353,7 +377,7 @@ class World:
                     info = ContextInformation(
                         nature=ContextNature.HARDWARE, key="component.fault",
                         value=cid, producer="platform")
-                    obj = stamp(info, self.now, Location(host=hid),
+                    obj = stamp(info, self.now, host.location,
                                 owner="platform", base_confidence=1.0)
                     host.store.put(obj)
                     self.trace(hid, "CTX", obj.trace_repr())
@@ -378,7 +402,7 @@ class World:
             # every object of one report shares its host's validity, and
             # every line of the report the validity's trace text
             validity = InformationValidity(
-                timestamp=self.now, location=Location(host=hid),
+                timestamp=self.now, location=host.location,
                 base_confidence=1.0, owner="platform")
             tail = validity.trace_repr()
             put = host.store.put
@@ -395,10 +419,10 @@ class World:
                 self.trace(hid, "CTX", f"{head} {tail}")
             for k in self._sourced(hid):
                 rate, depth = k.take_rate(), k.depth()
-                put(ContextObject(self._reported(k.id, "flow.rate", rate)[1],
+                put(ContextObject(self._flow_info(k.id, "flow.rate", rate),
                                   validity))
-                put(ContextObject(self._reported(k.id, "flow.depth",
-                                                 depth)[1], validity))
+                put(ContextObject(self._flow_info(k.id, "flow.depth", depth),
+                                  validity))
                 self.trace(hid, "CTX",
                            f"key=flow.rate conn={k.id} rate={rate:g} "
                            f"depth={depth}")
@@ -408,7 +432,8 @@ class World:
     def _reported(self, producer: str, key: str, value) -> tuple:
         """(value, information, its trace text) of a report's `value` for
         this producer and key: the last one reported while the value holds.
-        A number is reported as a unitless Quantity."""
+        A number is reported as a unitless Quantity.  A component's
+        liveness and a host's battery level are reported here."""
         last = self._last_report.get((producer, key))
         if last is None or last[0] != value:
             info = ContextInformation(
@@ -418,6 +443,19 @@ class World:
             last = self._last_report[producer, key] = (
                 value, info, info.trace_repr())
         return last
+
+    def _flow_info(self, kid: str, key: str, value: int):
+        """The information of a connector's `flow.rate` or `flow.depth`
+        `value`, built once per value.  A rate counts the deliveries since
+        the connector's last report, at most one per sink and tick, and a
+        depth is at most a lossless queue's capacity (one, keeping the
+        latest), so the memo stays small while the values alternate."""
+        info = self._flow_infos.get((kid, key, value))
+        if info is None:
+            info = self._flow_infos[kid, key, value] = ContextInformation(
+                nature=ContextNature.HARDWARE, key=key, producer=kid,
+                value=Quantity(float(value), ""))
+        return info
 
     def _api(self, hid: str, cid: str):
         api = self._apis.get((hid, cid))
@@ -490,7 +528,7 @@ class World:
             producer = e.arg("producer", "profile")
         info = ContextInformation(nature=nature, key=key, value=payload,
                                   producer=producer)
-        obj = stamp(info, self.now, Location(host=hid),
+        obj = stamp(info, self.now, host.location,
                     owner=e.arg("owner", "app"),
                     base_confidence=float(e.arg("confidence", 1.0)))
         host.store.put(obj)

@@ -1,8 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from adaptsim.connector import Endpoint, FlowSample, _Queued
 from adaptsim.context import (ContextInformation, ContextNature, Location,
                               Quantity, ValidityPolicy, effective_confidence,
                               freshness, is_valid, stamp)
@@ -133,3 +136,33 @@ class TestIsValid:
         obj = make_obj()
         with pytest.raises(Exception):
             obj.validity = None
+
+
+def slotted_records():
+    """One record of each slotted type a tick builds, nested ones filled."""
+    obj = make_obj(ts=3, conf=0.5, host="h2")
+    sample = FlowSample(seq=4, payload={"n": [1, 2]}, produced_at=3,
+                        producer="src")
+    return [obj.info.value, obj.info, obj.validity.location, obj.validity,
+            obj, Endpoint("c", "in"), sample,
+            _Queued(sample=sample, available_at=5, path=("h1", "h2"))]
+
+
+class TestSlottedRecords:
+    """Checkpoints and container snapshots copy these records, so a copy
+    must be an equal value of the same type."""
+
+    @pytest.mark.parametrize("record", slotted_records(),
+                             ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_is_an_equal_value(self, record, clone):
+        got = clone(record)
+        assert type(got) is type(record)
+        assert got == record
+
+    @pytest.mark.parametrize("record", slotted_records(),
+                             ids=lambda r: type(r).__name__)
+    def test_a_record_has_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")

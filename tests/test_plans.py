@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from adaptsim import behaviors, kernel
 from adaptsim.connector import Endpoint, FlowPolicy, LossKind
 from adaptsim.container import ComponentDescriptor, Variant
+from adaptsim.context import ContextInformation, ContextNature, Quantity
 from adaptsim.kernel import (Add, Connect, Disconnect, HostDescriptor,
                              HostTier, Move, Remove, ReplaceBusiness)
 from adaptsim.simnet import SimEventKind, World, sim_event
@@ -118,6 +119,10 @@ def assert_fresh(w):
         assert (info.producer, info.key) == (producer, key)
         assert info.value == value or info.value.value == value
         assert head == info.trace_repr()
+    for (kid, key, value), info in w._flow_infos.items():
+        assert info == ContextInformation(
+            nature=ContextNature.HARDWARE, key=key,
+            value=Quantity(float(value), ""), producer=kid)
 
 
 def drop_plans(w):
@@ -127,6 +132,8 @@ def drop_plans(w):
     w._registry = (None, {}, {})
     w._apis.clear()
     w._last_report.clear()
+    w._flow_infos.clear()
+    w._hops = (None, {})
 
 
 def run(script, dropped):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from adaptsim import adaptation, kernel
+from adaptsim import adaptation, behaviors, kernel
 from adaptsim.adaptation import Coordinator
 from adaptsim.connector import Endpoint, FlowPolicy
 from adaptsim.container import ComponentDescriptor, Variant
@@ -230,9 +230,9 @@ class TestOracle:
 
 # -- invalidation ----------------------------------------------------------
 
-def square(battery=None):
+def square(battery=None, world=World):
     """h1-h2-h4 and h1-h3-h4: h1 -> h4 goes over h2 while it can."""
-    w = World(seed=0)
+    w = world(seed=0)
     for hid in ("h1", "h2", "h3", "h4"):
         w.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
                                   cpu_capacity=8, mem_capacity=8,
@@ -367,6 +367,151 @@ class TestInvalidation:
                      for line in w.trace_lines
                      if "op=deliver" in line and line.endswith(" seq=4")]
         assert delivered == [23]
+
+
+# -- per-connector hop lists ------------------------------------------------
+
+HOP_APP_COMMANDS: list = []      # what `hops_app` submits at its next firing
+
+
+def _hops_app(state, inputs, events, now, api):
+    """Submits the queued commands, then emits like a source."""
+    while HOP_APP_COMMANDS:
+        api.submit_command(HOP_APP_COMMANDS.pop(0))
+    return (state or 0) + 1, {"__all__": (state or 0) + 1}
+
+
+behaviors.register("hops_app", _hops_app)
+
+
+def fresh_hops(w, kid, sinks):
+    """Each sink's (latency, path) over routes built for the world as it
+    is, with the hosts read from the containers."""
+    at = {cid: hid for hid, h in w.hosts.items() for cid in h.containers}
+    src = at.get(w.connectors[kid].source.component)
+    hops = []
+    for sink in sinks:
+        dst = at.get(sink.component)
+        if src is None or dst is None:
+            hops.append(None)
+        else:
+            hops.append((0, ()) if src == dst else fresh_transit(w, src, dst))
+    return hops
+
+
+class HopOracleWorld(World):
+    """Checks every hop list it hands out, to a push or to the test."""
+
+    reads = 0
+
+    def connector_hops(self, kid, sinks):
+        hops = super().connector_hops(kid, sinks)
+        assert hops == fresh_hops(self, kid, sinks), (self.now, kid)
+        self.reads += 1
+        return hops
+
+
+HOP_HOSTS = ("h1", "h2", "h3", "h4")
+SQUARE_LINKS = (("h1", "h2"), ("h2", "h4"), ("h1", "h3"), ("h3", "h4"))
+HOP_COMPONENTS = ("src", "app", "snk", "tap", "mid")
+
+
+def hop_world():
+    """square() with `src` (h1) feeding `snk` (h4) and `tap` (h2) over one
+    connector, and an application `app` (h3) feeding `mid` (h1)."""
+    w = square(world=HopOracleWorld)
+    for cid, hid, ins, outs, behavior in (
+            ("src", "h1", (), ("o",), "source"),
+            ("app", "h3", (), ("o",), "hops_app"),
+            ("snk", "h4", ("i",), (), "sink"),
+            ("tap", "h2", ("i",), (), "sink"),
+            ("mid", "h1", ("i",), (), "sink")):
+        assert kernel.apply_now(w, Add(ComponentDescriptor(
+            id=cid, in_ports=ins, out_ports=outs,
+            variants=(Variant("Full", 1.0, 1.0, behavior),)), hid)).applied
+    for kid, src, sinks in (("k1", "src", ("snk", "tap")),
+                            ("k2", "app", ("mid",))):
+        assert kernel.apply_now(w, Connect(
+            kid, Endpoint(src, "o"), tuple(Endpoint(s, "i") for s in sinks),
+            FlowPolicy())).applied
+    return w
+
+
+def run_hops(script):
+    """Runs the script on a hop_world; after each step every connector's
+    hop list must equal a fresh one.  Returns the world and the distinct
+    hop lists of k1."""
+    w = hop_world()
+    HOP_APP_COMMANDS.clear()
+    seen = set()
+    for step in script:
+        if step[0] == "tick":
+            w.step()
+        elif step[0] == "cmd":
+            kernel.apply_now(w, step[1])
+        elif step[0] == "app":
+            HOP_APP_COMMANDS.append(step[1])
+        else:
+            kind, arg = step
+            kind = {"linkdown": SimEventKind.LINK_DOWN,
+                    "linkup": SimEventKind.LINK_UP,
+                    "leave": SimEventKind.HOST_LEAVE,
+                    "join": SimEventKind.HOST_JOIN}[kind]
+            key = "endpoints" if kind in (SimEventKind.LINK_DOWN,
+                                          SimEventKind.LINK_UP) else "host"
+            w._fire(sim_event(w.now, kind, **{key: arg}))
+        for kid, k in w.connectors.items():
+            hops = w.connector_hops(kid, k.sinks)
+            if kid == "k1":
+                seen.add(tuple(hops))
+    return w, seen
+
+
+hop_moves = st.builds(Move, st.sampled_from(HOP_COMPONENTS),
+                      st.sampled_from(HOP_HOSTS + ("h9",)))
+hop_steps = st.lists(st.one_of(
+    st.just(("tick",)),
+    st.tuples(st.just("cmd"), hop_moves),
+    st.tuples(st.just("app"), hop_moves),
+    st.tuples(st.sampled_from(("linkdown", "linkup")),
+              st.sampled_from(SQUARE_LINKS)),
+    st.tuples(st.sampled_from(("leave", "join")), st.sampled_from(HOP_HOSTS)),
+), max_size=30)
+
+
+class TestHopLists:
+    """A push reads its connector's hop list once per model and topology
+    version, so every write to `component_host` or to an `up` flag must
+    move one of the two before the next push."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(script=hop_steps)
+    def test_every_hop_list_equals_a_fresh_transit(self, script):
+        run_hops(script + [("tick",)])
+
+    def test_the_oracle_sees_every_kind_of_write(self):
+        """One fixed script: an application moves the sink it feeds while
+        it fires and then pushes, a command moves a sink, one aborts, a
+        link and a host go down and come back."""
+        w, seen = run_hops([
+            ("tick",), ("app", Move("mid", "h4")), ("tick",),
+            ("cmd", Move("snk", "h3")), ("tick",),
+            ("cmd", Move("snk", "h9")), ("tick",),
+            ("linkdown", ("h1", "h3")), ("tick",),
+            ("leave", "h2"), ("tick",), ("join", "h2"), ("tick",),
+            ("linkup", ("h1", "h3")), ("tick",)])
+        text = "\n".join(w.trace_lines)
+        assert "cmd=Move comp=mid target=h4 result=Applied origin=app" \
+            in text
+        assert "cmd=Move comp=snk target=h9 result=Aborted" in text
+        assert "tick=1 host=h3 kind=FLOW conn=k2 op=push seq=2" in text
+        assert w.reads > 7 * 2
+        tap = (10, ("h1", "h2"))
+        assert seen == {
+            ((20, ("h1", "h2", "h4")), tap),        # snk on h4
+            ((10, ("h1", "h3")), tap),              # moved to h3
+            ((30, ("h1", "h2", "h4", "h3")), tap),  # h1-h3 down
+            (None, None)}                           # h2 left: h1 cut off
 
 
 # -- component -> host index -----------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from adaptsim import behaviors, kernel
 from adaptsim.connector import Endpoint, FlowPolicy, FlowSync, LossKind
 from adaptsim.container import ComponentDescriptor, Variant
-from adaptsim.context import Location, stamp
+from adaptsim.context import (ContextInformation, ContextNature, Location,
+                              Quantity, stamp)
 from adaptsim.errors import ScheduleError
 from adaptsim.kernel import (Add, Battery, Connect, HostDescriptor, HostTier,
                              Move)
@@ -268,7 +269,49 @@ class TestReports:
     def test_every_field_of_a_stored_report_is_frozen(self):
         for _, obj in self.reported():
             for part in (obj, obj.info, obj.validity,
-                         obj.validity.location):
+                         obj.validity.location, Endpoint("x", "in")):
                 for f in dataclasses.fields(part):
                     with pytest.raises(dataclasses.FrozenInstanceError):
                         setattr(part, f.name, None)
+
+    def test_alternating_flow_reports_reuse_one_information_per_value(self):
+        """`pulse` emits in every other reporting interval, so the rate and
+        depth of its connector alternate between reports."""
+        def pulse(state, inputs, events, now, api):
+            n = (state or 0) + 1
+            return n, ({"__all__": n} if now // 5 % 2 == 0 else {})
+        behaviors.register("pulse", pulse)
+        w = two_hosts(latency=2)
+        for d, hid in ((desc("p", out_ports=("o",), behavior="pulse"), "h1"),
+                       (desc("q", in_ports=("in",), behavior="sink"), "h2")):
+            assert kernel.apply_now(w, Add(d, hid)).applied
+        assert kernel.apply_now(w, Connect("k", Endpoint("p", "o"),
+                                           (Endpoint("q", "in"),),
+                                           FlowPolicy())).applied
+        w.run(41)
+        reported = {}                   # tick -> (rate, depth) of the trace
+        for line in w.trace_lines:
+            if "key=flow.rate conn=k " in line:
+                fields = dict(f.split("=") for f in line.split())
+                reported[int(fields["tick"])] = (int(fields["rate"]),
+                                                 int(fields["depth"]))
+        rates = [rate for rate, _ in reported.values()]
+        depths = [depth for _, depth in reported.values()]
+        assert rates == [0, 3, 2, 3, 2, 3, 2, 3, 2]
+        assert depths == [1, 2, 1, 2, 1, 2, 1, 2, 1]
+        infos = {}
+        for index, key in enumerate(("flow.rate", "flow.depth")):
+            stored = w.hosts["h1"].store.history(key)
+            assert [obj.validity.timestamp for obj in stored] \
+                == list(reported)
+            for obj in stored:
+                t = obj.validity.timestamp
+                value = reported[t][index]
+                fresh = ContextInformation(
+                    nature=ContextNature.HARDWARE, key=key,
+                    value=Quantity(float(value), ""), producer="k")
+                assert obj == stamp(fresh, t, Location(host="h1"),
+                                    "platform", 1.0)
+                # a value reported again reuses its information
+                assert infos.setdefault((key, value), obj.info) is obj.info
+        assert len(w._flow_infos) <= len(infos) == 5
