@@ -220,8 +220,8 @@ class World:
     def connector_hops(self, kid: str, sinks: list) -> list:
         """`connector_transit` of each of the connector's sinks, in order,
         once per (model version, topology version): a sink's transit moves
-        only with `component_host` or an `up` flag, and every write of
-        either moves one of the two."""
+        only with `component_host` or the topology (a host or link added,
+        an `up` flag written), and each of those moves one of the two."""
         versions = (self.model_version, self.topology_version)
         if self._hops[0] != versions:
             self._hops = (versions, {})
