@@ -414,6 +414,10 @@ class HopOracleWorld(World):
 HOP_HOSTS = ("h1", "h2", "h3", "h4")
 SQUARE_LINKS = (("h1", "h2"), ("h2", "h4"), ("h1", "h3"), ("h3", "h4"))
 HOP_COMPONENTS = ("src", "app", "snk", "tap", "mid")
+HOP_EVENTS = {"linkdown": (SimEventKind.LINK_DOWN, "endpoints"),
+              "linkup": (SimEventKind.LINK_UP, "endpoints"),
+              "leave": (SimEventKind.HOST_LEAVE, "host"),
+              "join": (SimEventKind.HOST_JOIN, "host")}
 
 
 def hop_world():
@@ -452,14 +456,8 @@ def run_hops(script):
         elif step[0] == "app":
             HOP_APP_COMMANDS.append(step[1])
         else:
-            kind, arg = step
-            kind = {"linkdown": SimEventKind.LINK_DOWN,
-                    "linkup": SimEventKind.LINK_UP,
-                    "leave": SimEventKind.HOST_LEAVE,
-                    "join": SimEventKind.HOST_JOIN}[kind]
-            key = "endpoints" if kind in (SimEventKind.LINK_DOWN,
-                                          SimEventKind.LINK_UP) else "host"
-            w._fire(sim_event(w.now, kind, **{key: arg}))
+            kind, key = HOP_EVENTS[step[0]]
+            w._fire(sim_event(w.now, kind, **{key: step[1]}))
         for kid, k in w.connectors.items():
             hops = w.connector_hops(kid, k.sinks)
             if kid == "k1":
