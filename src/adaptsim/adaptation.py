@@ -352,12 +352,20 @@ def _depth_first(cache, affected: list, candidates: dict, rank):
     Places the components depth-first in `affected` order, which is
     sorted, each on its current host first when that is a candidate, then
     on its other candidates in sorted order, and ranks each complete
-    assignment.  A partial assignment is cut when the least key any of its
-    completions can have ranks after the best so far: minus its `_bound`,
-    its moves plus the moves forced later (a component whose current host
-    is no candidate), then its own items, which lead every completion's.
-    No float margin: ties are common, and the bound holds for the computed
-    floats.
+    assignment.  Before a node places a child (c, h), the child is cut
+    when the least key any of its completions can have ranks after the
+    best so far: minus the node's own `_bound`, the node's moves plus
+    (h != the current host of c) plus the moves forced later (a component
+    whose current host is no candidate), then the node's items followed
+    by (c, h).  This holds because every completion of the child is one of
+    the node, so it scores at most the node's bound, makes at least those
+    moves, and its sorted items begin with that tuple.  No float margin:
+    ties are common, and the bound holds for the computed floats.
+
+    A node is bounded at most once, and only once a best exists.  Its
+    children's least keys rise in the order they are placed, so once a
+    child is cut, so is every later one, and a failover replan whose
+    candidates all tie scores one assignment.
     """
     comps = cache.model.components
     orders = [sorted(candidates[c], key=lambda h, c=c: h != comps[c].host)
@@ -365,28 +373,38 @@ def _depth_first(cache, affected: list, candidates: dict, rank):
     forced = [sum(comps[c].host not in candidates[c] for c in affected[i:])
               for i in range(len(affected) + 1)]
     best = None
-    partial = {}
+    partial = {}                        # the node's items, in affected order
     stack = [iter(orders[0])]
+    floors = [None]                     # per node: (-_bound, moves)
     while stack:
         depth = len(stack) - 1
+        cid = affected[depth]
         hid = next(stack[-1], None)
+        if hid is not None and best is not None:
+            if floors[depth] is None:
+                floors[depth] = (-_bound(cache, partial), sum(
+                    1 for c, h in partial.items() if comps[c].host != h))
+            score, moves = floors[depth]
+            least = (score,
+                     moves + (hid != comps[cid].host) + forced[depth + 1],
+                     tuple(partial.items()) + ((cid, hid),))
+            if least > best[0]:
+                hid = None              # and so is every later child
         if hid is None:
             stack.pop()
-            del partial[affected[depth]]
+            floors.pop()
+            if partial:
+                partial.popitem()
             continue
-        partial[affected[depth]] = hid
+        partial[cid] = hid
         if depth + 1 == len(affected):
             key = rank(partial)
             if best is None or key < best[0]:
                 best = (key, dict(partial))
+            del partial[cid]
             continue
-        if best is not None:
-            moves = sum(1 for c, h in partial.items() if comps[c].host != h)
-            least = (-_bound(cache, partial), moves + forced[depth + 1],
-                     tuple(partial.items()))
-            if least > best[0]:
-                continue
         stack.append(iter(orders[depth + 1]))
+        floors.append(None)
     return best
 
 

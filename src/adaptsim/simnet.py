@@ -105,7 +105,7 @@ class World:
         # (model version, host -> firing order, host -> sourced connectors)
         self._registry = (None, {}, {})
         self._apis: dict = {}                 # (host, component) -> api
-        self._last_report: dict = {}  # (producer, key) -> see _reported
+        self._last_report: dict = {}  # component -> see _reported
         self._flow_infos: dict = {}   # (connector, key, value) -> info
         self.deferred_commands: list = []
         self.coordinator = None               # adaptation.Coordinator
@@ -408,15 +408,17 @@ class World:
             put = host.store.put
             for cid, c in self.firing_order(hid):
                 if c.lifecycle is Lifecycle.RUNNING:
-                    _, info, head = self._reported(cid, "component.alive",
-                                                   cid)
+                    info, head = self._reported(cid)
                     put(ContextObject(info, validity))
                     self.trace(hid, "CTX", f"{head} {tail}")
             if host.desc.power is not None:
-                _, info, head = self._reported(
-                    hid, "battery.level", round(host.desc.power.level, 6))
+                # a draining host's level moves every report: nothing to keep
+                info = ContextInformation(
+                    nature=ContextNature.HARDWARE, key="battery.level",
+                    value=Quantity(round(host.desc.power.level, 6), ""),
+                    producer=hid)
                 put(ContextObject(info, validity))
-                self.trace(hid, "CTX", f"{head} {tail}")
+                self.trace(hid, "CTX", f"{info.trace_repr()} {tail}")
             for k in self._sourced(hid):
                 rate, depth = k.take_rate(), k.depth()
                 put(ContextObject(self._flow_info(k.id, "flow.rate", rate),
@@ -429,19 +431,15 @@ class World:
         if self.coordinator is not None and hid == self.coordinator.host:
             kernel.process_deferred(self)
 
-    def _reported(self, producer: str, key: str, value) -> tuple:
-        """(value, information, its trace text) of a report's `value` for
-        this producer and key: the last one reported while the value holds.
-        A number is reported as a unitless Quantity.  A component's
-        liveness and a host's battery level are reported here."""
-        last = self._last_report.get((producer, key))
-        if last is None or last[0] != value:
+    def _reported(self, cid: str) -> tuple:
+        """(information, its trace text) of a component's liveness report,
+        built once per component: its value is the component's id."""
+        last = self._last_report.get(cid)
+        if last is None:
             info = ContextInformation(
-                nature=ContextNature.HARDWARE, key=key, producer=producer,
-                value=value if isinstance(value, str)
-                else Quantity(float(value), ""))
-            last = self._last_report[producer, key] = (
-                value, info, info.trace_repr())
+                nature=ContextNature.HARDWARE, key="component.alive",
+                value=cid, producer=cid)
+            last = self._last_report[cid] = (info, info.trace_repr())
         return last
 
     def _flow_info(self, kid: str, key: str, value: int):

@@ -644,25 +644,45 @@ class TestDepthFirstSearch:
                 assert bound[tuple(h if keep else None for h, keep
                                    in zip(combo, placed))] >= score
 
+    @over_deployments
+    def test_the_search_bounds_and_scores_each_assignment_at_most_once(
+            self, deployment):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = searched(mp)
+            select_deployment(*deployment)
+        for name, assignments in calls.items():
+            assert len(set(assignments)) == len(assignments), name
+
+    @pytest.mark.parametrize("hosts", [12, 40])
     @pytest.mark.parametrize("sources", [("src",), ("s1", "s2")])
-    def test_a_failover_replan_scores_each_host_once(self, monkeypatch,
-                                                     sources):
-        hosts = 12
-        calls = {"_score_assignment": 0, "_bound": 0}
-        for name in calls:
-            fn = getattr(adaptation, name)
-            monkeypatch.setattr(adaptation, name,
-                                lambda *a, fn=fn, name=name:
-                                calls.__setitem__(name, calls[name] + 1)
-                                or fn(*a))
+    def test_a_failover_replan_scores_one_assignment_at_any_host_count(
+            self, monkeypatch, sources, hosts):
+        # the exact search, though 40 hosts and two sources exceed its limit
+        monkeypatch.setattr(adaptation, "EXHAUSTIVE_LIMIT",
+                            hosts ** (len(sources) + 1))
+        calls = searched(monkeypatch)
         plan = select_deployment(*failover(hosts, sources))
-        # mid stays and the last source tries every host; mid's other hosts
-        # are cut for their moves, an earlier source's for sorting later
-        assert calls == {"_score_assignment": hosts,
-                         "_bound": len(sources) * (hosts - 1)}
+        # every plan ties: mid stays and each source takes h00, and then
+        # each node's bound cuts its next child, for its moves or for
+        # sorting later, and with it every later child
+        assert {name: len(a) for name, a in calls.items()} == {
+            "_score_assignment": 1, "_bound": len(sources) + 1}
         assert plan.assignment == {"mid": "h01",
                                    **{s: "h00" for s in sources}}
         assert plan.commands == [Move(s, "h00") for s in sources]
+
+
+def searched(mp):
+    """Records, from now until `mp` is undone, the assignment each call to
+    `_bound` and `_score_assignment` reads, as sorted items:
+    {"_bound": [...], "_score_assignment": [...]}."""
+    calls = {"_bound": [], "_score_assignment": []}
+    for name, seen in calls.items():
+        fn = getattr(adaptation, name)
+        mp.setattr(adaptation, name,
+                   lambda cache, a, fn=fn, seen=seen:
+                   seen.append(tuple(sorted(a.items()))) or fn(cache, a))
+    return calls
 
 
 class TestMean:

@@ -115,9 +115,10 @@ def assert_fresh(w):
         assert w.firing_order(hid) == sorted(host.containers.items())
     for (hid, cid), api in w._apis.items():
         assert (api.host_id, api.component_id) == (hid, cid)
-    for (producer, key), (value, info, head) in w._last_report.items():
-        assert (info.producer, info.key) == (producer, key)
-        assert info.value == value or info.value.value == value
+    for cid, (info, head) in w._last_report.items():
+        assert info == ContextInformation(
+            nature=ContextNature.HARDWARE, key="component.alive", value=cid,
+            producer=cid)
         assert head == info.trace_repr()
     for (kid, key, value), info in w._flow_infos.items():
         assert info == ContextInformation(
