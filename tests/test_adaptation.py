@@ -653,24 +653,24 @@ class TestDepthFirstSearch:
         for name, assignments in calls.items():
             assert len(set(assignments)) == len(assignments), name
 
-    @pytest.mark.parametrize("hosts", [12, 40])
     @pytest.mark.parametrize("sources", [("src",), ("s1", "s2")])
-    def test_a_failover_replan_scores_one_assignment_at_any_host_count(
-            self, monkeypatch, sources, hosts):
-        # the exact search, though 40 hosts and two sources exceed its limit
-        monkeypatch.setattr(adaptation, "EXHAUSTIVE_LIMIT",
-                            hosts ** (len(sources) + 1))
-        calls = searched(monkeypatch)
-        plan = select_deployment(*failover(hosts, sources))
-        # every plan ties: mid stays and each source takes h00, and then
-        # each node's bound cuts its next child, for its moves or for
-        # sorting later, and with it every later child
-        assert {name: len(a) for name, a in calls.items()} == {
-            "_score_assignment": 1, "_bound": len(sources) + 1}
-        assert plan.assignment == {"mid": "h01",
-                                   **{s: "h00" for s in sources}}
-        assert plan.commands == [Move(s, "h00") for s in sources]
-
+    def test_a_failover_replan_scores_each_host_once(self, sources):
+        # each host at most once: in fact one assignment, at 12 hosts and at
+        # 40, where the exact search runs though two sources exceed its limit
+        for hosts in (12, 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(adaptation, "EXHAUSTIVE_LIMIT",
+                           hosts ** (len(sources) + 1))
+                calls = searched(mp)
+                plan = select_deployment(*failover(hosts, sources))
+            # every plan ties: mid stays and each source takes h00, and then
+            # each node's bound cuts its next child, for its moves or for
+            # sorting later, and with it every later child
+            assert {name: len(a) for name, a in calls.items()} == {
+                "_score_assignment": 1, "_bound": len(sources) + 1}, hosts
+            assert plan.assignment == {"mid": "h01",
+                                       **{s: "h00" for s in sources}}
+            assert plan.commands == [Move(s, "h00") for s in sources]
 
 def searched(mp):
     """Records, from now until `mp` is undone, the assignment each call to
