@@ -65,21 +65,7 @@ def _counter(state, inputs, events, now, api):
     return n, {"__all__": n}
 
 
-def _aggregator(state, inputs, events, now, api):
-    """Sums numeric samples across all in ports, emitting each new total."""
-    total = state or 0
-    got = False
-    for v in inputs.values():
-        if isinstance(v, (int, float)):
-            total += v
-            got = True
-    if not got:
-        return total, {}
-    return total, {"__all__": total}
-
-
 register("source", _source)
 register("sink", _sink)
 register("identity", _identity)
 register("counter", _counter)
-register("aggregator", _aggregator)

@@ -15,6 +15,7 @@ diagnostics list is empty.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
@@ -183,12 +184,16 @@ def _two_ids(ends) -> bool:
 _TEXT = _check((str,))
 _INT = _check((int,))
 _NAME = _check((str,), bool, "non-empty")           # a context key, owner
+# a host, component, connector or port id: the trace splits on whitespace
+_is_id = re.compile(r"\S+").fullmatch
+_ID = _check((str,), _is_id, "non-empty with no whitespace")
 _FLAG = _check((bool,))
 _TICKS = _check((int,), lambda v: v >= 0, ">= 0")
 _DEMAND = _check(_NUMBER, lambda v: v >= 0, ">= 0", float)
 _SIZE = _check(_NUMBER, lambda v: v > 0, "> 0", float)
 _PORTS = _check(None, lambda v: type(v) is list and all(
-    type(p) is str for p in v), "a list of strings", tuple)
+    type(p) is str and _is_id(p) for p in v),
+    "a list of non-empty strings with no whitespace", tuple)
 
 _VARIANT = {
     "tier": (_one_of(_values(HostTier)), REQUIRED),
@@ -197,7 +202,7 @@ _VARIANT = {
     "behavior": (_one_of(behaviors.known()), REQUIRED),
 }
 _COMPONENT = {
-    "id": (_TEXT, REQUIRED),
+    "id": (_ID, REQUIRED),
     "in_ports": (_PORTS, ()),
     "out_ports": (_PORTS, ()),
     "variants": (_records(partial(_read, _VARIANT, Variant), tuple),
@@ -206,7 +211,7 @@ _COMPONENT = {
     "initial_host": (_TEXT, OPTIONAL),
 }
 _CONNECTOR = {
-    "id": (_TEXT, OPTIONAL),                    # unnamed: see _app
+    "id": (_ID, OPTIONAL),                      # unnamed: see _app
     "from": (_check((str,), _is_endpoint, "'component.port'", _endpoint),
              REQUIRED),
     "to": (_check(None, lambda v: type(v) is list and v
@@ -246,7 +251,7 @@ _BATTERY = {
     "drain_per_tick": (_DEMAND, OPTIONAL),
 }
 _HOST = {
-    "id": (_TEXT, REQUIRED),
+    "id": (_ID, REQUIRED),
     "tier": (_one_of(_values(HostTier), HostTier), REQUIRED),
     "cpu_capacity": (_SIZE, REQUIRED),
     "mem_capacity": (_SIZE, REQUIRED),
@@ -399,40 +404,3 @@ def validate(app: AppDescriptor, net: NetDescriptor) -> list:
     if len(conn_ids) != len(set(conn_ids)):
         diags.append("app: duplicate connector ids")
     return diags
-
-
-def serialize_app(app: AppDescriptor) -> dict:
-    return {
-        "components": [
-            {"id": c.id, "in_ports": list(c.in_ports),
-             "out_ports": list(c.out_ports),
-             "variants": [{"tier": v.tier, "cpu_demand": v.cpu_demand,
-                           "mem_demand": v.mem_demand,
-                           "behavior": v.behavior} for v in c.variants],
-             "listener": c.listener, "initial_host": c.initial_host}
-            for c in app.components],
-        "connectors": [
-            {"id": k.id, "from": str(k.source),
-             "to": [str(s) for s in k.sinks],
-             "sync": k.policy.sync.value,
-             "loss": k.policy.loss.value, "capacity": k.policy.capacity,
-             "bw_demand": k.policy.bw_demand}
-            for k in app.connectors],
-    }
-
-
-def serialize_net(net: NetDescriptor) -> dict:
-    return {
-        "hosts": [
-            {"id": h.id, "tier": h.tier.value,
-             "cpu_capacity": h.cpu_capacity, "mem_capacity": h.mem_capacity,
-             "power": ("Mains" if h.power is None else
-                       {"level": h.power.level,
-                        "drain_per_tick": h.power.drain_per_tick}),
-             "up": h.up}
-            for h in net.hosts],
-        "links": [
-            {"endpoints": sorted(l.endpoints), "latency": l.latency,
-             "bandwidth": l.bandwidth, "up": l.up}
-            for l in net.links],
-    }

@@ -25,8 +25,6 @@ import worldgen  # noqa: E402
 
 PARSE = {"app": descriptors.parse_app, "net": descriptors.parse_net,
          "scenario": descriptors.parse_scenario}
-SERIALIZE = {"app": descriptors.serialize_app,
-             "net": descriptors.serialize_net}
 # one value of each JSON type; an integer stands for an integer field, so
 # the number sample is not one
 SAMPLES = {"string": "x", "boolean": True, "null": None, "list": [],
@@ -104,16 +102,10 @@ def test_a_value_of_a_type_the_table_refuses_is_reported(source, name, doc):
 
 
 @pytest.mark.parametrize("workload", sorted(worldgen.WORKLOADS))
-def test_a_generated_world_parses_clean_and_round_trips(workload):
+def test_a_generated_world_parses_clean(workload):
     for name, doc in zip(("app", "net", "scenario"),
                          worldgen.generate(workload, 201, 0)):
-        parsed, diags = PARSE[name](doc)
-        assert diags == []
-        if name in SERIALIZE:
-            text = SERIALIZE[name](parsed)
-            again, diags = PARSE[name](text)
-            assert diags == []
-            assert SERIALIZE[name](again) == text
+        assert PARSE[name](doc)[1] == []
 
 
 def test_every_event_kind_parses():
