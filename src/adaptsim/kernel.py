@@ -218,16 +218,21 @@ def reconstruct_model(world) -> ArchitectureModel:
 
 # -- routing ---------------------------------------------------------------
 
-class Routes:
-    """Fewest-hop routes over a snapshot of one topology version: an
-    adjacency index, where adj[a] lists in sorted order every b such that
-    link a-b and host b are up, and one breadth-first search per source
-    asked for.  `links` maps endpoint pairs to records with an `up` flag;
-    the index is built from them once, so a later write makes a new
-    `Routes`, never a changed one.  `view` shares the index and the
-    searches under a narrower `host_up`."""
+_UNASKED = object()         # a pair `Routes.known` holds no answer for
 
-    def __init__(self, host_up: dict, links: dict):
+
+class Routes:
+    """Fewest-hop routes over a snapshot of one topology state: an
+    adjacency index, where adj[a] lists in sorted order every b such that
+    link a-b and host b are up, one breadth-first search per source asked
+    for, and `known`, the answer of each (src, dst) pair asked for.
+    `links` maps endpoint pairs to records with an `up` flag; the index is
+    built from them once, so a later write makes a new `Routes`, never a
+    changed one.  A caller may seed `known` with answers it holds to be
+    exact over `host_up` and `links`.  `view` shares the index, the
+    searches and the answers under a narrower `host_up`."""
+
+    def __init__(self, host_up: dict, links: dict, known: dict = None):
         self.host_up = host_up
         self.adj: dict = {}
         for (a, b), link in links.items():
@@ -238,6 +243,8 @@ class Routes:
         for nbrs in self.adj.values():
             nbrs.sort()
         self._trees: dict = {}          # src -> (reached, frontier)
+        # (src, dst) -> path, None when dst is unreachable from an up src
+        self.known: dict = {} if known is None else known
 
     def view(self, host_up: dict) -> "Routes":
         """These routes, answering only from sources up in `host_up`.
@@ -261,6 +268,9 @@ class Routes:
         """
         if not self.host_up.get(src):
             return None
+        path = self.known.get((src, dst), _UNASKED)
+        if path is not _UNASKED:
+            return path
         tree = self._trees.get(src)
         if tree is None:
             tree = self._trees[src] = ({src: (src,)}, deque([src]))
@@ -271,7 +281,8 @@ class Routes:
                 if nxt not in reached:
                     reached[nxt] = reached[node] + (nxt,)
                     frontier.append(nxt)
-        return reached.get(dst)
+        path = self.known[src, dst] = reached.get(dst)
+        return path
 
 
 def neighbors(world, hid: str) -> list:

@@ -79,6 +79,23 @@ def sim_event(at, kind, **args) -> SimEvent:
     return SimEvent(at=at, kind=kind, args=tuple(sorted(args.items())))
 
 
+@dataclass(slots=True)
+class _Routing:
+    """What routing knows of one topology state: its down host ids and
+    down link endpoint pairs, its routes and its `connector_transit`
+    memo of (src, dst) host pairs."""
+    down: tuple                     # (host ids, link pairs), frozensets
+    routes: kernel.Routes
+    transit: dict
+
+
+def _avoids(path, hosts: frozenset, links: frozenset) -> bool:
+    """A host path that passes none of `hosts` and crosses none of
+    `links` (endpoint pairs)."""
+    return hosts.isdisjoint(path) and not (links and any(
+        frozenset(hop) in links for hop in zip(path, path[1:])))
+
+
 @dataclass
 class HostRuntime:
     desc: HostDescriptor
@@ -112,11 +129,14 @@ class World:
         self.last_qos = None
         self.component_host: dict = {}        # component id -> host id
         self.topology_version = 0             # see kernel.TopologyFlag
-        self._routes = None                   # (version, kernel.Routes)
-        self._transit: dict = {}      # (src, dst) host -> connector_transit
+        # the _Routing of the current topology state, then of the previous
+        # one; `_routed_at` is the topology version the first was found at
+        self._routing: tuple = ()
+        self._routed_at = None
+        # _Routing.down at the last re-route pass
+        self._passed = (frozenset(), frozenset())
         # ((model version, topology version), connector id -> its hops)
         self._hops = (None, {})
-        self._rerouted_at = None              # version of the last re-route
         self._events: list = []       # heap of (at, kind order, seq, event)
         self._event_seq = 0
         self.trace_lines: list = []
@@ -153,14 +173,52 @@ class World:
             raise ValidationError(f"{record!r} is held by another world")
         record.__dict__["_world"] = self
         self.topology_version += 1
+        self._routing = ()              # a new host or link: route anew
 
     def routes(self) -> kernel.Routes:
-        """Routing index and BFS trees of the current topology version."""
-        if self._routes is None or self._routes[0] != self.topology_version:
-            self._routes = (self.topology_version, kernel.Routes(
-                {hid: h.desc.up for hid, h in self.hosts.items()}, self.links))
-            self._transit = {}
-        return self._routes[1]
+        """Routing index, BFS trees and path memo of the current topology
+        state."""
+        return self._routed().routes
+
+    def _routed(self) -> _Routing:
+        """The routing of the current topology state, the set of down hosts
+        and links, looked up once per topology version.
+
+        The current state's record is kept, and so is the previous
+        state's, for a host that rejoins or a link that comes back.  When
+        hosts or links only went down since the current state, every
+        memoized path and transit that avoids them is carried over: a
+        least fewest-hop path that survives in a smaller graph is still
+        least there, and an unreachable pair stays unreachable.  Any other
+        change, or a host or link added, routes anew.
+        """
+        kept = self._routing
+        if self._routed_at == self.topology_version:
+            return kept[0]
+        self._routed_at = self.topology_version
+        down = (frozenset([hid for hid, h in self.hosts.items()
+                           if not h.desc.up]),
+                frozenset([pair for pair, link in self.links.items()
+                           if not link.up]))
+        if kept and kept[0].down == down:
+            return kept[0]
+        if len(kept) > 1 and kept[1].down == down:
+            self._routing = (kept[1], kept[0])
+            return kept[1]
+        known, transit = {}, {}
+        was = kept[0].down if kept else None
+        if was and down[0] >= was[0] and down[1] >= was[1]:
+            hosts, links = down[0] - was[0], down[1] - was[1]
+            known = {pair: path
+                     for pair, path in kept[0].routes.known.items()
+                     if path is None or _avoids(path, hosts, links)}
+            transit = {pair: hop for pair, hop in kept[0].transit.items()
+                       if hop is None or _avoids(hop[1], hosts, links)}
+        record = _Routing(down, kernel.Routes(
+            {hid: h.desc.up for hid, h in self.hosts.items()}, self.links,
+            known), transit)
+        self._routing = (record,) + kept[:1]
+        return record
 
     @property
     def model(self) -> kernel.ArchitectureModel:
@@ -236,7 +294,7 @@ class World:
 
         Flow transport is latency-bound; bandwidth enters the QoS score,
         not per-sample timing.  Memoized per host pair with the routes of
-        the topology version: latencies are fixed once a link is added.
+        the topology state: latencies are fixed once a link is added.
         """
         k = self.connectors.get(kid)
         if k is None:
@@ -247,11 +305,11 @@ class World:
             return None
         if src == dst:
             return (0, ())
-        self.routes()                   # drops the memo of an old version
-        hop = self._transit.get((src, dst), _ABSENT)
+        transit = self._routed().transit
+        hop = transit.get((src, dst), _ABSENT)
         if hop is _ABSENT:
             path = kernel.shortest_path(self, src, dst)
-            hop = self._transit[src, dst] = None if path is None else (
+            hop = transit[src, dst] = None if path is None else (
                 sum(self.links[frozenset((a, b))].latency
                     for a, b in zip(path, path[1:])), tuple(path))
         return hop
@@ -343,12 +401,23 @@ class World:
         while self._events and self._events[0][0] <= self.now:
             self._fire(heapq.heappop(self._events)[3])
             report["events"] += 1
-        # (2) flow re-routing; queued paths were routed or checked at the
-        # last pass's version
-        if self._rerouted_at != self.topology_version:
-            for kid in sorted(self.connectors):
-                self.connectors[kid].reroute_check(self.now, self.link_up)
-            self._rerouted_at = self.topology_version
+        # (2) flow re-routing.  After a pass every in-transit path is valid
+        # at that pass's state, and until the next pass samples are routed
+        # at that state or with more hosts down (phase 3).  So only a host
+        # or link that went down since the last pass can break a path, and
+        # only connectors with a sample in transit over one are checked
+        down, passed = self._routed().down, self._passed
+        if down is not passed:
+            hosts, links = down[0] - passed[0], down[1] - passed[1]
+            if hosts or links:
+                now = self.now
+                for kid in sorted(self.connectors):
+                    k = self.connectors[kid]
+                    if any(e.available_at > now and e.path
+                           and not _avoids(e.path, hosts, links)
+                           for q in k._queues.values() for e in q):
+                        k.reroute_check(now, self.link_up)
+            self._passed = down
         # (3) battery drain; exhausted hosts leave
         for hid in sorted(self.hosts):
             host = self.hosts[hid]

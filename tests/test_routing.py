@@ -5,11 +5,13 @@ import heapq
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptsim import adaptation, behaviors, kernel
 from adaptsim.adaptation import Coordinator
-from adaptsim.connector import Endpoint, FlowPolicy
+from adaptsim.connector import (ConnectorInstance, Endpoint, FlowPolicy,
+                               FlowSync, LossKind)
 from adaptsim.container import ComponentDescriptor, Variant
 from adaptsim.kernel import (Add, Battery, Connect, Disconnect,
                              HostDescriptor, HostTier, Move, Remove,
@@ -368,6 +370,79 @@ class TestInvalidation:
                      if "op=deliver" in line and line.endswith(" seq=4")]
         assert delivered == [23]
 
+    @staticmethod
+    def two_flows():
+        """flow_square() and a lossless flow k2 from h1 to h3, over h1-h3;
+        k1 goes over h2."""
+        w = flow_square()
+        kernel.apply_now(w, Add(comp("src2", "source", outs=("out",)), "h1"))
+        kernel.apply_now(w, Add(comp("snk2", "sink", ins=("in",)), "h3"))
+        kernel.apply_now(w, Connect("k2", Endpoint("src2", "out"),
+                                    (Endpoint("snk2", "in"),), FlowPolicy()))
+        return w
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        """(tick, connector id) of each `reroute_check` call from now on."""
+        checked = []
+        check = ConnectorInstance.reroute_check
+
+        def counted(k, now, link_up):
+            checked.append((now, k.id))
+            return check(k, now, link_up)
+        monkeypatch.setattr(ConnectorInstance, "reroute_check", counted)
+        return checked
+
+    @pytest.mark.parametrize("down, back, checked", [
+        (("leave", "h2"), ("join", "h2"), ["k1"]),
+        (("leave", "h3"), ("join", "h3"), ["k2"]),
+        (("linkdown", ("h2", "h4")), ("linkup", ("h2", "h4")), ["k1"]),
+        (("linkdown", ("h1", "h3")), ("linkup", ("h1", "h3")), ["k2"])])
+    def test_a_pass_checks_only_connectors_in_transit_over_what_went_down(
+            self, monkeypatch, down, back, checked):
+        w = self.two_flows()
+        for at, (event, arg) in ((2, down), (3, back)):
+            kind, key = HOP_EVENTS[event]
+            w.schedule(sim_event(at, kind, **{key: arg}))
+        calls = self.count_checks(monkeypatch)
+        w.run(4)
+        assert calls == [(2, kid) for kid in checked]
+
+    def test_a_join_reuses_the_routes_of_the_state_before_the_leave(
+            self, monkeypatch):
+        w = self.two_flows()
+        w.schedule(sim_event(2, SimEventKind.HOST_LEAVE, host="h2"))
+        w.schedule(sim_event(3, SimEventKind.HOST_JOIN, host="h2"))
+        w.run(2)
+        before = w.routes()
+        known = dict(before.known)
+        assert set(known) == {("h1", "h4"), ("h1", "h3")}
+
+        class CountingAdj(dict):
+            gets = 0
+
+            def get(self, *args):
+                CountingAdj.gets += 1
+                return super().get(*args)
+        before.adj = CountingAdj(before.adj)
+        searches = []
+        search = kernel.shortest_path
+
+        def counted(world, src, dst):
+            searches.append((src, dst))
+            return search(world, src, dst)
+        monkeypatch.setattr(kernel, "shortest_path", counted)
+        calls = self.count_checks(monkeypatch)
+        w.step()                                # tick 2: h2 leaves
+        assert w.routes() is not before
+        assert calls == [(2, "k1")] and searches == [("h1", "h4")]
+        w.step()                                # tick 3: h2 joins
+        assert w.routes() is before
+        assert calls == [(2, "k1")] and searches == [("h1", "h4")]
+        for (src, dst), path in known.items():
+            assert kernel.shortest_path(w, src, dst) == list(path)
+        assert CountingAdj.gets == 0
+
 
 # -- per-connector hop lists ------------------------------------------------
 
@@ -510,6 +585,129 @@ class TestHopLists:
             ((10, ("h1", "h3")), tap),              # moved to h3
             ((30, ("h1", "h2", "h4", "h3")), tap),  # h1-h3 down
             (None, None)}                           # h2 left: h1 cut off
+
+
+# -- routing kept per topology state -----------------------------------------
+
+class EveryVersionWorld(World):
+    """The reference re-route pass: every connector is checked at every
+    topology version change.  The scripts fire their events between ticks,
+    so phase (1) of a step is empty and the pass can run before it."""
+
+    checked_at = None
+
+    def step(self):
+        if self.checked_at != self.topology_version:
+            for kid in sorted(self.connectors):
+                self.connectors[kid].reroute_check(self.now, self.link_up)
+            self.checked_at = self.topology_version
+        self._passed = self._routed().down      # the world's own pass idles
+        return super().step()
+
+
+CHURN_HOSTS = ("h1", "h2", "h3", "h4", "h5")
+CHURN_LINKS = SQUARE_LINKS + (("h2", "h5"), ("h4", "h5"))
+KEEP_LATEST = FlowPolicy(sync=FlowSync.UNSYNCHRONIZED,
+                         loss=LossKind.KEEP_LATEST, capacity=1)
+
+
+def churn_world(world=World):
+    """square() and h5, linked to h2 and h4 at latency 2, with flows in
+    transit for up to 20 ticks: lossless from h1 to h4, keep-latest from h4
+    to h1, and lossless from h3 to both h5 and h2.  h2's battery runs out
+    in tick 6, and h2 leaves again one tick after each rejoin."""
+    w = square(battery=Battery(level=0.5, drain_per_tick=0.1), world=world)
+    w.add_host(HostDescriptor(id="h5", tier=HostTier.FULL,
+                              cpu_capacity=8, mem_capacity=8))
+    w.add_link("h2", "h5", latency=2)
+    w.add_link("h4", "h5", latency=2)
+    for cid, hid, behavior in (("s1", "h1", "source"), ("t1", "h4", "sink"),
+                               ("s2", "h4", "source"), ("t2", "h1", "sink"),
+                               ("s3", "h3", "source"), ("t3", "h5", "sink"),
+                               ("t4", "h2", "sink")):
+        ins, outs = ((), ("o",)) if behavior == "source" else (("i",), ())
+        assert kernel.apply_now(w, Add(comp(cid, behavior, ins, outs),
+                                       hid)).applied
+    for kid, src, sinks, policy in (
+            ("k1", "s1", ("t1",), FlowPolicy()),
+            ("k2", "s2", ("t2",), KEEP_LATEST),
+            ("k3", "s3", ("t3", "t4"),
+             FlowPolicy(sync=FlowSync.UNSYNCHRONIZED))):
+        assert kernel.apply_now(w, Connect(
+            kid, Endpoint(src, "o"), tuple(Endpoint(t, "i") for t in sinks),
+            policy)).applied
+    return w
+
+
+def queued(w):
+    return {kid: {str(sink): [(e.sample.seq, e.available_at, e.path)
+                              for e in q] for sink, q in k._queues.items()}
+            for kid, k in w.connectors.items()}
+
+
+def check_kept_routing(w):
+    """Every answer the world's routes and transit memo hold equals one
+    of routes built for the world as it is."""
+    fresh = kernel.Routes({hid: h.desc.up for hid, h in w.hosts.items()},
+                          w.links)
+    for (src, dst), path in w.routes().known.items():
+        assert path == fresh.path(src, dst), (src, dst)
+    for (src, dst), hop in w._routed().transit.items():
+        assert hop == fresh_transit(w, src, dst), (src, dst)
+
+
+def run_churn(script):
+    """Runs the script on a churn_world and on an EveryVersionWorld in
+    step; after each step the kept routing must be exact and the queues
+    and traces equal.  Returns the world."""
+    w, ref = churn_world(), churn_world(EveryVersionWorld)
+    for step in script:
+        for world in (w, ref):
+            if step[0] == "tick":
+                world.step()
+            else:
+                kind, key = HOP_EVENTS[step[0]]
+                world._fire(sim_event(world.now, kind, **{key: step[1]}))
+        check_kept_routing(w)
+        assert queued(w) == queued(ref)
+        assert w.trace_lines == ref.trace_lines
+    return w
+
+
+churn_steps = st.lists(st.one_of(
+    st.just(("tick",)), st.just(("tick",)),
+    st.tuples(st.sampled_from(("linkdown", "linkup")),
+              st.sampled_from(CHURN_LINKS)),
+    st.tuples(st.sampled_from(("leave", "join")),
+              st.sampled_from(CHURN_HOSTS)),
+), max_size=40)
+
+
+class TestRoutingByState:
+    """Routes and transits are kept per topology state and carried across
+    a change that only takes hosts or links down; the re-route pass checks
+    only connectors with a sample in transit over what went down."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(script=churn_steps)
+    def test_kept_routing_and_the_pass_equal_fresh_routes_and_every_check(
+            self, script):
+        run_churn(script + [("tick",)])
+
+    def test_a_battery_leave_is_rerouted_by_the_next_pass(self):
+        """One fixed script.  k1's samples go h1-h2-h4, then h1-h3-h4 while
+        h2-h4 is down.  h3 leaves before tick 6, so the pass re-paths them
+        over h2 again; h2's battery runs out in phase (3) of that tick, so
+        sample 7 finds no route, and tick 7's pass, where h3 is back,
+        re-paths samples 1-6 away from h2."""
+        w = run_churn([("tick",)] * 3 + [
+            ("linkdown", ("h2", "h4")), ("tick",), ("tick",),
+            ("linkup", ("h2", "h4")), ("tick",),
+            ("leave", "h3"), ("tick",), ("join", "h3"), ("tick",)])
+        assert "tick=6 host=h2 kind=NET op=leave" in w.trace_lines
+        assert queued(w)["k1"]["t1.i"] == [
+            (seq, 27, ("h1", "h3", "h4")) for seq in range(1, 7)] + [
+            (7, 6, None), (8, 27, ("h1", "h3", "h4"))]
 
 
 # -- component -> host index -----------------------------------------------
