@@ -58,18 +58,11 @@ class Endpoint:
 
 
 @dataclass(slots=True)
-class FlowSample:
+class _Queued:
     seq: int
     payload: Any
-    produced_at: int
-    producer: str
-
-
-@dataclass(slots=True)
-class _Queued:
-    sample: FlowSample
     available_at: int
-    path: tuple            # host ids traversed, () when local
+    path: tuple            # host ids traversed, () when local, None unrouted
 
 
 class ConnectorInstance:
@@ -79,7 +72,9 @@ class ConnectorInstance:
     a sample in flight from the source to that sink, None when no route
     currently exists; the default treats everything as local.  `hops` is
     an injected callable (sinks -> [transit of each sink, in order]), the
-    one a push reads; the default calls `transit` per sink.
+    one a push reads; the default calls `transit` per sink.  `tracer`
+    is called as (connector, now, op, sink, seq) for each flow event; the
+    default does nothing.
     """
 
     def __init__(self, id: str, source: Endpoint, sinks: list,
@@ -95,7 +90,7 @@ class ConnectorInstance:
         self.policy = policy
         self.transit = transit or (lambda sink: (0, ()))
         self.hops = hops or (lambda sinks: [self.transit(s) for s in sinks])
-        self.tracer = tracer
+        self.tracer = tracer or (lambda conn, now, op, sink, seq: None)
         self._seq = 0
         self._queues: dict = {s: [] for s in self.sinks}
         self._sink_at = {(s.component, s.port): s for s in self.sinks}
@@ -145,14 +140,12 @@ class ConnectorInstance:
             # no route right now: queue locally, path None, retry en route
             ticks, path = (0, None) if hop is None else hop
             # per-sink copy: value semantics, no cross-sink aliasing
-            entry = _Queued(FlowSample(seq, payload, now, component),
-                            now + ticks, path)
+            entry = _Queued(seq, payload, now + ticks, path)
             if keep_latest and q:
-                dropped = q.pop(0)
-                self._trace(now, "drop", sink, dropped.sample.seq)
+                self.tracer(self, now, "drop", sink, q.pop(0).seq)
                 result = PushResult.OVERWROTE
             q.append(entry)
-        self._trace(now, "push", None, seq)
+        self.tracer(self, now, "push", None, seq)
         return result
 
     def pull(self, component: str, port: str, now: int):
@@ -177,8 +170,8 @@ class ConnectorInstance:
         q.pop(0)
         self.delivered_count += 1
         self._delivered_window += 1
-        self._trace(now, "deliver", sink, head.sample.seq)
-        return head.sample.payload
+        self.tracer(self, now, "deliver", sink, head.seq)
+        return head.payload
 
     def reroute_check(self, now: int, link_up: Callable) -> None:
         """Re-path in-transit samples whose route lost a link.
@@ -194,7 +187,7 @@ class ConnectorInstance:
                     not link_up(a, b) for a, b in zip(path, path[1:]))
                 if broken and entry.available_at > now:
                     if self.policy.loss is LossKind.KEEP_LATEST:
-                        self._trace(now, "drop", sink, entry.sample.seq)
+                        self.tracer(self, now, "drop", sink, entry.seq)
                         continue
                     hop = self.transit(sink)
                     if hop is None:
@@ -208,19 +201,23 @@ class ConnectorInstance:
     # -- control -----------------------------------------------------------
 
     def drain(self) -> dict:
-        """Remove and return all buffered and in-flight samples per sink."""
+        """Remove and return all buffered and in-flight samples per sink.
+
+        Each sink gets a new list and `refill` builds new records, so a
+        checkpoint that copied `_queues` one level deep keeps its queues.
+        """
         out = {}
         for sink in self.sinks:
-            out[sink] = [e.sample for e in self._queues[sink]]
+            out[sink] = self._queues[sink]
             self._queues[sink] = []
         return out
 
     def refill(self, sink: Endpoint, samples: list, now: int) -> None:
-        """Re-queue drained samples at a sink, ahead of its queue."""
+        """Re-queue drained samples at a sink, due now, ahead of its queue."""
         if sink not in self._queues:
             raise BindingError(f"{sink} is not a sink of {self.id}")
         self._queues[sink] = (
-            [_Queued(sample=s, available_at=now, path=()) for s in samples]
+            [_Queued(s.seq, s.payload, now, ()) for s in samples]
             + self._queues[sink])
 
     # -- reporting ---------------------------------------------------------
@@ -232,7 +229,3 @@ class ConnectorInstance:
         rate = self._delivered_window
         self._delivered_window = 0
         return rate
-
-    def _trace(self, now, op, sink, seq):
-        if self.tracer is not None:
-            self.tracer(self, now, op, sink, seq)

@@ -313,17 +313,14 @@ def route(world, src: str, dst: str) -> Optional[list]:
     Sensor-class hosts know only their direct neighbourhood and delegate
     anything further to the nearest full host.  A down host routes nothing.
     """
-    host = world.hosts[src]
-    if host.desc.tier is not HostTier.LIGHT_MIN or not host.desc.up:
-        return shortest_path(world, src, dst)
-    if dst == src:
-        return [src]
-    if dst in neighbors(world, src):
-        return [src, dst]
-    delegate = nearest_full_neighbor(world, src)
-    if delegate is None:
-        raise ServiceUnavailable(Service.ROUTING.value)
-    world.trace(src, "NET", f"op=delegate to={delegate} what=route dst={dst}")
+    desc = world.hosts[src].desc
+    if (desc.tier is HostTier.LIGHT_MIN and desc.up and dst != src
+            and dst not in neighbors(world, src)):
+        delegate = nearest_full_neighbor(world, src)
+        if delegate is None:
+            raise ServiceUnavailable(Service.ROUTING.value)
+        world.trace(src, "NET",
+                    f"op=delegate to={delegate} what=route dst={dst}")
     return shortest_path(world, src, dst)
 
 

@@ -110,7 +110,6 @@ class HostRuntime:
 
 class World:
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self.rng = random.Random(seed)
         self.now = 0
         self.hosts: dict = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from adaptsim.connector import Endpoint, FlowSample, _Queued
+from adaptsim.connector import Endpoint, _Queued
 from adaptsim.context import (ContextInformation, ContextNature, Location,
                               Quantity, ValidityPolicy, effective_confidence,
                               freshness, is_valid, stamp)
@@ -141,11 +141,10 @@ class TestIsValid:
 def slotted_records():
     """One record of each slotted type a tick builds, nested ones filled."""
     obj = make_obj(ts=3, conf=0.5, host="h2")
-    sample = FlowSample(seq=4, payload={"n": [1, 2]}, produced_at=3,
-                        producer="src")
     return [obj.info.value, obj.info, obj.validity.location, obj.validity,
-            obj, Endpoint("c", "in"), sample,
-            _Queued(sample=sample, available_at=5, path=("h1", "h2"))]
+            obj, Endpoint("c", "in"),
+            _Queued(seq=4, payload={"n": [1, 2]}, available_at=5,
+                    path=("h1", "h2"))]
 
 
 class TestSlottedRecords:

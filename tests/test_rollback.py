@@ -107,8 +107,7 @@ def extract(w):
               for cid, c in h.containers.items()]
         for hid, h in w.hosts.items()}
     connectors = {
-        kid: ({str(s): [(e.sample.seq, e.sample.payload,
-                         e.sample.produced_at, e.available_at, e.path)
+        kid: ({str(s): [(e.seq, e.payload, e.available_at, e.path)
                         for e in q] for s, q in k._queues.items()},
               k._seq, k.pushed_count, k.delivered_count,
               k._delivered_window, k.source, list(k.sinks), k.policy)

@@ -318,7 +318,7 @@ class TestInvalidation:
         assert not w.hosts["h2"].desc.up
         assert queue()[0].path == ("h1", "h2", "h4")
         w.step()
-        assert [e.sample.seq for e in queue()] == [1, 2, 3]
+        assert [e.seq for e in queue()] == [1, 2, 3]
         assert all(e.path == ("h1", "h3", "h4") for e in queue())
 
     def test_connector_transit_follows_every_topology_write(self):
@@ -362,7 +362,7 @@ class TestInvalidation:
             == (1, ("h1", "h4"))
         w.step()                        # tick 3 pushes sample 4
         [entry] = w.connectors["k1"]._queues[Endpoint("snk", "in")]
-        assert entry.sample.seq == 4
+        assert entry.seq == 4
         assert (entry.available_at, entry.path) == (23, ("h1", "h2", "h4"))
         w.run(20)
         delivered = [int(line.split()[0][len("tick="):])
@@ -640,7 +640,7 @@ def churn_world(world=World):
 
 
 def queued(w):
-    return {kid: {str(sink): [(e.sample.seq, e.available_at, e.path)
+    return {kid: {str(sink): [(e.seq, e.available_at, e.path)
                               for e in q] for sink, q in k._queues.items()}
             for kid, k in w.connectors.items()}
 
