@@ -80,7 +80,7 @@ class DeploymentPlan:
 
 @dataclass
 class CycleOutcome:
-    kind: str                   # NoAction | EventsEmitted | PlanApplied | PlanDeferred
+    kind: str                   # NoAction | EventsEmitted | PlanApplied
     events: int = 0
     plan: Optional[DeploymentPlan] = None
 
@@ -557,8 +557,6 @@ class Coordinator:
             raise ValueError(f"unknown adaptation mode {mode}")
         self.host = host_id
         self.mode = mode
-        # how far the platform may step in; no descriptor sets it
-        self.intrusion = kernel.IntrusionLevel.OPEN
         self.alert_since: Optional[int] = None
         self.infeasible_outstanding = False
         # (key, observation, report) of the last full scoring, where key is
@@ -652,20 +650,10 @@ class Coordinator:
         self.infeasible_outstanding = False
         if plan is None or not plan.commands:
             return CycleOutcome("NoAction")
-        deferred = False
         for cmd in plan.commands:
-            stranded = (isinstance(cmd, Move) and
-                        not world.hosts[
-                            world.host_of(cmd.component) or cmd.target
-                        ].desc.up)
-            result = kernel.apply(world, cmd, forced=stranded)
-            if result.status == "Deferred":
-                deferred = True
-            elif not result.applied:
+            if not kernel.apply_now(world, cmd).applied:
                 # retry next cycle with a fresh observation
                 return CycleOutcome("NoAction")
-        if deferred:
-            return CycleOutcome("PlanDeferred", plan=plan)
         return CycleOutcome("PlanApplied", plan=plan)
 
     def _store_report(self, world, report: QoSReport, now: int) -> None:

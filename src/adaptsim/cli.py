@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from . import descriptors as desc
@@ -81,6 +80,8 @@ def cmd_run(args) -> int:
         app, net, diags = _load_pair(args.app, args.net)
         scenario, d3 = desc.parse_scenario(desc.load_json(args.scenario))
         diags += d3
+        if not diags:
+            diags = desc.validate_scenario(scenario, net)
     except DescriptorError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -101,13 +102,6 @@ def cmd_run(args) -> int:
         with open(args.trace, "w") as fh:
             for line in world.trace_lines:
                 fh.write(line + "\n")
-        outdir = os.path.dirname(os.path.abspath(args.trace))
-        for hid in sorted(world.hosts):
-            log = world.hosts[hid].persist_log
-            if log:
-                with open(os.path.join(outdir,
-                                       f"persist-{hid}.log"), "w") as fh:
-                    fh.write("\n".join(log) + "\n")
     except OSError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -33,8 +33,6 @@ class Service(Enum):
     CONTEXT_DISTANT = "ContextDistant"
     PERSISTENCE = "Persistence"
     ROUTING = "Routing"
-    QOS_MEASURE = "QoSMeasure"
-    REFLEXIVITY = "Reflexivity"
 
 
 # Capability matrix per tier.  Sensor-class hosts keep only the services a
@@ -43,8 +41,7 @@ SERVICE_MATRIX = {
     HostTier.FULL: frozenset(Service),
     HostTier.LIGHT_STD: frozenset(Service),
     HostTier.LIGHT_MIN: frozenset({
-        Service.CONTEXT_ACCESS, Service.CONTEXT_DISTANT,
-        Service.QOS_MEASURE, Service.REFLEXIVITY}),
+        Service.CONTEXT_ACCESS, Service.CONTEXT_DISTANT}),
 }
 
 
@@ -81,15 +78,6 @@ class HostDescriptor(TopologyFlag):
     def __post_init__(self):
         if self.cpu_capacity <= 0 or self.mem_capacity <= 0:
             raise ValidationError(f"host {self.id}: capacities must be > 0")
-
-
-class IntrusionLevel(Enum):
-    OPEN = "Open"
-    GUARDED = "Guarded"
-    LOCKED = "Locked"
-
-
-DEFER_WINDOW = 5            # Guarded: ticks before a deferred command runs
 
 
 # -- reconfiguration commands ----------------------------------------------
@@ -133,7 +121,7 @@ class ReplaceBusiness:
 
 @dataclass(frozen=True)
 class CommandResult:
-    status: str                 # Applied | Aborted | Deferred
+    status: str                 # Applied | Aborted
     reason: str = ""
 
     @property
@@ -142,7 +130,6 @@ class CommandResult:
 
 
 APPLIED = CommandResult("Applied")
-DEFERRED = CommandResult("Deferred")
 
 
 def aborted(reason: str) -> CommandResult:
@@ -346,21 +333,7 @@ def service_call(world, host_id: str, service: Service, request: Any = None):
         return world.hosts[remote_id].store.query(query, world.now)
     if service is Service.ROUTING:
         return route(world, host_id, request)
-    if service is Service.PERSISTENCE:
-        host.persist_log.append(f"tick={world.now} {request.trace_repr()}")
-        return None
-    if service is Service.QOS_MEASURE:
-        return world.last_qos
-    if service is Service.REFLEXIVITY:
-        model = world.model
-        if host.desc.tier is HostTier.FULL:
-            return model
-        local = ArchitectureModel(version=model.version)
-        for cid, mc in model.components.items():
-            if mc.host == host_id:
-                local.components[cid] = mc
-        return local
-    raise ServiceUnavailable(str(service))
+    return None                         # Persistence stores nothing
 
 
 # -- event emission (flow C) -----------------------------------------------
@@ -385,34 +358,9 @@ def emit_event(world, e: PlatformEvent, from_host: str) -> int:
 
 # -- command execution -----------------------------------------------------
 
-def apply(world, cmd, forced: bool = False) -> CommandResult:
-    """Run one command of the world's coordinator atomically.
-
-    It respects the coordinator's intrusion level; forced recovery
-    (component stranded on a dead host) overrides a lock.  An
-    application's command goes through `apply_now` (see
-    `PlatformApi.submit_command`).  A Move replaces the deferred Moves of
-    its component: the newest plan for a component is the one that waits.
-    """
-    if isinstance(cmd, Move):
-        world.deferred_commands = [
-            (due, c) for due, c in world.deferred_commands
-            if not (isinstance(c, Move) and c.component == cmd.component)]
-    intrusion = world.coordinator.intrusion
-    if not forced and intrusion is not IntrusionLevel.OPEN:
-        # Locked: no due tick; the command waits for the lock to lift
-        due = (None if intrusion is IntrusionLevel.LOCKED
-               else world.now + DEFER_WINDOW)
-        world.trace(world.coordinator.host, "CMD",
-                    f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} result=Deferred"
-                    + ("" if due is None else f" due={due}")
-                    + " origin=platform")
-        world.deferred_commands.append((due, cmd))
-        return DEFERRED
-    return apply_now(world, cmd)
-
-
 def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
+    """Run one command atomically: a command that aborts leaves the
+    runtime as it found it."""
     # a Move to the component's own host changes no registry
     stays = (isinstance(cmd, Move)
              and world.component_host.get(cmd.component) == cmd.target)
@@ -456,22 +404,6 @@ def _cmd_args(cmd) -> str:
         what = cmd.behavior or cmd.tier
         return f"comp={cmd.component} to={what}"
     return ""
-
-
-def process_deferred(world) -> None:
-    """Run the coordinator's deferred commands whose window elapsed or
-    whose lock lifted."""
-    intrusion = world.coordinator.intrusion
-    still = []
-    for due, cmd in world.deferred_commands:
-        runnable = (intrusion is IntrusionLevel.OPEN
-                    or (due is not None and world.now >= due
-                        and intrusion is not IntrusionLevel.LOCKED))
-        if runnable:
-            apply_now(world, cmd)
-        else:
-            still.append((due, cmd))
-    world.deferred_commands = still
 
 
 def _find_component(world, cid: str):

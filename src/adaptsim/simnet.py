@@ -101,7 +101,6 @@ class HostRuntime:
     desc: HostDescriptor
     store: ContextStore = field(default_factory=ContextStore)
     containers: dict = field(default_factory=dict)
-    persist_log: list = field(default_factory=list)
     location: Location = field(init=False)    # of every reading it stamps
 
     def __post_init__(self):
@@ -123,7 +122,6 @@ class World:
         self._apis: dict = {}                 # (host, component) -> api
         self._last_report: dict = {}  # component -> see _reported
         self._flow_infos: dict = {}   # (connector, key, value) -> info
-        self.deferred_commands: list = []
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
         self.component_host: dict = {}        # component id -> host id
@@ -496,8 +494,6 @@ class World:
                 self.trace(hid, "CTX",
                            f"key=flow.rate conn={k.id} rate={rate:g} "
                            f"depth={depth}")
-        if self.coordinator is not None and hid == self.coordinator.host:
-            kernel.process_deferred(self)
 
     def _reported(self, cid: str) -> tuple:
         """(information, its trace text) of a component's liveness report,
@@ -614,6 +610,6 @@ class PlatformApi:
                                    request)
 
     def submit_command(self, cmd):
-        """Application-originated reconfiguration (bypasses intrusion
-        gating: the application is changing itself)."""
+        """Application-originated reconfiguration: the application is
+        changing itself."""
         return kernel.apply_now(self._world, cmd, origin="app")

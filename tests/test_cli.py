@@ -463,6 +463,15 @@ def _with_battery(change):
     ("app", _with_first(APP, "components", "in_ports", [""]),
      "components[0]: in_ports must be a list of non-empty strings with "
      "no whitespace, not ['']"),
+    # events that `run` fired as nothing
+    ("scenario", _event(kind="HostLeave", host="h9"),
+     "events[0]: host 'h9' is not in the net"),
+    ("scenario", _event(kind="SensorReading", host="h9", key="temp"),
+     "events[0]: host 'h9' is not in the net"),
+    ("scenario", _event(kind="LinkDown", endpoints=["h1", "h9"]),
+     "events[0]: link h1-h9 is not in the net"),
+    ("scenario", _event(kind="LinkUp", endpoints=["h1", "h1"]),
+     "events[0]: link h1-h1 is not in the net"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):

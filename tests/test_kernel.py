@@ -1,4 +1,4 @@
-"""Kernel behaviour: tiers, routing, services, commands, intrusion."""
+"""Kernel behaviour: tiers, routing, services, commands."""
 
 import random
 from collections import deque
@@ -13,7 +13,7 @@ from adaptsim.context import (ContextInformation, ContextNature, Location,
                               Quantity, stamp)
 from adaptsim.errors import ServiceUnavailable, Unreachable
 from adaptsim.kernel import (Add, Battery, Connect, Disconnect, HostDescriptor,
-                             HostTier, IntrusionLevel, Move, Remove,
+                             HostTier, Move, Remove,
                              ReplaceBusiness, Service, reconstruct_model)
 from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 from adaptsim.store import ContextQuery
@@ -60,11 +60,8 @@ def flow_report_hosts(w, ticks):
 
 class TestServiceMatrix:
     def test_light_min_offers_only_cheap_services(self):
-        offered = kernel.SERVICE_MATRIX[HostTier.LIGHT_MIN]
-        assert Service.PERSISTENCE not in offered
-        assert Service.ROUTING not in offered
-        assert Service.CONTEXT_ACCESS in offered
-        assert Service.QOS_MEASURE in offered
+        assert kernel.SERVICE_MATRIX[HostTier.LIGHT_MIN] == {
+            Service.CONTEXT_ACCESS, Service.CONTEXT_DISTANT}
 
     def test_full_and_light_std_offer_everything(self):
         assert kernel.SERVICE_MATRIX[HostTier.FULL] == frozenset(Service)
@@ -117,14 +114,6 @@ class TestServices:
             kernel.service_call(w, "h1", Service.CONTEXT_DISTANT,
                                 ("h3", TEMP))
 
-    def test_persistence_appends_to_the_host_log(self):
-        w = make_world()
-        w.now = 4
-        obj = reading("h2", 21.0, now=4)
-        assert kernel.service_call(w, "h2", Service.PERSISTENCE, obj) is None
-        assert w.hosts["h2"].persist_log == [f"tick=4 {obj.trace_repr()}"]
-        assert w.hosts["h1"].persist_log == []
-
     def test_routing_answers_the_path(self):
         w = make_world(tiers=("Full", "Full", "LightMin"))
         assert kernel.service_call(w, "h1", Service.ROUTING, "h2") == \
@@ -132,26 +121,6 @@ class TestServices:
         with pytest.raises(ServiceUnavailable) as err:
             kernel.service_call(w, "h3", Service.ROUTING, "h1")
         assert err.value.delegate_hint == "h2"
-
-    def test_qos_measure_returns_the_last_report(self):
-        w = make_world()
-        assert kernel.service_call(w, "h3", Service.QOS_MEASURE) is None
-        w.coordinator = adaptation.Coordinator("h1", "M1")
-        w.coordinator.run_cycle(w, 0)
-        assert kernel.service_call(w, "h3", Service.QOS_MEASURE) is w.last_qos
-        assert w.last_qos.global_score == 1.0
-
-    def test_reflexivity_shows_a_light_host_only_its_own_components(self):
-        w = make_world(tiers=("Full", "LightStd", "LightMin"))
-        kernel.apply_now(w, Add(desc("c1"), "h1"))
-        kernel.apply_now(w, Add(desc("c2", tiers=("LightStd",)), "h2"))
-        kernel.apply_now(w, Add(desc("c3", tiers=("LightMin",)), "h3"))
-        assert kernel.service_call(w, "h1", Service.REFLEXIVITY) is w.model
-        for hid, cid in (("h2", "c2"), ("h3", "c3")):
-            local = kernel.service_call(w, hid, Service.REFLEXIVITY)
-            assert local.components == {cid: w.model.components[cid]}
-            assert local.connectors == {}
-            assert local.version == w.model.version
 
     def test_platform_api_serves_its_own_host(self):
         w = make_world()
@@ -166,9 +135,8 @@ class TestServices:
     def test_platform_api_commands_are_app_originated(self):
         w = make_world()
         w.coordinator = adaptation.Coordinator("h1", "M1")
-        w.coordinator.intrusion = IntrusionLevel.LOCKED
         r = PlatformApi(w, "h2", "c").submit_command(Add(desc("c1"), "h3"))
-        assert r.applied                     # the lock gates the platform only
+        assert r.applied
         assert "c1" in w.hosts["h3"].containers
         assert w._tick_buffer[-1][3].endswith(
             "cmd=Add comp=c1 host=h3 result=Applied origin=app")
@@ -553,146 +521,6 @@ class TestCausalConnection:
             "c", behavior="identity")).applied
         w.run(4)                                  # leave, then rejoin
         assert c.lifecycle is Lifecycle.STOPPED
-
-
-class TestIntrusion:
-    def coordinated(self, level):
-        """make_world with an M1 coordinator on h1 at this intrusion level."""
-        w = make_world()
-        w.coordinator = adaptation.Coordinator("h1", "M1")
-        w.coordinator.intrusion = level
-        return w
-
-    def test_guarded_defers_then_applies(self):
-        w = self.coordinated(IntrusionLevel.GUARDED)
-        r = kernel.apply(w, Add(desc("c1"), "h2"))
-        assert r.status == "Deferred"
-        assert w._tick_buffer[-1][3] == (
-            "host=h1 kind=CMD cmd=Add comp=c1 host=h2 result=Deferred due=5 "
-            "origin=platform")
-        assert "c1" not in w.hosts["h2"].containers
-        w.now = 4
-        kernel.process_deferred(w)
-        assert "c1" not in w.hosts["h2"].containers
-        w.now = 5
-        kernel.process_deferred(w)
-        assert "c1" in w.hosts["h2"].containers
-
-    def test_locked_holds_until_unlocked(self):
-        w = self.coordinated(IntrusionLevel.LOCKED)
-        assert kernel.apply(w, Add(desc("c1"), "h2")).status == "Deferred"
-        assert w._tick_buffer[-1][3] == (
-            "host=h1 kind=CMD cmd=Add comp=c1 host=h2 result=Deferred "
-            "origin=platform")                 # no due tick while locked
-        w.now = 50
-        kernel.process_deferred(w)
-        assert "c1" not in w.hosts["h2"].containers
-        w.coordinator.intrusion = IntrusionLevel.OPEN
-        kernel.process_deferred(w)
-        assert "c1" in w.hosts["h2"].containers
-
-    def test_forced_recovery_overrides_a_lock(self):
-        w = self.coordinated(IntrusionLevel.LOCKED)
-        kernel.apply_now(w, Add(desc("c1"), "h2"))
-        w.hosts["h2"].desc.up = False
-        r = kernel.apply(w, Move("c1", "h3"), forced=True)
-        assert r.applied
-        assert "c1" in w.hosts["h3"].containers
-
-    def test_app_commands_ignore_intrusion(self):
-        w = self.coordinated(IntrusionLevel.LOCKED)
-        r = PlatformApi(w, "h2", "c").submit_command(Add(desc("c1"), "h2"))
-        assert r.applied
-
-    def starved_world(self, level):
-        """An M3 coordinator on h1 at this level, and `b` on h2, which
-        cannot fit it and runs on a battery at 0.2: every cycle scores
-        0.64 and plans Move(b, h1), with h2 up."""
-        w = World(seed=1)
-        w.add_host(HostDescriptor(id="h1", tier=HostTier.FULL,
-                                  cpu_capacity=8.0, mem_capacity=8.0))
-        w.add_host(HostDescriptor(id="h2", tier=HostTier.FULL,
-                                  cpu_capacity=0.5, mem_capacity=8.0,
-                                  power=Battery(0.2)))
-        w.add_link("h1", "h2")
-        w.coordinator = adaptation.Coordinator("h1", "M3")
-        w.coordinator.intrusion = level
-        kernel.apply_now(w, Add(desc("a", out_ports=("out",),
-                                     behavior="source"), "h1"))
-        kernel.apply_now(w, Add(desc("b", in_ports=("in",),
-                                     behavior="sink"), "h2"))
-        kernel.apply_now(w, Connect("k1", Endpoint("a", "out"),
-                                    (Endpoint("b", "in"),), FlowPolicy()))
-        w._tick_buffer.clear()
-        return w
-
-    MOVE = "host=h1 kind=CMD cmd=Move comp=b target=h1 result="
-
-    def commands(self, w):
-        return [l for l in w.trace_lines if "kind=CMD" in l]
-
-    def test_a_guarded_replan_applies_a_window_later(self):
-        w = self.starved_world(IntrusionLevel.GUARDED)
-        w.run(5)
-        assert w.last_qos.global_score == pytest.approx(0.64)
-        assert self.commands(w) == [
-            f"tick=0 {self.MOVE}Deferred due=5 origin=platform"]
-        assert w.host_of("b") == "h2"
-        w.step()
-        assert self.commands(w)[1:] == [
-            f"tick=5 {self.MOVE}Applied origin=platform"]
-        assert w.host_of("b") == "h1"
-        assert w.last_qos.global_score == 1.0
-
-    def test_a_locked_replan_waits_for_open(self):
-        w = self.starved_world(IntrusionLevel.LOCKED)
-        w.run(12)
-        assert self.commands(w) == [
-            f"tick={t} {self.MOVE}Deferred origin=platform"
-            for t in (0, 5, 10)]
-        assert w.host_of("b") == "h2"
-        w.coordinator.intrusion = IntrusionLevel.OPEN
-        w.step()
-        assert self.commands(w)[3] == (
-            f"tick=12 {self.MOVE}Applied origin=platform")
-        assert w.host_of("b") == "h1"
-
-    def test_a_stranded_move_applies_under_locked(self):
-        w = self.starved_world(IntrusionLevel.LOCKED)
-        w.schedule(sim_event(3, SimEventKind.HOST_LEAVE, host="h2"))
-        w.run(6)
-        assert self.commands(w) == [
-            f"tick=0 {self.MOVE}Deferred origin=platform",
-            f"tick=5 {self.MOVE}Applied origin=platform"]
-        assert w.host_of("b") == "h1"
-
-    def test_a_repeated_locked_replan_applies_once(self):
-        # every cycle plans Move(b, h1) again; the newest copy replaces the
-        # waiting one, so the unlock applies one Move and bumps one version
-        w = self.starved_world(IntrusionLevel.LOCKED)
-        w.run(12)
-        assert self.commands(w) == [
-            f"tick={t} {self.MOVE}Deferred origin=platform"
-            for t in (0, 5, 10)]
-        assert w.deferred_commands == [(None, Move("b", "h1"))]
-        version = w.model_version
-        w.coordinator.intrusion = IntrusionLevel.OPEN
-        w.step()
-        assert self.commands(w)[3:] == [
-            f"tick=12 {self.MOVE}Applied origin=platform"]
-        assert w.model_version == version + 1
-        assert w.host_of("b") == "h1"
-
-    def test_a_forced_move_drops_the_deferred_one(self):
-        w = self.starved_world(IntrusionLevel.LOCKED)
-        w.schedule(sim_event(3, SimEventKind.HOST_LEAVE, host="h2"))
-        w.run(6)
-        assert w.deferred_commands == []
-        version = w.model_version
-        w.coordinator.intrusion = IntrusionLevel.OPEN
-        w.step()
-        assert len(self.commands(w)) == 2
-        assert w.model_version == version
 
 
 class TestEvents:

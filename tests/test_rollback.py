@@ -115,7 +115,6 @@ def extract(w):
     return {"containers": containers, "connectors": connectors,
             "component_host": list(w.component_host.items()),
             "descriptors": list(w.descriptors.items()),
-            "deferred": list(w.deferred_commands),
             "model": w.model.canonical(),
             "model_version": w.model.version}
 
