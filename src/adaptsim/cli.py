@@ -14,7 +14,7 @@ import sys
 from . import descriptors as desc
 from . import kernel, trace
 from .adaptation import Coordinator
-from .errors import DescriptorError
+from .errors import DescriptorError, ScheduleError
 from .kernel import Add, Connect, HostTier
 from .simnet import World
 
@@ -66,7 +66,9 @@ def _load_pair(app_path: str, net_path: str):
 
 def cmd_validate(args) -> int:
     try:
-        _, _, diags = _load_pair(args.app, args.net)
+        app, net, diags = _load_pair(args.app, args.net)
+        if not diags:
+            build_world(app, net)
     except DescriptorError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -81,7 +83,13 @@ def cmd_run(args) -> int:
         scenario, d3 = desc.parse_scenario(desc.load_json(args.scenario))
         diags += d3
         if not diags:
-            diags = desc.validate_scenario(scenario, net)
+            seed = args.seed if args.seed is not None else scenario.seed
+            world = build_world(app, net, seed=seed, mode=args.mode)
+            for i, ev in enumerate(scenario.events):
+                try:
+                    world.schedule(ev)
+                except ScheduleError as exc:
+                    diags.append(f"events[{i}]: {exc}")
     except DescriptorError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -89,15 +97,7 @@ def cmd_run(args) -> int:
         for d in diags:
             print(d)
         return 1
-    seed = args.seed if args.seed is not None else scenario.seed
-    try:
-        world = build_world(app, net, seed=seed, mode=args.mode)
-        for ev in scenario.events:
-            world.schedule(ev)
-        world.run(scenario.duration)
-    except DescriptorError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    world.run(scenario.duration)
     try:
         with open(args.trace, "w") as fh:
             for line in world.trace_lines:

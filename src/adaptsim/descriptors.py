@@ -343,26 +343,10 @@ def parse_scenario(doc: Any) -> tuple:
     sc = (_read(_SCENARIO, ScenarioScript, doc, "scenario", diags)
           or ScenarioScript())
     for i, ev in enumerate(sc.events):
-        if ev.at > sc.duration:
+        if ev.at >= sc.duration:
             diags.append(f"events[{i}]: tick {ev.at} beyond duration "
                          f"{sc.duration}")
     return (ScenarioScript() if diags else sc), diags
-
-
-def validate_scenario(scenario: ScenarioScript, net: NetDescriptor) -> list:
-    """Diagnostics of each event that names a host or link `net` lacks;
-    a run would fire it as nothing."""
-    hosts = {h.id for h in net.hosts}
-    links = {link.endpoints for link in net.links}
-    diags: list = []
-    for i, ev in enumerate(scenario.events):
-        host, ends = ev.arg("host"), ev.arg("endpoints")
-        if ends is None and host not in hosts:
-            diags.append(f"events[{i}]: host {host!r} is not in the net")
-        elif ends is not None and frozenset(ends) not in links:
-            diags.append(f"events[{i}]: link {'-'.join(ends)} is not in "
-                         f"the net")
-    return diags
 
 
 def validate(app: AppDescriptor, net: NetDescriptor) -> list:

@@ -53,7 +53,8 @@ class Unreachable(AdaptsimError):
 
 
 class ScheduleError(AdaptsimError):
-    """Event scheduled in the past."""
+    """Event scheduled in the past, or naming a host or link the world
+    lacks."""
 
 
 class DescriptorError(AdaptsimError):

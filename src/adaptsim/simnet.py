@@ -293,13 +293,8 @@ class World:
         not per-sample timing.  Memoized per host pair with the routes of
         the topology state: latencies are fixed once a link is added.
         """
-        k = self.connectors.get(kid)
-        if k is None:
-            return (0, ())
-        src = self.component_host.get(k.source.component)
-        dst = self.component_host.get(sink.component)
-        if src is None or dst is None:
-            return None
+        src = self.component_host[self.connectors[kid].source.component]
+        dst = self.component_host[sink.component]
         if src == dst:
             return (0, ())
         transit = self._routed().transit
@@ -384,8 +379,17 @@ class World:
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, e: SimEvent) -> None:
+        """Queue `e`; refuse it if it is in the past, or if it names no
+        link (LinkUp, LinkDown) or no host (every other kind) of the
+        world."""
         if e.at < self.now:
             raise ScheduleError(f"event at {e.at} is in the past ({self.now})")
+        if e.kind in (SimEventKind.LINK_UP, SimEventKind.LINK_DOWN):
+            ends = e.arg("endpoints")
+            if frozenset(ends) not in self.links:
+                raise ScheduleError(f"link {'-'.join(ends)} is not in the net")
+        elif e.arg("host") not in self.hosts:
+            raise ScheduleError(f"host {e.arg('host')!r} is not in the net")
         heapq.heappush(self._events,
                        (e.at, _KIND_ORDER[e.kind], self._event_seq, e))
         self._event_seq += 1
@@ -531,22 +535,19 @@ class World:
         kind = e.kind
         if kind in (SimEventKind.LINK_UP, SimEventKind.LINK_DOWN):
             a, b = e.arg("endpoints")
-            link = self.links.get(frozenset((a, b)))
-            if link is not None:
-                link.up = kind is SimEventKind.LINK_UP
-                self.trace(a, "NET",
-                           f"op={'linkup' if link.up else 'linkdown'} "
-                           f"peer={b}")
+            link = self.links[frozenset((a, b))]
+            link.up = kind is SimEventKind.LINK_UP
+            self.trace(a, "NET",
+                       f"op={'linkup' if link.up else 'linkdown'} peer={b}")
         elif kind is SimEventKind.HOST_JOIN:
             hid = e.arg("host")
-            host = self.hosts.get(hid)
-            if host is not None:
-                host.desc.up = True
-                self.trace(hid, "NET", "op=join")
-                started = [kernel._start_if_ready(self, hid, c)
-                           for _, c in sorted(host.containers.items())]
-                if any(started):
-                    self.model_version += 1
+            host = self.hosts[hid]
+            host.desc.up = True
+            self.trace(hid, "NET", "op=join")
+            started = [kernel._start_if_ready(self, hid, c)
+                       for _, c in sorted(host.containers.items())]
+            if any(started):
+                self.model_version += 1
         elif kind is SimEventKind.HOST_LEAVE:
             self._host_leave(e.arg("host"))
         elif kind in (SimEventKind.SENSOR_READING,
@@ -555,25 +556,24 @@ class World:
         elif kind is SimEventKind.BATTERY_SET:
             hid = e.arg("host")
             level = float(e.arg("level"))
-            host = self.hosts.get(hid)
-            if host is not None:
-                if host.desc.power is None:
-                    host.desc.power = Battery(level=level)
-                else:
-                    host.desc.power.level = level
-                self.trace(hid, "NET", f"op=battery level={level:g}")
+            host = self.hosts[hid]
+            if host.desc.power is None:
+                host.desc.power = Battery(level=level)
+            else:
+                host.desc.power.level = level
+            self.trace(hid, "NET", f"op=battery level={level:g}")
 
     def _host_leave(self, hid: str) -> None:
-        host = self.hosts.get(hid)
-        if host is None or not host.desc.up:
+        host = self.hosts[hid]
+        if not host.desc.up:
             return
         host.desc.up = False
         self.trace(hid, "NET", "op=leave")
 
     def _context_event(self, e: SimEvent) -> None:
         hid = e.arg("host")
-        host = self.hosts.get(hid)
-        if host is None or not host.desc.up:
+        host = self.hosts[hid]
+        if not host.desc.up:
             return
         key = e.arg("key")
         if e.kind is SimEventKind.SENSOR_READING:

@@ -78,7 +78,9 @@ def query_events(records: list) -> str:
 
 
 def app_targeted_commands(records: list) -> list:
-    """CMD records from the platform or application, bootstrap excluded."""
+    """The CMD records of applied or aborted commands: each names its
+    origin, platform or app.  Bootstrap commands leave no trace, so the
+    filter drops only the origin-less `cmd=Plan result=Infeasible`."""
     return [r for r in records
             if r.kind == "CMD" and r.get("origin") in ("platform", "app")]
 

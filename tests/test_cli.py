@@ -472,6 +472,10 @@ def _with_battery(change):
      "events[0]: link h1-h9 is not in the net"),
     ("scenario", _event(kind="LinkUp", endpoints=["h1", "h1"]),
      "events[0]: link h1-h1 is not in the net"),
+    # the last tick run is duration - 1: an event at duration never fired
+    ("scenario", {"duration": 5, "events": [
+        {"at": 5, "kind": "HostLeave", "host": "h2"}]},
+     "events[0]: tick 5 beyond duration 5"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
@@ -523,6 +527,20 @@ def test_an_empty_context_key_or_owner_is_a_diagnostic(tmp_path, capsys,
     captured = capsys.readouterr()
     assert diag in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_validate_refuses_what_run_cannot_deploy(tmp_path, capsys):
+    """`validate` passed a net whose host under a component is down, and
+    `run` refused it at deploy time; both now refuse it."""
+    doc = load(NET)
+    doc["hosts"][1]["up"] = False
+    net = write(tmp_path, "net.json", doc)
+    for argv in (["validate"], ["run", "--scenario", SCENARIO, "--trace",
+                                str(tmp_path / "run.trace")]):
+        assert cli.main(argv + ["--app", APP, "--net", net]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot deploy relay on h2: host down\n"
 
 
 class TestBuildWorld:

@@ -23,7 +23,9 @@ The lists must equal PIN, whose entries each say why the function stays
 and which roadmap item will reach it, and LINE_PIN.  Both only shrink: a
 change that reaches a pinned function or statement lowers the pin, and
 code no run reaches is deleted or wired into a decision.
-`python tests/test_reachable.py` prints both lists in the pins' format.
+`python tests/test_reachable.py` prints both lists in the pins' format,
+each LINE_PIN entry with the first line of each statement that never
+runs in a comment.
 """
 
 import ast
@@ -148,13 +150,12 @@ LINE_PIN = {
     "simnet:Link.__post_init__": 1,
     "simnet:SimEvent.__post_init__": 1,
     "simnet:World._context_event": 1,
-    "simnet:World._fire": 10,
+    "simnet:World._fire": 9,
     "simnet:World._hold": 1,
     "simnet:World._host_leave": 1,
     "simnet:World._routed": 1,
     "simnet:World.add_host": 1,
     "simnet:World.add_link": 2,
-    "simnet:World.connector_transit": 2,
     "simnet:World.runtime_restore": 3,
     "simnet:World.schedule": 1,
     "simnet:World.step": 9,
@@ -257,7 +258,7 @@ def _refused(app: dict, net: dict, scenario: dict) -> list:
                      "net": dict(net, hosts=[*net["hosts"], host], links=[
                          *net["links"], dict(link, endpoints=["h2", "h1"]),
                          dict(link, endpoints=["h1", "h9"])])}),  # across
-        (("run",), {"net": _set(net, False, "hosts", 1, "up")}),  # deploy
+        (validated, {"net": _set(net, False, "hosts", 1, "up")}),  # deploy
         (("run",), {"scenario": _set(scenario, "x", "duration")}),   # type
         (("run",), {"scenario": _set(scenario, 99, "events", 0, "at")}),
         (("run",), {"scenario": _set(scenario, [
@@ -334,9 +335,9 @@ def _runs(tmp: str) -> None:
 
 def unreached() -> tuple:
     """(module:qualname of each src/adaptsim function the runs never
-    enter, {module:qualname: n} of each function they enter whose body
-    holds n statements that never run); call it in an interpreter that
-    has not imported adaptsim."""
+    enter, {module:qualname: lines} of each function they enter whose
+    body holds statements that never run, each by its first line); call
+    it in an interpreter that has not imported adaptsim."""
     src = os.path.join(ROOT, "src", "adaptsim")
     sys.path[:0] = [os.path.dirname(src), os.path.join(ROOT, "perfbench")]
     entered, ran = set(), set()
@@ -359,7 +360,7 @@ def unreached() -> tuple:
             _runs(tmp)
     finally:
         sys.settrace(None)
-    names, counts = [], {}
+    names, missed = [], {}
     for file in sorted(os.listdir(src)):
         if not file.endswith(".py"):
             continue
@@ -370,11 +371,11 @@ def unreached() -> tuple:
             if (path, _first_line(node), node.name) not in entered:
                 names.append(name)
                 continue
-            missed = sum(1 for span in _statements(node.body)
-                         if not any((path, n) in ran for n in span))
-            if missed:
-                counts[name] = missed
-    return sorted(names), dict(sorted(counts.items()))
+            lines = [span[0] for span in _statements(node.body)
+                     if not any((path, n) in ran for n in span)]
+            if lines:
+                missed[name] = lines
+    return sorted(names), dict(sorted(missed.items()))
 
 
 def test_the_unreached_functions_are_the_pinned_ones():
@@ -397,13 +398,14 @@ def test_the_unreached_functions_are_the_pinned_ones():
 
 
 if __name__ == "__main__":
-    names, counts = unreached()
+    names, missed = unreached()
     print("PIN = {")
     for name in names:              # a new entry's reason is left blank
         print(f"    {json.dumps(name)}:\n"
               f"        {json.dumps(PIN.get(name, ''))},")
     print("}")
     print("LINE_PIN = {")
-    for name, n in counts.items():
-        print(f"    {json.dumps(name)}: {n},")
+    for name, lines in missed.items():
+        print(f"    {json.dumps(name)}: {len(lines)},  "
+              f"# lines {', '.join(map(str, lines))}")
     print("}")

@@ -40,6 +40,29 @@ class TestScheduling:
         with pytest.raises(ScheduleError):
             w.schedule(sim_event(4, SimEventKind.HOST_LEAVE, host="h2"))
 
+    @pytest.mark.parametrize("kind, args, named", [
+        (SimEventKind.HOST_JOIN, {"host": "h9"}, "host 'h9'"),
+        (SimEventKind.HOST_LEAVE, {"host": "h9"}, "host 'h9'"),
+        (SimEventKind.SENSOR_READING, {"host": "h9", "key": "temp"},
+         "host 'h9'"),
+        (SimEventKind.USER_PROFILE, {"host": "h9", "key": "user.mode"},
+         "host 'h9'"),
+        (SimEventKind.BATTERY_SET, {"host": "h9", "level": 0.5},
+         "host 'h9'"),
+        (SimEventKind.LINK_DOWN, {"endpoints": ("h1", "h9")}, "link h1-h9"),
+        (SimEventKind.LINK_UP, {"endpoints": ("h1", "h1")}, "link h1-h1"),
+    ])
+    def test_an_event_on_no_host_or_link_of_the_world_is_rejected(
+            self, kind, args, named):
+        """Each used to be queued, counted as fired and traced as
+        nothing."""
+        w = two_hosts()
+        with pytest.raises(ScheduleError, match=f"^{named} is not in the "
+                                                f"net$"):
+            w.schedule(sim_event(0, kind, **args))
+        assert w.step() == {"tick": 0, "events": 0, "faults": 0}
+        assert w.trace_lines == []
+
     def test_same_tick_events_run_in_kind_order(self):
         # LinkDown is ordered before HostJoin regardless of insertion order
         w = two_hosts()
