@@ -1,7 +1,7 @@
 """Command line entry point: validate descriptors, run scenarios, inspect
 traces.
 
-Exit codes: 0 success, 1 validation or parse failure, 2 runtime failure
+Exit codes: 0 success, 1 parse or deploy failure, 2 runtime failure
 (including a run ending with no feasible deployment).
 """
 
@@ -14,7 +14,7 @@ import sys
 from . import descriptors as desc
 from . import kernel, trace
 from .adaptation import Coordinator
-from .errors import DescriptorError, ScheduleError
+from .errors import DescriptorError, ScheduleError, ValidationError
 from .kernel import Add, Connect, HostTier
 from .simnet import World
 
@@ -25,43 +25,60 @@ def build_world(app: desc.AppDescriptor, net: desc.NetDescriptor,
 
     The world gets its own copy of each host record, so running it leaves
     the descriptors, and any other world built from them, as they were.
-    The initial deployment commands leave no trace.
+    The initial deployment commands leave no trace.  Each host, link,
+    component or connector the world or the kernel refuses is one line of
+    the DescriptorError raised, in document order; a connector touching
+    a component the world does not hold is not reported again.
     """
     world = World(seed=seed)
+    refusals = []
     for h in net.hosts:
-        world.add_host(dataclasses.replace(h, power=None if h.power is None
-                                           else dataclasses.replace(h.power)))
+        try:
+            world.add_host(dataclasses.replace(
+                h, power=None if h.power is None
+                else dataclasses.replace(h.power)))
+        except ValidationError as exc:
+            refusals.append(f"net: {exc}")
     for link in net.links:
         a, b = sorted(link.endpoints)
-        world.add_link(a, b, latency=link.latency, bandwidth=link.bandwidth,
-                       up=link.up)
+        try:
+            world.add_link(a, b, latency=link.latency,
+                           bandwidth=link.bandwidth, up=link.up)
+        except ValidationError as exc:
+            refusals.append(f"net: {exc}")
     full_hosts = sorted(h.id for h in net.hosts
                         if h.tier is HostTier.FULL)
     if full_hosts:
         world.coordinator = Coordinator(full_hosts[0], mode=mode)
+    lost = set()                # components refused and not held
     for c in app.components:
         result = kernel.apply_now(world, Add(c, c.initial_host))
         if not result.applied:
-            raise DescriptorError(
+            refusals.append(
                 f"cannot deploy {c.id} on {c.initial_host}: {result.reason}")
+            if c.id not in world.component_host:
+                lost.add(c.id)
     for k in app.connectors:
+        if not lost.isdisjoint(ep.component for ep in (k.source, *k.sinks)):
+            continue
         result = kernel.apply_now(
             world, Connect(k.id, k.source, tuple(k.sinks), k.policy))
         if not result.applied:
-            raise DescriptorError(
-                f"cannot connect {k.id}: {result.reason}")
+            refusals.append(
+                f"cannot connect {k.id} from {k.source} to "
+                f"{', '.join(map(str, k.sinks))}: {result.reason}")
+    if refusals:
+        raise DescriptorError("\n".join(refusals))
     world._tick_buffer.clear()
     world._trace_seq = 0
     return world
 
 
 def _load_pair(app_path: str, net_path: str):
+    """(app, net, parse diagnostics) of two descriptor files."""
     app, d1 = desc.parse_app(desc.load_json(app_path))
     net, d2 = desc.parse_net(desc.load_json(net_path))
-    diags = d1 + d2
-    if not diags:
-        diags = desc.validate(app, net)
-    return app, net, diags
+    return app, net, d1 + d2
 
 
 def cmd_validate(args) -> int:

@@ -208,7 +208,7 @@ _COMPONENT = {
     "variants": (_records(partial(_read, _VARIANT, Variant), tuple),
                  REQUIRED),
     "listener": (_FLAG, OPTIONAL),
-    "initial_host": (_TEXT, OPTIONAL),
+    "initial_host": (_ID, REQUIRED),
 }
 _CONNECTOR = {
     "id": (_ID, OPTIONAL),                      # unnamed: see _app
@@ -348,59 +348,3 @@ def parse_scenario(doc: Any) -> tuple:
                          f"{sc.duration}")
     return (ScenarioScript() if diags else sc), diags
 
-
-def validate(app: AppDescriptor, net: NetDescriptor) -> list:
-    """Cross-descriptor diagnostics; empty list means deployable."""
-    diags: list = []
-    host_ids = [h.id for h in net.hosts]
-    if len(host_ids) != len(set(host_ids)):
-        diags.append("net: duplicate host ids")
-    hosts = {h.id: h for h in net.hosts}
-    pairs: set = set()
-    for link in net.links:
-        for end in link.endpoints:
-            if end not in hosts:
-                diags.append(f"link endpoint {end!r} unknown")
-        if link.endpoints in pairs:     # an unordered pair
-            a, b = sorted(map(str, link.endpoints))
-            diags.append(f"net: duplicate link {a}-{b}")
-        pairs.add(link.endpoints)
-    comp_ids = [c.id for c in app.components]
-    if len(comp_ids) != len(set(comp_ids)):
-        diags.append("app: duplicate component ids")
-    comps = {c.id: c for c in app.components}
-    for c in app.components:
-        if c.initial_host not in hosts:
-            diags.append(f"component {c.id}: initial host "
-                         f"{c.initial_host!r} unknown")
-            continue
-        tier = hosts[c.initial_host].tier.value
-        if c.variant_for(tier) is None:
-            diags.append(f"component {c.id}: no variant for tier {tier} "
-                         f"of host {c.initial_host}")
-    seen_ports: set = set()
-    for k in app.connectors:
-        src = k.source
-        if src.component not in comps:
-            diags.append(f"connector {k.id}: unknown component "
-                         f"{src.component!r}")
-        elif src.port not in comps[src.component].out_ports:
-            diags.append(f"connector {k.id}: unknown out port {src}")
-        elif ("out", str(src)) in seen_ports:
-            diags.append(f"connector {k.id}: out port {src} already bound")
-        else:
-            seen_ports.add(("out", str(src)))
-        for s in k.sinks:
-            if s.component not in comps:
-                diags.append(f"connector {k.id}: unknown component "
-                             f"{s.component!r}")
-            elif s.port not in comps[s.component].in_ports:
-                diags.append(f"connector {k.id}: unknown in port {s}")
-            elif ("in", str(s)) in seen_ports:
-                diags.append(f"connector {k.id}: in port {s} already bound")
-            else:
-                seen_ports.add(("in", str(s)))
-    conn_ids = [k.id for k in app.connectors]
-    if len(conn_ids) != len(set(conn_ids)):
-        diags.append("app: duplicate connector ids")
-    return diags

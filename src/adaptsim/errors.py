@@ -53,9 +53,9 @@ class Unreachable(AdaptsimError):
 
 
 class ScheduleError(AdaptsimError):
-    """Event scheduled in the past, or naming a host or link the world
-    lacks."""
+    """Event scheduled in the past, lacking its host or link, or naming
+    a host or link the world lacks."""
 
 
 class DescriptorError(AdaptsimError):
-    """Descriptor file failed to parse or validate."""
+    """Descriptor file failed to parse or deploy."""

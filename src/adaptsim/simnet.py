@@ -379,17 +379,21 @@ class World:
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, e: SimEvent) -> None:
-        """Queue `e`; refuse it if it is in the past, or if it names no
-        link (LinkUp, LinkDown) or no host (every other kind) of the
-        world."""
+        """Queue `e`; refuse it if it is in the past, lacks its link
+        (LinkUp, LinkDown) or host (every other kind), or names no link or
+        host of the world."""
         if e.at < self.now:
             raise ScheduleError(f"event at {e.at} is in the past ({self.now})")
-        if e.kind in (SimEventKind.LINK_UP, SimEventKind.LINK_DOWN):
-            ends = e.arg("endpoints")
-            if frozenset(ends) not in self.links:
-                raise ScheduleError(f"link {'-'.join(ends)} is not in the net")
-        elif e.arg("host") not in self.hosts:
-            raise ScheduleError(f"host {e.arg('host')!r} is not in the net")
+        on_link = e.kind in (SimEventKind.LINK_UP, SimEventKind.LINK_DOWN)
+        key = "endpoints" if on_link else "host"
+        where = e.arg(key)
+        if where is None:
+            raise ScheduleError(f"{e.kind.value} event at {e.at} is missing "
+                                f"{key!r}")
+        if on_link and frozenset(where) not in self.links:
+            raise ScheduleError(f"link {'-'.join(where)} is not in the net")
+        if not on_link and where not in self.hosts:
+            raise ScheduleError(f"host {where!r} is not in the net")
         heapq.heappush(self._events,
                        (e.at, _KIND_ORDER[e.kind], self._event_seq, e))
         self._event_seq += 1

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from adaptsim import cli, descriptors, kernel, trace
-from adaptsim.errors import ValidationError
+from adaptsim.errors import DescriptorError, ValidationError
 from adaptsim.simnet import World
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -37,9 +37,10 @@ class TestParsing:
         app, d1 = descriptors.parse_app(load(APP))
         net, d2 = descriptors.parse_net(load(NET))
         assert d1 == d2 == []
-        assert descriptors.validate(app, net) == []
         assert [c.id for c in app.components] == ["reader", "relay",
                                                   "writer"]
+        assert set(cli.build_world(app, net).model.components) == {
+            "reader", "relay", "writer"}
 
     def test_unknown_field_is_reported(self):
         doc = load(APP)
@@ -66,41 +67,48 @@ class TestParsing:
                                          delete=False) as fh:
             fh.write("{\n  broken\n}")
             path = fh.name
-        from adaptsim.errors import DescriptorError
         with pytest.raises(DescriptorError) as err:
             descriptors.load_json(path)
         assert f"{path}:2:" in str(err.value)
 
 
 class TestCrossValidation:
+    """What the world and the kernel refuse of a pair that parses."""
+
     def app_net(self):
         app, _ = descriptors.parse_app(load(APP))
         net, _ = descriptors.parse_net(load(NET))
         return app, net
 
+    def refusals(self, app, net):
+        with pytest.raises(DescriptorError) as err:
+            cli.build_world(app, net)
+        return str(err.value).splitlines()
+
     def test_unknown_initial_host(self):
         app, net = self.app_net()
         app.components[0] = dataclasses.replace(app.components[0],
                                                 initial_host="h9")
-        assert any("initial host 'h9' unknown" in d
-                   for d in descriptors.validate(app, net))
+        assert self.refusals(app, net) == [
+            "cannot deploy reader on h9: unknown id"]
 
     def test_variant_tier_mismatch(self):
         app, net = self.app_net()
         app.components[2] = dataclasses.replace(
             app.components[2], initial_host="h3")     # writer is Full-only
-        assert any("no variant for tier LightStd" in d
-                   for d in descriptors.validate(app, net))
+        assert self.refusals(app, net) == [
+            "cannot deploy writer on h3: variant"]
 
     def test_missing_port_and_double_binding(self):
         app, net = self.app_net()
         app.connectors[1].sinks[0] = descriptors.Endpoint("writer", "oops")
-        diags = descriptors.validate(app, net)
-        assert any("unknown in port writer.oops" in d for d in diags)
+        assert self.refusals(app, net) == [
+            "cannot connect k2 from relay.out to writer.oops: "
+            "unknown port writer.oops"]
         app, net = self.app_net()
         app.connectors[1].source = descriptors.Endpoint("reader", "out")
-        assert any("already bound" in d
-                   for d in descriptors.validate(app, net))
+        assert self.refusals(app, net) == [
+            "cannot connect k2 from reader.out to writer.in: port in use"]
 
 
 class TestCli:
@@ -113,7 +121,8 @@ class TestCli:
         doc["components"][1]["initial_host"] = "h9"
         bad = write(tmp_path, "bad_app.json", doc)
         assert cli.main(["validate", "--app", bad, "--net", NET]) == 1
-        assert "initial host 'h9' unknown" in capsys.readouterr().out
+        assert capsys.readouterr().err == (
+            "cannot deploy relay on h9: unknown id\n")
 
     def test_run_produces_a_trace(self, tmp_path):
         out = str(tmp_path / "run.trace")
@@ -252,6 +261,12 @@ def _with_component(field, value):
     return doc
 
 
+def _without_component(field):
+    doc = load(APP)
+    del doc["components"][0][field]
+    return doc
+
+
 def _with_first(path, section, field, value):
     doc = load(path)
     doc[section][0][field] = value
@@ -362,9 +377,6 @@ def _with_battery(change):
     ("scenario", _event(kind="SensorReading", host="h3", key="temp",
                         value=1.0, confidence=2.0),
      "events[0]: confidence must be in [0, 1], not 2.0"),
-    # `run` died in World.add_link; the pair is unordered
-    ("net", _with_link("h1", "h2"), "net: duplicate link h1-h2"),
-    ("net", _with_link("h2", "h1"), "net: duplicate link h1-h2"),
     # out-of-range numbers that `run` took and simulated
     ("net", _with_first(NET, "hosts", "power",
                         {"level": 0.9, "drain_per_tick": -0.05}),
@@ -463,6 +475,12 @@ def _with_battery(change):
     ("app", _with_first(APP, "components", "in_ports", [""]),
      "components[0]: in_ports must be a list of non-empty strings with "
      "no whitespace, not ['']"),
+    # no initial host: `validate` and `run` refused it at deploy time
+    ("app", _without_component("initial_host"),
+     "components[0]: missing 'initial_host'"),
+    ("app", _with_component("initial_host", ""),
+     "components[0]: initial_host must be non-empty with no whitespace, "
+     "not ''"),
     # events that `run` fired as nothing
     ("scenario", _event(kind="HostLeave", host="h9"),
      "events[0]: host 'h9' is not in the net"),
@@ -543,6 +561,45 @@ def test_validate_refuses_what_run_cannot_deploy(tmp_path, capsys):
         assert captured.err == "cannot deploy relay on h2: host down\n"
 
 
+@pytest.mark.parametrize("a, b", [("h1", "h2"), ("h2", "h1")])
+def test_a_duplicate_link_is_refused_at_deploy(tmp_path, capsys, a, b):
+    """The pair is unordered."""
+    net = write(tmp_path, "net.json", _with_link(a, b))
+    for argv in (["validate"], ["run", "--scenario", SCENARIO, "--trace",
+                                str(tmp_path / "run.trace")]):
+        assert cli.main(argv + ["--app", APP, "--net", net]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "net: duplicate link h1-h2\n"
+
+
+def test_every_refusal_of_a_pair_is_reported_in_document_order(tmp_path,
+                                                                capsys):
+    """One line per refused record; `build_world` used to stop at the
+    first.  k3 touches `lost`, which the world does not hold, so it is
+    not reported again."""
+    app, net = load(APP), load(NET)
+    app["components"] += [
+        dict(app["components"][0], id="lost", initial_host="h9"),
+        dict(app["components"][2], id="fussy", initial_host="h3")]
+    app["connectors"].append({"id": "k3", "from": "lost.out",
+                              "to": ["fussy.in"]})
+    net["links"] += [{"endpoints": ["h2", "h1"]},
+                     {"endpoints": ["h3", "h9"]}]
+    docs = ["--app", write(tmp_path, "app.json", app),
+            "--net", write(tmp_path, "net.json", net)]
+    for argv in (["validate"], ["run", "--scenario", SCENARIO, "--trace",
+                                str(tmp_path / "run.trace")]):
+        assert cli.main(argv + docs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "net: duplicate link h1-h2",
+            "net: link endpoint h9 unknown",
+            "cannot deploy lost on h9: unknown id",
+            "cannot deploy fussy on h3: variant"]
+
+
 class TestBuildWorld:
     def test_bootstrap_leaves_no_trace(self):
         app, _ = descriptors.parse_app(load(APP))
@@ -587,7 +644,6 @@ class TestBuildWorld:
         net, _ = descriptors.parse_net(load(NET))
         app.components[2] = dataclasses.replace(
             app.components[2], initial_host="h3")
-        from adaptsim.errors import DescriptorError
         with pytest.raises(DescriptorError):
             cli.build_world(app, net)
 

@@ -9,6 +9,7 @@ calls made at import count, and makes these runs:
 - each `inspect` query over the M3 trace;
 - `adaptsim run` over world 0 of seed 201 of each benchmark workload, in
   the workload's mode (the generator is imported read-only);
+- a run that ends with no feasible deployment, exiting 2;
 - one bad document per diagnostic family (`_refused`), an unreadable
   descriptor and an unwritable trace, each refused with its exit code.
 It traces calls everywhere and lines in `src/adaptsim`, and lists:
@@ -111,17 +112,15 @@ PIN = {
 
 LINE_PIN = {
     "adaptation:Coordinator.__init__": 1,
-    "adaptation:Coordinator._plan_and_apply": 5,
+    "adaptation:Coordinator._plan_and_apply": 2,
     "adaptation:_link_fit": 1,
     "adaptation:_obs_path": 1,
     "adaptation:_obs_routes": 1,
     "adaptation:_report": 1,
     "adaptation:_terms": 1,
     "adaptation:affected_components": 1,
-    "adaptation:select_deployment": 14,
+    "adaptation:select_deployment": 13,
     "behaviors:resolve": 1,
-    "cli:build_world": 1,
-    "cli:cmd_run": 2,
     "connector:ConnectorInstance.__init__": 1,
     "connector:ConnectorInstance.pull": 1,
     "connector:ConnectorInstance.push": 2,
@@ -135,12 +134,9 @@ LINE_PIN = {
     "context:ContextInformation.__post_init__": 1,
     "context:InformationValidity.__post_init__": 3,
     "descriptors:_app": 1,
-    "descriptors:_read": 1,
     "kernel:Battery.__post_init__": 1,
     "kernel:HostDescriptor.__post_init__": 1,
     "kernel:_cmd_args": 7,
-    "kernel:_exec_add": 3,
-    "kernel:_exec_connect": 7,
     "kernel:_exec_move": 19,
     "kernel:_execute": 6,
     "kernel:_scope": 5,
@@ -154,10 +150,7 @@ LINE_PIN = {
     "simnet:World._hold": 1,
     "simnet:World._host_leave": 1,
     "simnet:World._routed": 1,
-    "simnet:World.add_host": 1,
-    "simnet:World.add_link": 2,
-    "simnet:World.runtime_restore": 3,
-    "simnet:World.schedule": 1,
+    "simnet:World.schedule": 2,
     "simnet:World.step": 9,
     "trace:flow_summary": 5,
     "trace:parse_line": 1,
@@ -237,11 +230,19 @@ def _refused(app: dict, net: dict, scenario: dict) -> list:
     apart = [*app["components"],
              dict(app["components"][0]),                # duplicate id
              dict(app["components"][0], id="lost", initial_host="h9"),
-             dict(app["components"][2], id="fussy", initial_host="h3")]
+             dict(app["components"][2], id="fussy", initial_host="h3"),
+             dict(app["components"][1], id="spare", initial_host="h1")]
+    # each refused by the kernel, but k9: it touches `lost`, which the
+    # world refused, so build_world skips it
     wired = [*app["connectors"],
              {"id": "k3", "from": "ghost.out", "to": ["relay.nope"]},
              {"id": "k4", "from": "reader.nope", "to": ["ghost.in"]},
-             {"id": "k1", "from": "reader.out", "to": ["relay.in"]}]
+             {"id": "k5", "from": "reader.out", "to": ["spare.in"]},
+             {"id": "k6", "from": "spare.out", "to": ["ghost.in"]},
+             {"id": "k7", "from": "spare.out", "to": ["relay.nope"]},
+             {"id": "k8", "from": "spare.out", "to": ["relay.in"]},
+             {"id": "k1", "from": "reader.out", "to": ["relay.in"]},
+             {"id": "k9", "from": "lost.out", "to": ["spare.in"]}]
     validated = ("validate", "run")
     return [
         (validated, {"net": "{nope"}),                          # syntax
@@ -254,10 +255,12 @@ def _refused(app: dict, net: dict, scenario: dict) -> list:
         (validated, {"net": _set(net, -1, "links", 0, "latency")}),  # range
         (validated, {"net": _set(net, ["h1", "h1"], "links", 0,
                                  "endpoints")}),        # a record refused
+        # across: each refusal of a host, a link, an Add and a Connect
+        # that build_world reports
         (validated, {"app": dict(app, components=apart, connectors=wired),
                      "net": dict(net, hosts=[*net["hosts"], host], links=[
                          *net["links"], dict(link, endpoints=["h2", "h1"]),
-                         dict(link, endpoints=["h1", "h9"])])}),  # across
+                         dict(link, endpoints=["h1", "h9"])])}),
         (validated, {"net": _set(net, False, "hosts", 1, "up")}),  # deploy
         (("run",), {"scenario": _set(scenario, "x", "duration")}),   # type
         (("run",), {"scenario": _set(scenario, 99, "events", 0, "at")}),
@@ -309,6 +312,30 @@ def _runs(tmp: str) -> None:
         main(0, "run", "--app", paths["app"], "--net", paths["net"],
              "--scenario", paths["scenario"], "--mode", w.mode,
              "--trace", os.path.join(tmp, f"{workload}.trace"))
+    # "probe" runs only on the light tier, and its one light host leaves
+    infeasible = {
+        "app": {"components": [
+            {"id": "probe", "variants": [{"tier": "LightStd",
+                                          "cpu_demand": 0.5,
+                                          "mem_demand": 0.5,
+                                          "behavior": "sink"}],
+             "initial_host": "h2"}]},
+        "net": {"hosts": [
+            {"id": "h1", "tier": "Full", "cpu_capacity": 4.0,
+             "mem_capacity": 4.0},
+            {"id": "h2", "tier": "LightStd", "cpu_capacity": 4.0,
+             "mem_capacity": 4.0}],
+            "links": [{"endpoints": ["h1", "h2"]}]},
+        "scenario": {"duration": 10, "events": [
+            {"at": 2, "kind": "HostLeave", "host": "h2"}]}}
+    paths = {}
+    for name, doc in infeasible.items():
+        paths[name] = os.path.join(tmp, f"infeasible-{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    main(2, "run", "--app", paths["app"], "--net", paths["net"],
+         "--scenario", paths["scenario"],
+         "--trace", os.path.join(tmp, "infeasible.trace"))
     absent = os.path.join(tmp, "absent", "x")
     main(1, "validate", "--app", absent, "--net", net)
     main(2, "run", "--app", app, "--net", net, "--scenario",

@@ -63,6 +63,25 @@ class TestScheduling:
         assert w.step() == {"tick": 0, "events": 0, "faults": 0}
         assert w.trace_lines == []
 
+    @pytest.mark.parametrize("kind, args, missing", [
+        (SimEventKind.LINK_DOWN, {}, "LinkDown event at 0 is missing "
+                                     "'endpoints'"),
+        (SimEventKind.LINK_UP, {}, "LinkUp event at 0 is missing "
+                                   "'endpoints'"),
+        (SimEventKind.HOST_LEAVE, {}, "HostLeave event at 0 is missing "
+                                      "'host'"),
+        (SimEventKind.SENSOR_READING, {"key": "temp"},
+         "SensorReading event at 0 is missing 'host'"),
+    ])
+    def test_an_event_lacking_its_host_or_link_is_rejected(
+            self, kind, args, missing):
+        """A link event without endpoints raised a TypeError, and a host
+        event without a host was refused as `host None`."""
+        w = two_hosts()
+        with pytest.raises(ScheduleError, match=f"^{missing}$"):
+            w.schedule(sim_event(0, kind, **args))
+        assert w.step() == {"tick": 0, "events": 0, "faults": 0}
+
     def test_same_tick_events_run_in_kind_order(self):
         # LinkDown is ordered before HostJoin regardless of insertion order
         w = two_hosts()
