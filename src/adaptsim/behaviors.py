@@ -14,8 +14,6 @@ state JSON-serializable so containers can snapshot it for migration.
 
 from __future__ import annotations
 
-from .errors import ValidationError
-
 _CATALOG: dict = {}
 
 
@@ -24,8 +22,6 @@ def register(name: str, fn) -> None:
 
 
 def resolve(name: str):
-    if name not in _CATALOG:
-        raise ValidationError(f"unknown behavior {name!r}")
     return _CATALOG[name]
 
 

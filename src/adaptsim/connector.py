@@ -42,11 +42,6 @@ class FlowPolicy:
     capacity: int = DEFAULT_LOSSLESS_CAPACITY   # read only when lossless
     bw_demand: float = 1.0
 
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValidationError(
-                f"capacity must be >= 1, not {self.capacity!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class Endpoint:

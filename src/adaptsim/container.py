@@ -14,8 +14,7 @@ from enum import Enum
 from typing import Any, Optional
 
 from . import behaviors
-from .errors import (ComponentFault, LifecycleError, ValidationError,
-                     VariantError)
+from .errors import ComponentFault, LifecycleError, ValidationError
 
 EVENT_QUEUE_BOUND = 32
 
@@ -51,10 +50,6 @@ class PlatformEvent:
     payload: Any
     priority: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.priority <= 9:
-            raise ValidationError(f"priority {self.priority} outside [0, 9]")
-
 
 @dataclass(frozen=True)
 class Variant:
@@ -62,13 +57,6 @@ class Variant:
     cpu_demand: float
     mem_demand: float
     behavior: str
-
-    def __post_init__(self):
-        # the placement search's bound needs demands that take capacity
-        for name in ("cpu_demand", "mem_demand"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValidationError(f"{name} must be >= 0, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +92,7 @@ class Snapshot:
 
 
 class ContainerInstance:
-    def __init__(self, descriptor: ComponentDescriptor, tier: str):
-        variant = descriptor.variant_for(tier)
-        if variant is None:
-            raise VariantError(
-                f"component {descriptor.id}: no variant for tier {tier}")
+    def __init__(self, descriptor: ComponentDescriptor, variant: Variant):
         self.descriptor = descriptor
         self.active_variant = variant
         self.lifecycle = Lifecycle.CREATED

@@ -44,10 +44,6 @@ class ContextInformation:
     value: ContextValue
     producer: str
 
-    def __post_init__(self):
-        if not self.key:
-            raise ValidationError("context key must be non-empty")
-
     def trace_repr(self) -> str:
         """The information half of a trace line."""
         v = self.value
@@ -68,15 +64,6 @@ class InformationValidity:
     location: Location
     base_confidence: float
     owner: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.base_confidence <= 1.0:
-            raise ValidationError(
-                f"confidence {self.base_confidence} outside [0, 1]")
-        if not self.owner:
-            raise ValidationError("owner must be non-empty")
-        if self.timestamp < 0:
-            raise ValidationError("timestamp must be non-negative")
 
     def trace_repr(self) -> str:
         """The validity half of a trace line."""

@@ -189,6 +189,7 @@ _is_id = re.compile(r"\S+").fullmatch
 _ID = _check((str,), _is_id, "non-empty with no whitespace")
 _FLAG = _check((bool,))
 _TICKS = _check((int,), lambda v: v >= 0, ">= 0")
+# the placement search's bound needs demands that take capacity
 _DEMAND = _check(_NUMBER, lambda v: v >= 0, ">= 0", float)
 _SIZE = _check(_NUMBER, lambda v: v > 0, "> 0", float)
 _PORTS = _check(None, lambda v: type(v) is list and all(
@@ -280,7 +281,7 @@ _NET = {
 
 # events: one table per kind; an event's arguments are kept as written
 _SHARE = _check(_NUMBER, lambda v: 0 <= v <= 1, "in [0, 1]")
-_EVENT = {"at": (_INT, REQUIRED),               # SimEvent: >= 0
+_EVENT = {"at": (_TICKS, REQUIRED),
           "kind": (_one_of(_values(SimEventKind), SimEventKind), REQUIRED)}
 _ON_HOST = {**_EVENT, "host": (_TEXT, REQUIRED)}
 _ON_LINK = {**_EVENT, "endpoints": (_check(None, _two_ids,

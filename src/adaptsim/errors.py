@@ -22,10 +22,6 @@ class LifecycleError(AdaptsimError):
         self.target = target
 
 
-class VariantError(AdaptsimError):
-    """No component variant is compatible with the requested host tier."""
-
-
 class ComponentFault(AdaptsimError):
     """A business function raised; carried as the fault cause."""
 

@@ -19,7 +19,7 @@ from . import behaviors
 from .connector import Endpoint, FlowPolicy
 from .container import (ComponentDescriptor, ContainerInstance, Lifecycle,
                         PlatformEvent)
-from .errors import (ServiceUnavailable, Unreachable, ValidationError)
+from .errors import ServiceUnavailable, Unreachable
 
 
 class HostTier(Enum):
@@ -61,10 +61,6 @@ class Battery:
     level: float
     drain_per_tick: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.level <= 1.0:
-            raise ValidationError("battery level outside [0, 1]")
-
 
 @dataclass
 class HostDescriptor(TopologyFlag):
@@ -74,10 +70,6 @@ class HostDescriptor(TopologyFlag):
     mem_capacity: float
     power: Optional[Battery] = None       # None means mains
     up: bool = True
-
-    def __post_init__(self):
-        if self.cpu_capacity <= 0 or self.mem_capacity <= 0:
-            raise ValidationError(f"host {self.id}: capacities must be > 0")
 
 
 # -- reconfiguration commands ----------------------------------------------
@@ -482,17 +474,18 @@ def _execute(world, cmd) -> None:
 
 def _exec_add(world, cmd: Add) -> None:
     if cmd.host not in world.hosts:
-        raise _Abort("unknown id")
+        raise _Abort(f"unknown host {cmd.host}")
     host = world.hosts[cmd.host]
     if not host.desc.up:
         raise _Abort("host down")
     cid = cmd.descriptor.id
     if _find_component(world, cid)[0] is not None:
         raise _Abort("duplicate")
-    variant = cmd.descriptor.variant_for(host.desc.tier.value)
+    tier = host.desc.tier.value
+    variant = cmd.descriptor.variant_for(tier)
     if variant is None:
-        raise _Abort("variant")
-    c = ContainerInstance(cmd.descriptor, host.desc.tier.value)
+        raise _Abort(f"no variant for {tier}")
+    c = ContainerInstance(cmd.descriptor, variant)
     c.transition(Lifecycle.CONNECTED)
     host.containers[cid] = c
     world.component_host[cid] = cmd.host
@@ -503,7 +496,7 @@ def _exec_add(world, cmd: Add) -> None:
 def _exec_remove(world, cmd: Remove) -> None:
     hid, c = _find_component(world, cmd.component)
     if c is None:
-        raise _Abort("unknown id")
+        raise _Abort(f"unknown component {cmd.component}")
     if _bound_connectors(c):
         raise _Abort("in use")
     if c.lifecycle is Lifecycle.RUNNING:
@@ -519,21 +512,21 @@ def _exec_remove(world, cmd: Remove) -> None:
 
 def _exec_move(world, cmd: Move) -> None:
     if cmd.target not in world.hosts:
-        raise _Abort("unknown id")
+        raise _Abort(f"unknown host {cmd.target}")
     target = world.hosts[cmd.target]
     if not target.desc.up:
         raise _Abort("host down")
     src_hid, c = _find_component(world, cmd.component)
     if c is None:
-        raise _Abort("unknown id")
-    desc = c.descriptor
-    variant = desc.variant_for(target.desc.tier.value)
+        raise _Abort(f"unknown component {cmd.component}")
+    tier = target.desc.tier.value
+    variant = c.descriptor.variant_for(tier)
     if variant is None:
-        raise _Abort("variant")
+        raise _Abort(f"no variant for {tier}")
     if src_hid == cmd.target:
         return
     conns = _bound_connectors(c)
-    new = ContainerInstance(desc, target.desc.tier.value)
+    new = ContainerInstance(c.descriptor, variant)
     residues: dict = {}
     path = None
     if world.hosts[src_hid].desc.up:
@@ -577,7 +570,7 @@ def _exec_connect(world, cmd: Connect) -> None:
         raise _Abort("duplicate")
     src_hid, src_c = _find_component(world, cmd.source.component)
     if src_c is None:
-        raise _Abort("unknown id")
+        raise _Abort(f"unknown component {cmd.source.component}")
     if cmd.source.port not in src_c.descriptor.out_ports:
         raise _Abort(f"unknown port {cmd.source}")
     if cmd.source.port in src_c.output_bindings:
@@ -586,7 +579,7 @@ def _exec_connect(world, cmd: Connect) -> None:
     for i, s in enumerate(cmd.sinks):
         hid, c = _find_component(world, s.component)
         if c is None:
-            raise _Abort("unknown id")
+            raise _Abort(f"unknown component {s.component}")
         if s.port not in c.descriptor.in_ports:
             raise _Abort(f"unknown port {s}")
         if s.port in c.input_bindings or s in cmd.sinks[:i]:
@@ -605,7 +598,7 @@ def _exec_connect(world, cmd: Connect) -> None:
 def _exec_disconnect(world, cmd: Disconnect) -> None:
     k = world.connectors.get(cmd.connector)
     if k is None:
-        raise _Abort("unknown id")
+        raise _Abort(f"unknown connector {cmd.connector}")
     endpoints = [k.source] + list(k.sinks)
     for ep in endpoints:
         hid, c = _find_component(world, ep.component)
@@ -621,11 +614,11 @@ def _exec_disconnect(world, cmd: Disconnect) -> None:
 def _exec_replace(world, cmd: ReplaceBusiness) -> None:
     hid, c = _find_component(world, cmd.component)
     if c is None:
-        raise _Abort("unknown id")
+        raise _Abort(f"unknown component {cmd.component}")
     if cmd.tier is not None:
         variant = c.descriptor.variant_for(cmd.tier)
         if variant is None:
-            raise _Abort("variant")
+            raise _Abort(f"no variant for {cmd.tier}")
         c.set_variant(variant)
     elif cmd.behavior is not None:
         if cmd.behavior not in behaviors.known():

