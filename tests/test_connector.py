@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from adaptsim import descriptors
 from adaptsim.connector import (ConnectorInstance, Endpoint, FlowPolicy,
                                 FlowSync, LossKind, PushResult)
 from adaptsim.errors import BindingError, ValidationError
@@ -78,6 +79,13 @@ class TestPushPull:
         assert c.would_block() is False
         assert c.pull("b", "in", now=1) == "new"
         assert c.pull("b", "in", now=1) is None
+
+    def test_capacity_validation(self):
+        # the app table holds the rule, so no FlowPolicy is built with it
+        app, diags = descriptors.parse_app({"connectors": [
+            {"from": "a.out", "to": ["b.in"], "capacity": -1}]})
+        assert diags == ["connectors[0]: capacity must be >= 1, not -1"]
+        assert app.connectors == []
 
     def test_a_connector_needs_a_sink(self):
         with pytest.raises(ValidationError):

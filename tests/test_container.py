@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from adaptsim import behaviors, kernel
+from adaptsim import behaviors, descriptors, kernel
 from adaptsim.connector import (ConnectorInstance, Endpoint, FlowPolicy,
                                 FlowSync)
 from adaptsim.container import (ComponentDescriptor, ContainerInstance,
@@ -41,6 +41,20 @@ def wire(src, dst, policy=None, conn_id="k"):
     src.output_bindings[src.descriptor.out_ports[0]] = k
     dst.input_bindings[dst.descriptor.in_ports[0]] = k
     return k
+
+
+@pytest.mark.parametrize("cpu, mem", [(-0.5, 1.0), (1.0, -1e-9),
+                                      (float("nan"), 1.0)])
+def test_a_variant_rejects_a_demand_that_gives_capacity(cpu, mem):
+    # the app table holds the rule, so no Variant is built with the demand
+    variant = {"tier": "Full", "cpu_demand": cpu, "mem_demand": mem,
+               "behavior": "identity"}
+    app, diags = descriptors.parse_app({"components": [
+        {"id": "c", "variants": [variant], "initial_host": "h1"}]})
+    [diag] = diags
+    assert diag.startswith("components[0].variants[0]: ")
+    assert "demand must be >= 0" in diag
+    assert app.components == []
 
 
 class TestLifecycle:
@@ -82,6 +96,15 @@ class TestLifecycle:
                 assert (before, target) in LEGAL_EDGES
                 if c.lifecycle is Lifecycle.DESTROYED:
                     c = ContainerInstance(desc, desc.variants[0])
+
+    def test_no_variant_for_tier(self):
+        # the kernel looks the variant up before it builds a container
+        w = World(seed=0)
+        w.add_host(HostDescriptor(id="h9", tier=HostTier.LIGHT_MIN,
+                                  cpu_capacity=8, mem_capacity=8))
+        r = kernel.apply_now(w, Add(descriptor(tiers=("Full",)), "h9"))
+        assert r.reason == "no variant for LightMin"
+        assert w.hosts["h9"].containers == {}
 
 
 class TestProcessStep:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from adaptsim import descriptors
 from adaptsim.connector import Endpoint, _Queued
 from adaptsim.context import (ContextInformation, ContextNature, Location,
                               Quantity, ValidityPolicy, effective_confidence,
@@ -18,6 +19,16 @@ def make_obj(ts=0, conf=1.0, owner="app", host="h1", key="battery.level"):
     return stamp(info, ts, Location(host=host), owner, conf)
 
 
+def context_event_diags(**fields):
+    """The diagnostics of a scenario with one SensorReading on h1."""
+    event = {"at": 0, "kind": "SensorReading", "host": "h1", "key": "k",
+             **fields}
+    sc, diags = descriptors.parse_scenario({"duration": 5,
+                                            "events": [event]})
+    assert sc.events == []          # a refused event is never stamped
+    return diags
+
+
 class TestStamp:
     def test_field_copy(self):
         obj = make_obj(ts=0, conf=1.0, owner="app")
@@ -26,11 +37,25 @@ class TestStamp:
         assert obj.validity.owner == "app"
         assert obj.info.key == "battery.level"
 
+    # the scenario table checks what an event stamps, once
+    def test_confidence_out_of_range(self):
+        for conf in (1.5, -0.1):
+            assert context_event_diags(confidence=conf) == [
+                f"events[0]: confidence must be in [0, 1], not {conf}"]
+
+    def test_empty_owner(self):
+        assert context_event_diags(owner="") == [
+            "events[0]: owner must be non-empty, not ''"]
+
     def test_history_distinct_objects(self):
         a = make_obj(ts=3)
         b = make_obj(ts=7)
         assert a is not b
         assert a.validity.timestamp == 3 and b.validity.timestamp == 7
+
+    def test_empty_key_rejected(self):
+        assert context_event_diags(key="") == [
+            "events[0]: key must be non-empty, not ''"]
 
 
 class TestFreshness:
