@@ -93,48 +93,86 @@ def observe(world, now: int) -> Observation:
     Unreachable hosts appear down, with nothing free; every reader checks
     `up` before the other fields.
     """
-    coord = world.coordinator_host
     routes = world.routes()
+    reachable = _reachable(world, routes)
     obs = Observation(at=now)
     for hid in sorted(world.hosts):
-        host = world.hosts[hid]
-        reachable = host.desc.up and (
-            coord is None or routes.path(coord, hid) is not None)
-        if not reachable:
-            obs.hosts[hid] = HostObs(up=False, cpu_free=0.0, mem_free=0.0,
-                                     battery=None)
-            continue
-        load_cpu = load_mem = 0.0
-        for c in host.containers.values():
-            if c.lifecycle is Lifecycle.RUNNING:
-                load_cpu += c.active_variant.cpu_demand
-                load_mem += c.active_variant.mem_demand
-        battery = host.desc.power.level if host.desc.power else None
-        obs.hosts[hid] = HostObs(up=True,
-                                 cpu_free=host.desc.cpu_capacity - load_cpu,
-                                 mem_free=host.desc.mem_capacity - load_mem,
-                                 battery=battery)
+        obs.hosts[hid] = _host_obs(world, hid, reachable[hid])
     for pair in sorted(world.links, key=sorted):
-        link = world.links[pair]
-        obs.links[pair] = LinkObs(up=link.up, bandwidth=link.bandwidth,
-                                  bw_free=link.bandwidth)
+        obs.links[pair] = _link_obs(world.links[pair])
     # the up hosts are the coordinator's connected part of the world's up
     # hosts (all of them without a coordinator), so the view is exact
     obs.routes = routes.view({hid: ho.up for hid, ho in obs.hosts.items()})
     # subtract flow demand along each connector's current route
-    for kid in sorted(world.connectors):
-        k = world.connectors[kid]
-        src = world.host_of(k.source.component)
-        for sink in k.sinks:
-            dst = world.host_of(sink.component)
-            if src is None or dst is None or src == dst:
-                continue
-            path = _obs_path(obs, src, dst)
-            if path is None:
-                continue
-            for a, b in zip(path, path[1:]):
-                obs.links[frozenset((a, b))].bw_free -= k.policy.bw_demand
+    _charge(obs.links, ((demand, _obs_path(obs, src, dst)) for _, demand,
+                        src, dst in _flow_ends(world.connectors,
+                                               world.host_of)))
     return obs
+
+
+def _reachable(world, routes: kernel.Routes) -> dict:
+    """Host id -> whether the host is up and the coordinator reaches it
+    over `routes`; without a coordinator, whether it is up."""
+    coord, path = world.coordinator_host, routes.path
+    return {hid: host.desc.up and (coord is None
+                                   or path(coord, hid) is not None)
+            for hid, host in world.hosts.items()}
+
+
+def _host_obs(world, hid: str, reachable: bool) -> HostObs:
+    """A host's capacity less its running containers' demands, added in
+    registry order, and its battery; nothing free when unreachable."""
+    if not reachable:
+        return HostObs(up=False, cpu_free=0.0, mem_free=0.0, battery=None)
+    host = world.hosts[hid]
+    load_cpu = load_mem = 0.0
+    for c in host.containers.values():
+        if c.lifecycle is Lifecycle.RUNNING:
+            load_cpu += c.active_variant.cpu_demand
+            load_mem += c.active_variant.mem_demand
+    battery = host.desc.power.level if host.desc.power else None
+    return HostObs(up=True, cpu_free=host.desc.cpu_capacity - load_cpu,
+                   mem_free=host.desc.mem_capacity - load_mem,
+                   battery=battery)
+
+
+def _flow_ends(connectors: dict, host_of):
+    """((connector id, sink index), bandwidth demand, source host, sink
+    host) of each connector's flow to each of its sinks on another host,
+    in connector id, then sink order.  `connectors` holds connectors or
+    their model entries, and `host_of` maps a component id to its host,
+    None when it has none."""
+    for kid in sorted(connectors):
+        k = connectors[kid]
+        src = host_of(k.source.component)
+        for i, sink in enumerate(k.sinks):
+            dst = host_of(sink.component)
+            if src is not None and dst is not None and src != dst:
+                yield (kid, i), k.policy.bw_demand, src, dst
+
+
+def _hops(path) -> list:
+    """The endpoint pairs of the links a host path crosses, in order; none
+    for no path."""
+    return [frozenset(hop) for hop in zip(path, path[1:])] if path else []
+
+
+def _link_obs(link) -> LinkObs:
+    """A link with no flow charged to it yet."""
+    return LinkObs(up=link.up, bandwidth=link.bandwidth,
+                   bw_free=link.bandwidth)
+
+
+def _charge(links: dict, flows) -> None:
+    """Subtract the demand of each of `flows`, (demand, host path or None)
+    pairs in `_flow_ends` order, from the `bw_free` of each link in
+    `links` that its path crosses.  Each link's `bw_free` comes out the
+    same float however many other links `links` holds."""
+    for demand, path in flows:
+        for hop in zip(path, path[1:]) if path else ():
+            lo = links.get(frozenset(hop))
+            if lo is not None:
+                lo.bw_free -= demand
 
 
 def _obs_routes(obs: Observation) -> kernel.Routes:
@@ -230,26 +268,32 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation,
     connector, the bottleneck link's bandwidth margin (1 when fully local,
     0 when the route is broken).  Battery: see `_report`.
     """
-    resource = {}
-    for cid in sorted(model.components):
-        mc = model.components[cid]
-        ho = obs.hosts.get(mc.host)
-        resource[cid] = (
-            _fit(ho.cpu_free, ho.mem_free,
-                 *_demands(descriptors, cid, mc.tier))
-            if ho is not None and ho.up else 0.0)
-    link = {}
-    for kid in sorted(model.connectors):
-        mk = model.connectors[kid]
-        src_c = model.components.get(mk.source.component)
-        hosts = [model.components[s.component].host for s in mk.sinks
-                 if s.component in model.components]
-        link[kid] = (
-            0.0 if src_c is None or len(hosts) < len(mk.sinks)
-            else _link_fit(_obs_routes(obs), obs.links, src_c.host, hosts,
-                           mk.policy.bw_demand))
+    resource = {cid: _resource_term(model, obs, descriptors, cid)
+                for cid in sorted(model.components)}
+    link = {kid: _link_term(model, obs, kid)
+            for kid in sorted(model.connectors)}
     return _report(model, obs, resource, link,
                    (_mean(resource.values()), _mean(link.values())))
+
+
+def _resource_term(model: ArchitectureModel, obs: Observation, descriptors,
+                   cid: str) -> float:
+    mc = model.components[cid]
+    ho = obs.hosts.get(mc.host)
+    return (_fit(ho.cpu_free, ho.mem_free,
+                 *_demands(descriptors, cid, mc.tier))
+            if ho is not None and ho.up else 0.0)
+
+
+def _link_term(model: ArchitectureModel, obs: Observation,
+               kid: str) -> float:
+    mk = model.connectors[kid]
+    src_c = model.components.get(mk.source.component)
+    hosts = [model.components[s.component].host for s in mk.sinks
+             if s.component in model.components]
+    return (0.0 if src_c is None or len(hosts) < len(mk.sinks)
+            else _link_fit(_obs_routes(obs), obs.links, src_c.host, hosts,
+                           mk.policy.bw_demand))
 
 
 # -- placement search ------------------------------------------------------
@@ -547,6 +591,123 @@ def _bound(cache: _ScoreCache, partial: dict) -> float:
     return _global_score(_mean(resource), _mean(link), battery)
 
 
+# -- kept scoring ----------------------------------------------------------
+
+@dataclass
+class _Scoring:
+    """An observation of one world at `versions` and its report's terms,
+    with what they were read from that the versions do not name."""
+    shape: tuple                # (world, coordinator host, hosts, links)
+    versions: tuple             # (model version, topology version)
+    model: ArchitectureModel    # the model scored
+    obs: Observation
+    resource: dict              # the report's terms and their means
+    link: dict
+    means: tuple
+    orders: dict                # `_orders` of the world
+    flows: Optional[dict] = None    # `_flow_paths`, once a repair read it
+
+
+def _flow_paths(model: ArchitectureModel, routes: kernel.Routes) -> dict:
+    """(connector id, sink index) -> (demand, host path or None) of each
+    flow of the model's connectors (see `_flow_ends`) over `routes`, in
+    `_flow_ends` order."""
+    hosts = {cid: mc.host for cid, mc in model.components.items()}
+    return {key: (demand, routes.path(src, dst)) for key, demand, src, dst
+            in _flow_ends(model.connectors, hosts.get)}
+
+
+def _orders(world) -> dict:
+    """Host id -> the ids in its registry, in registry order, which is the
+    order `_host_obs` adds their demands in."""
+    return {hid: tuple(host.containers) for hid, host in world.hosts.items()}
+
+
+def _score(world, now: int, shape: tuple, versions: tuple) -> _Scoring:
+    """`observe` and `evaluate_qos` in full."""
+    model = world.model
+    obs = observe(world, now)
+    report = evaluate_qos(model, obs, world.descriptors)
+    return _Scoring(shape, versions, model, obs, report.resource,
+                    report.link, report.means, _orders(world))
+
+
+def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
+    """`kept` brought to the world's current state: the scoring `_score`
+    would give, down to the last float bit.
+
+    The components and connectors that changed are those whose entries
+    differ between the model `kept` scored and the current one.  A flow
+    is a connector's demand and path to one sink (see `_flow_paths`); the
+    old flows are read over the kept observation's routes, a snapshot of
+    the old topology.  Recomputes:
+    - the observation of each host whose reachability or registry order
+      moved, or that a changed component left, joined or runs on, and
+      the resource term of each component on such a host;
+    - each link that a changed flow crossed or crosses, or whose `up`
+      flag moved, charged anew with every flow crossing it now;
+    - the link term of each changed connector, of each connector with a
+      changed flow, and of each connector over a recharged link whose
+      `bw_free`, before or after, is below the largest demand, since a
+      link term reads `bw_free` over a demand capped at 1.
+    Every other term is kept, and both means are added anew in sorted id
+    order.
+    """
+    model, old = world.model, kept.model
+    kids = {kid for kid in old.connectors.keys() | model.connectors.keys()
+            if old.connectors.get(kid) != model.connectors.get(kid)}
+    moved = {m.components[cid].host
+             for cid in old.components.keys() | model.components.keys()
+             if old.components.get(cid) != model.components.get(cid)
+             for m in (old, model) if cid in m.components}
+    routes, orders = world.routes(), _orders(world)
+    reachable = _reachable(world, routes)
+    hosts, redone = dict(kept.obs.hosts), set()
+    for hid, ho in kept.obs.hosts.items():
+        up = reachable[hid]
+        if up != ho.up or hid in moved or orders[hid] != kept.orders[hid]:
+            hosts[hid] = _host_obs(world, hid, up)
+            redone.add(hid)
+    obs = Observation(now, hosts, dict(kept.obs.links), routes.view(
+        {hid: ho.up for hid, ho in hosts.items()}))
+    flows = _flow_paths(model, obs.routes)
+    last = kept.flows if kept.flows is not None else _flow_paths(
+        old, kept.obs.routes)
+    changed = {key for key in flows.keys() | last.keys()
+               if flows.get(key) != last.get(key)}
+    kids.update(kid for kid, _ in changed)
+    # each link a changed flow crossed or crosses, or whose up flag moved
+    fresh = {pair: _link_obs(world.links[pair]) for pair in [
+        *(hop for key in changed for flow in (last.get(key), flows.get(key))
+          if flow for hop in _hops(flow[1])),
+        *(pair for pair, lo in kept.obs.links.items()
+          if world.links[pair].up != lo.up)]}
+    _charge(fresh, flows.values())
+    obs.links.update(fresh)
+    top = max((demand for demand, _ in flows.values()), default=0.0)
+    tight = {pair for pair, lo in fresh.items()
+             if min(lo.bw_free, kept.obs.links[pair].bw_free) < top}
+    kids.update(kid for (kid, _), (_, path) in flows.items()
+                if tight and not tight.isdisjoint(_hops(path)))
+    resource = _kept_terms(kept.resource, model.components)
+    for cid, mc in model.components.items():
+        if mc.host in redone:
+            resource[cid] = _resource_term(model, obs, world.descriptors,
+                                           cid)
+    link = _kept_terms(kept.link, model.connectors)
+    for kid in link.keys() & kids:
+        link[kid] = _link_term(model, obs, kid)
+    return _Scoring(kept.shape, versions, model, obs, resource, link,
+                    (_mean(resource.values()), _mean(link.values())),
+                    orders, flows)
+
+
+def _kept_terms(terms: dict, ids) -> dict:
+    """`terms` of `ids`, in sorted id order; None for an id it lacks."""
+    ids = sorted(ids)
+    return dict(zip(ids, map(terms.get, ids)))
+
+
 # -- control loop ----------------------------------------------------------
 
 class Coordinator:
@@ -559,38 +720,42 @@ class Coordinator:
         self.mode = mode
         self.alert_since: Optional[int] = None
         self.infeasible_outstanding = False
-        # (key, observation, report) of the last full scoring, where key is
-        # (world, coordinator host, model version, topology version); kept
-        # to itself: a cycle hands out copies of its dicts
-        self._scored: Optional[tuple] = None
+        # the _Scoring of the last cycle; kept to itself: a cycle hands out
+        # copies of its dicts
+        self._scored: Optional[_Scoring] = None
 
     def _observe_and_score(self, world, now: int) -> tuple:
         """The cycle's observation and report.
 
-        They are observed and scored in full once per world, coordinator
-        host, model version and topology version.  Nothing else they read
-        moves but the batteries, which move every tick and with no version
-        (a BatterySet can give a mains host one), so every cycle re-reads
-        each reachable host's battery and the battery term, and keeps the
-        full scoring's terms and their means.
+        `observe` and `evaluate_qos` run in full only at the coordinator's
+        first cycle in a world, and again if it moved host or the world
+        gained a host or link.  Later cycles keep the last scoring while
+        the model and topology versions stay put, and repair it when one
+        of them moved (see `_repair`): from the model last scored, set
+        against the current one, and from the kept observation and its
+        routes, a snapshot of the old topology.  Batteries move every tick
+        and with no version (a BatterySet can give a mains host one), so
+        every cycle re-reads each reachable host's battery and the
+        battery term, and keeps the scoring's terms and their means.
         """
-        key = (world, world.coordinator_host, world.model_version,
-               world.topology_version)
-        if self._scored is None or self._scored[0] != key:
-            obs = observe(world, now)
-            self._scored = (key, obs, evaluate_qos(world.model, obs,
-                                                   world.descriptors))
-        _, last_obs, last = self._scored
+        shape = (world, world.coordinator_host, len(world.hosts),
+                 len(world.links))
+        versions = (world.model_version, world.topology_version)
+        kept = self._scored
+        if kept is None or kept.shape != shape:
+            kept = self._scored = _score(world, now, shape, versions)
+        elif kept.versions != versions:
+            kept = self._scored = _repair(kept, world, now, versions)
         hosts = {}
-        for hid, ho in last_obs.hosts.items():
+        for hid, ho in kept.obs.hosts.items():
             if ho.up:
                 power = world.hosts[hid].desc.power
                 ho = HostObs(True, ho.cpu_free, ho.mem_free,
                              power.level if power else None)
             hosts[hid] = ho
-        obs = Observation(now, hosts, dict(last_obs.links), last_obs.routes)
-        return obs, _report(world.model, obs, dict(last.resource),
-                            dict(last.link), last.means)
+        obs = Observation(now, hosts, dict(kept.obs.links), kept.obs.routes)
+        return obs, _report(world.model, obs, dict(kept.resource),
+                            dict(kept.link), kept.means)
 
     def run_cycle(self, world, now: int) -> CycleOutcome:
         obs, report = self._observe_and_score(world, now)

@@ -87,8 +87,10 @@ class ConnectorInstance:
         self.hops = hops or (lambda sinks: [self.transit(s) for s in sinks])
         self.tracer = tracer or (lambda conn, now, op, sink, seq: None)
         self._seq = 0
-        self._queues: dict = {s: [] for s in self.sinks}
-        self._sink_at = {(s.component, s.port): s for s in self.sinks}
+        self._queues: dict = {}         # sink -> its queue
+        self._sink_at: dict = {}        # (component, port) -> (sink, queue)
+        for s in self.sinks:
+            self._requeue(s, [])
         self.pushed_count = 0
         self.delivered_count = 0
         self._delivered_window = 0   # deliveries since last report
@@ -145,11 +147,11 @@ class ConnectorInstance:
 
     def pull(self, component: str, port: str, now: int):
         """One sample for this sink if available; None otherwise."""
-        sink = self._sink_at.get((component, port))
-        if sink is None:
+        at = self._sink_at.get((component, port))
+        if at is None:
             raise BindingError(
                 f"{component}.{port} is not a sink of {self.id}")
-        q = self._queues[sink]
+        sink, q = at
         if not q:
             return None
         head = q[0]
@@ -174,9 +176,9 @@ class ConnectorInstance:
         Lossless samples are re-scheduled over the current route (waiting
         when none exists); keep-latest samples on a dead path are dropped.
         """
-        for sink in self.sinks:
+        for sink, q in list(self._queues.items()):
             kept = []
-            for entry in self._queues[sink]:
+            for entry in q:
                 path = entry.path
                 broken = path and any(
                     not link_up(a, b) for a, b in zip(path, path[1:]))
@@ -191,9 +193,16 @@ class ConnectorInstance:
                         entry.available_at = now + hop[0]
                         entry.path = hop[1]
                 kept.append(entry)
-            self._queues[sink] = kept
+            self._requeue(sink, kept)
 
     # -- control -----------------------------------------------------------
+
+    def _requeue(self, sink: Endpoint, q: list) -> None:
+        """Make `q` the sink's queue, in `_queues` and for its pulls.  The
+        writers replace a queue, never change it in place, so a checkpoint
+        that copied both maps one level deep keeps the queues it saw."""
+        self._queues[sink] = q
+        self._sink_at[sink.component, sink.port] = (sink, q)
 
     def drain(self) -> dict:
         """Remove and return all buffered and in-flight samples per sink.
@@ -204,16 +213,15 @@ class ConnectorInstance:
         out = {}
         for sink in self.sinks:
             out[sink] = self._queues[sink]
-            self._queues[sink] = []
+            self._requeue(sink, [])
         return out
 
     def refill(self, sink: Endpoint, samples: list, now: int) -> None:
         """Re-queue drained samples at a sink, due now, ahead of its queue."""
         if sink not in self._queues:
             raise BindingError(f"{sink} is not a sink of {self.id}")
-        self._queues[sink] = (
-            [_Queued(s.seq, s.payload, now, ()) for s in samples]
-            + self._queues[sink])
+        self._requeue(sink, [_Queued(s.seq, s.payload, now, ())
+                             for s in samples] + self._queues[sink])
 
     # -- reporting ---------------------------------------------------------
 

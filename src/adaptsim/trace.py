@@ -35,11 +35,12 @@ def parse_line(line: str) -> TraceRecord:
     rest = m.group(4).strip()
     fields = []
     for tok in rest.split():
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            fields.append((k, v))
-        else:
-            fields.append(("_", tok))
+        key, eq, value = tok.partition("=")
+        if eq or not fields:
+            fields.append((key, value) if eq else ("_", tok))
+        else:               # a value with spaces, as in `reason=host down`
+            key, value = fields.pop()
+            fields.append((key, f"{value} {tok}"))
     return TraceRecord(tick=int(m.group(1)), host=m.group(2),
                        kind=m.group(3), fields=tuple(fields))
 

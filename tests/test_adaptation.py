@@ -16,7 +16,8 @@ from adaptsim.connector import Endpoint, FlowPolicy
 from adaptsim.container import ComponentDescriptor, Variant
 from adaptsim.kernel import (Add, ArchitectureModel, Battery, Connect,
                              Disconnect, HostDescriptor, HostTier,
-                             ModelComponent, ModelConnector, Move)
+                             ModelComponent, ModelConnector, Move,
+                             ReplaceBusiness)
 from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 
 
@@ -845,9 +846,11 @@ def faulty(state, inputs, events, now, api):
 def scripted_worlds(draw):
     """(world, {tick: [command]}): three to five hosts in a linked line
     with extra links, mains and draining battery hosts, a source -> faulty
-    -> sink chain and a second pair, under a random mode, with scripted
+    -> sink chain and a second pair whose light variants may demand
+    another cpu than their full ones, under a random mode, with scripted
     leaves, joins, link changes and battery sets, and app commands (moves,
-    disconnects and connects) to submit before a tick."""
+    disconnects, connects, and replacements by tier or by behaviour) to
+    submit before a tick."""
     hids = [f"h{i}" for i in range(draw(st.integers(3, 5)))]
     w = World(seed=0)
     for hid in hids:
@@ -872,10 +875,13 @@ def scripted_worlds(draw):
              "c2": ("sink", ("in",), ()), "d0": ("source", (), ("out",)),
              "d1": ("sink", ("in",), ())}
     for cid, (behavior, ins, outs) in comps.items():
-        assert kernel.apply_now(w, Add(desc(
-            cid, cpu=draw(st.sampled_from([0.5, 1.0, 3.0])), in_ports=ins,
-            out_ports=outs, behavior=behavior),
-            draw(st.sampled_from(hids)))).applied
+        d = desc(cid, cpu=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                 in_ports=ins, out_ports=outs, behavior=behavior)
+        full, light = d.variants
+        d = replace(d, variants=(full, replace(light, cpu_demand=draw(
+            st.sampled_from([full.cpu_demand, 0.25, 2.0])))))
+        assert kernel.apply_now(w, Add(d, draw(st.sampled_from(hids)))
+                                ).applied
     for kid, src, dst in (("k0", "c0", "c1"), ("k1", "c1", "c2"),
                           ("k2", "d0", "d1")):
         assert kernel.apply_now(w, Connect(
@@ -907,7 +913,12 @@ def scripted_worlds(draw):
             Connect(f"app{i}", Endpoint(draw(st.sampled_from(
                 ["c0", "c1", "d0"])), "out"), (Endpoint(draw(
                     st.sampled_from(["c1", "c2", "d1"])), "in"),),
-                FlowPolicy())]))
+                FlowPolicy()),
+            ReplaceBusiness(draw(st.sampled_from(sorted(comps))),
+                            tier=draw(st.sampled_from(["Full", "LightStd"]))),
+            ReplaceBusiness(draw(st.sampled_from(sorted(comps))),
+                            behavior=draw(st.sampled_from(
+                                ["identity", "sink", "faulty"])))]))
         commands.setdefault(draw(st.integers(1, 39)), []).append(cmd)
     return w, commands
 
@@ -928,37 +939,90 @@ def spoiled_world():
     return w
 
 
+def run_checked(w, ticks, commands=None):
+    """Runs `w` for `ticks` ticks, each app command of `commands` ({tick:
+    [command]}) submitted before its tick, and checks every cycle's
+    observation and report against a fresh `observe` + `evaluate_qos`."""
+    scored = Coordinator._observe_and_score
+
+    def checked(coord, world, now):
+        obs, report = scored(coord, world, now)
+        fresh = observe(world, now)
+        want = evaluate_qos(world.model, fresh, world.descriptors)
+        # repr tells every float bit apart, -0.0 from 0.0 too
+        assert repr((obs.at, obs.hosts, obs.links)) \
+            == repr((fresh.at, fresh.hosts, fresh.links))
+        assert repr(report) == repr(want)
+        for src in obs.hosts:
+            for dst in obs.hosts:
+                assert adaptation._obs_path(obs, src, dst) \
+                    == adaptation._obs_path(fresh, src, dst)
+        return obs, report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(behaviors._CATALOG, "faulty", faulty)
+        mp.setattr(Coordinator, "_observe_and_score", checked)
+        for tick in range(ticks):
+            for cmd in (commands or {}).get(tick, ()):
+                cid = (cmd.component
+                       if isinstance(cmd, (Move, ReplaceBusiness))
+                       else "c0")
+                PlatformApi(w, w.host_of(cid) or "h0",
+                            cid).submit_command(cmd)
+            w.step()
+
+
 class TestCycleMemo:
     @settings(max_examples=150, deadline=None)
     @given(scripted_worlds())
     def test_every_cycle_equals_a_full_observation_and_scoring(self, made):
         w, commands = made
-        scored = Coordinator._observe_and_score
+        run_checked(w, 40, commands)
 
-        def checked(coord, world, now):
-            obs, report = scored(coord, world, now)
-            fresh = observe(world, now)
-            want = evaluate_qos(world.model, fresh, world.descriptors)
-            # repr tells every float bit apart, -0.0 from 0.0 too
-            assert repr((obs.at, obs.hosts, obs.links)) \
-                == repr((fresh.at, fresh.hosts, fresh.links))
-            assert repr(report) == repr(want)
-            for src in obs.hosts:
-                for dst in obs.hosts:
-                    assert adaptation._obs_path(obs, src, dst) \
-                        == adaptation._obs_path(fresh, src, dst)
-            return obs, report
+    def test_a_repair_rescores_a_connector_whose_link_fills_up(self):
+        # k0's route h0-h1 stays put; when h1-h2 goes down, k1 moves from
+        # h3-h2-h1 to h3-h4-h0-h1 and leaves h0-h1 no bandwidth for k0
+        w = World(seed=0)
+        for hid in ("h0", "h1", "h2", "h3", "h4"):
+            w.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
+                                      cpu_capacity=8.0, mem_capacity=8.0))
+        w.add_link("h0", "h1", bandwidth=2.0)
+        for a, b in (("h1", "h2"), ("h2", "h3"), ("h3", "h4"), ("h4", "h0")):
+            w.add_link(a, b)
+        w.coordinator = Coordinator("h0", "M1")
+        for cid, host, ins, outs in (("a", "h0", (), ("out",)),
+                                     ("b", "h1", ("in",), ()),
+                                     ("x", "h3", (), ("out",)),
+                                     ("y", "h1", ("in",), ())):
+            assert kernel.apply_now(w, Add(desc(
+                cid, in_ports=ins, out_ports=outs,
+                behavior="sink" if ins else "source"), host)).applied
+        for kid, src, dst in (("k0", "a", "b"), ("k1", "x", "y")):
+            assert kernel.apply_now(w, Connect(
+                kid, Endpoint(src, "out"), (Endpoint(dst, "in"),),
+                FlowPolicy(bw_demand=1.0))).applied
+        assert evaluate_qos(w.model, observe(w, 0),
+                            w.descriptors).link == {"k0": 1.0, "k1": 1.0}
+        w.schedule(sim_event(3, SimEventKind.LINK_DOWN,
+                             endpoints=("h1", "h2")))
+        run_checked(w, 6)
+        assert w.last_qos.link == {"k0": 0.0, "k1": 0.0}
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(behaviors._CATALOG, "faulty", faulty)
-            mp.setattr(Coordinator, "_observe_and_score", checked)
-            for tick in range(40):
-                for cmd in commands.get(tick, ()):
-                    cid = (cmd.component if isinstance(cmd, Move)
-                           else "c0")
-                    PlatformApi(w, w.host_of(cid) or "h0",
-                                cid).submit_command(cmd)
-                w.step()
+    def test_a_repair_sees_a_registry_that_changed_order(self):
+        # a leaves h1 and comes back within one cycle: the model reads as
+        # before, but h1 adds its demands in another order, to other bits
+        w = World(seed=0)
+        for hid in ("h1", "h2"):
+            w.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
+                                      cpu_capacity=1.0, mem_capacity=4.0))
+        w.add_link("h1", "h2")
+        w.coordinator = Coordinator("h1", "M1")
+        for cid, cpu in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            assert kernel.apply_now(w, Add(desc(cid, cpu=cpu), "h1")).applied
+        assert observe(w, 0).hosts["h1"].cpu_free == 0.3999999999999999
+        run_checked(w, 6, {2: [Move("a", "h2")], 3: [Move("a", "h1")]})
+        assert list(w.hosts["h1"].containers) == ["b", "c", "a"]
+        assert observe(w, 5).hosts["h1"].cpu_free == 0.4
 
     def test_a_battery_given_to_a_mains_host_is_scored_at_once(self):
         # the only change between the two cycles: b's host gets a battery,

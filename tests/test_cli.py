@@ -216,6 +216,20 @@ class TestCli:
         cmds = capsys.readouterr().out
         assert "cmd=Move comp=relay" in cmds
 
+    @pytest.mark.parametrize("reason", ["host down", "unknown host h9"])
+    def test_inspect_prints_an_abort_reason_whole(self, tmp_path, capsys,
+                                                  reason):
+        line = (f"tick=3 host=h1 kind=CMD cmd=Move comp=relay target=h9 "
+                f"result=Aborted reason={reason} origin=app")
+        out = tmp_path / "aborted.trace"
+        out.write_text(line + "\n")
+        assert trace.parse_line(line).get("reason") == reason
+        assert cli.main(["inspect", "--trace", str(out),
+                         "--query", "commands"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"tick=3 cmd=Move comp=relay target=h9 result=Aborted "
+            f"reason={reason} origin=app", "app_targeted_applied=0"]
+
     @pytest.mark.parametrize("query, content", [
         ("flows", b"tick=0 host=h1 kind=FLOW conn=k1 op=push seq=x\n"),
         ("qos", b"\xff\xfe\n"),

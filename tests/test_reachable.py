@@ -6,7 +6,9 @@ calls made at import count, and makes these runs:
 - `adaptsim run` over tests/data in M1-M4, once as shipped and once with
   h1, the coordinator's host, away from tick 10 to tick 22;
 - `validate` over tests/data;
-- each `inspect` query over the M3 trace;
+- each `inspect` query over the M3 trace, and `--query commands` over
+  a trace whose one line is a command aborted for a reason of several
+  words;
 - `adaptsim run` over world 0 of seed 201 of each benchmark workload, in
   the workload's mode (the generator is imported read-only);
 - a run that ends with no feasible deployment, exiting 2;
@@ -140,7 +142,6 @@ LINE_PIN = {
     "simnet:World.schedule": 2,
     "simnet:World.step": 9,
     "trace:flow_summary": 5,
-    "trace:parse_line": 1,
     "trace:query_events": 1,
 }
 
@@ -300,6 +301,12 @@ def _runs(tmp: str) -> None:
     for query in sorted(trace.QUERIES):
         main(0, "inspect", "--trace", os.path.join(tmp, "shipped-M3.trace"),
              "--query", query)
+    # no run aborts a command: an abort reason of several words
+    aborted = os.path.join(tmp, "aborted.trace")
+    with open(aborted, "w") as fh:
+        fh.write("tick=3 host=h1 kind=CMD cmd=Move comp=relay target=h9 "
+                 "result=Aborted reason=unknown host h9 origin=app\n")
+    main(0, "inspect", "--trace", aborted, "--query", "commands")
     for workload, w in sorted(worldgen.WORKLOADS.items()):
         paths = worldgen.write(workload, 201, 0, os.path.join(tmp, workload))
         main(0, "run", "--app", paths["app"], "--net", paths["net"],
