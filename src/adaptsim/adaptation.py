@@ -689,23 +689,18 @@ def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
              if min(lo.bw_free, kept.obs.links[pair].bw_free) < top}
     kids.update(kid for (kid, _), (_, path) in flows.items()
                 if tight and not tight.isdisjoint(_hops(path)))
-    resource = _kept_terms(kept.resource, model.components)
+    resource = {cid: kept.resource.get(cid)
+                for cid in sorted(model.components)}
     for cid, mc in model.components.items():
         if mc.host in redone:
             resource[cid] = _resource_term(model, obs, world.descriptors,
                                            cid)
-    link = _kept_terms(kept.link, model.connectors)
+    link = {kid: kept.link.get(kid) for kid in sorted(model.connectors)}
     for kid in link.keys() & kids:
         link[kid] = _link_term(model, obs, kid)
     return _Scoring(kept.shape, versions, model, obs, resource, link,
                     (_mean(resource.values()), _mean(link.values())),
                     orders, flows)
-
-
-def _kept_terms(terms: dict, ids) -> dict:
-    """`terms` of `ids`, in sorted id order; None for an id it lacks."""
-    ids = sorted(ids)
-    return dict(zip(ids, map(terms.get, ids)))
 
 
 # -- control loop ----------------------------------------------------------
