@@ -19,7 +19,7 @@ from .context import (ContextInformation, ContextNature, Location, Quantity,
                       stamp)
 from .kernel import ArchitectureModel, Move
 
-EXHAUSTIVE_LIMIT = 10_000
+EXHAUSTIVE_LIMIT = 10_000           # scores and bounds per placement search
 AFFECTED_SCORE_FLOOR = 0.5
 QOS_THRESHOLD = 0.7                 # a global score below it triggers a cycle
 QOS_WEIGHTS = (0.4, 0.4, 0.2)       # resource, link, battery
@@ -322,9 +322,10 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
                       report: Optional[QoSReport] = None):
     """Choose the best re-placement of the affected components.
 
-    Exact when the space of candidate assignments is small (see
-    `_depth_first`), greedy single-move hill climbing otherwise.  Ties fall
-    to the fewest moves, then the lexicographically least assignment.
+    The plan is the highest-scoring assignment of each affected component
+    to a candidate host, ties falling to the fewest moves, then the
+    lexicographically least assignment, as far as `_depth_first` finds
+    within its budget of EXHAUSTIVE_LIMIT nodes.
     Returns a DeploymentPlan, INFEASIBLE when some component has no
     candidate host, or None when nothing is affected.
     """
@@ -346,93 +347,73 @@ def select_deployment(model: ArchitectureModel, obs: Observation,
         if not cands:
             return INFEASIBLE
         candidates[cid] = cands
-
     cache = _ScoreCache(model, obs, descriptors, report, affected,
                         candidates, host_tiers)
-
-    def rank(assignment):
-        """Sort key: the highest score, then the fewest moves, then the
-        lexicographically least assignment."""
-        moves = sum(1 for cid, hid in assignment.items()
-                    if model.components[cid].host != hid)
-        return (-_score_assignment(cache, assignment), moves,
-                tuple(sorted(assignment.items())))
-
-    def best(assignments):
-        """(rank, assignment) of the first in rank order, None if none."""
-        return min(((rank(a), a) for a in assignments),
-                   key=lambda ranked: ranked[0], default=None)
-
-    space = 1
-    for cid in affected:
-        space *= len(candidates[cid])
-    if space <= EXHAUSTIVE_LIMIT:
-        key, assignment = _depth_first(cache, affected, candidates, rank)
-        best_score = -key[0]
-    else:
-        assignment = {}
-        for cid in affected:
-            cur = model.components[cid].host
-            assignment[cid] = cur if cur in candidates[cid] \
-                else candidates[cid][0]
-        best_score = _score_assignment(cache, assignment)
-        while True:
-            step = best({**assignment, cid: hid} for cid in affected
-                        for hid in candidates[cid] if hid != assignment[cid])
-            if step is None or -step[0][0] <= best_score:
-                break
-            key, assignment = step
-            best_score = -key[0]
+    key, assignment = _depth_first(cache, affected, candidates)
     commands = [Move(cid, hid) for cid, hid in sorted(assignment.items())
                 if model.components[cid].host != hid]
-    return DeploymentPlan(commands=commands, expected_qos=best_score,
+    return DeploymentPlan(commands=commands, expected_qos=-key[0],
                           assignment=assignment)
 
 
-def _depth_first(cache, affected: list, candidates: dict, rank):
-    """(rank key, assignment) of the least `rank` key over every candidate
-    assignment, as `min` over all of them would give.
+def _depth_first(cache, affected: list, candidates: dict):
+    """(rank key, assignment) of the least rank key over the candidate
+    assignments, as `min` over all of them would give, when the search
+    ends within its budget; the least over those it ranked otherwise.
 
-    Places the components depth-first in `affected` order, which is
-    sorted, each on its current host first when that is a candidate, then
-    on its other candidates in sorted order, and ranks each complete
-    assignment.  Before a node places a child (c, h), the child is cut
-    when the least key any of its completions can have ranks after the
-    best so far: minus the node's own `_bound`, the node's moves plus
-    (h != the current host of c) plus the moves forced later (a component
-    whose current host is no candidate), then the node's items followed
-    by (c, h).  This holds because every completion of the child is one of
-    the node, so it scores at most the node's bound, makes at least those
-    moves, and its sorted items begin with that tuple.  No float margin:
-    ties are common, and the bound holds for the computed floats.
+    An assignment's rank key is minus its `_score_assignment`, then its
+    moves, then its sorted items.  The search places the components
+    depth-first in `affected` order, which is sorted, each on its current
+    host first when that is a candidate, then on its other candidates in
+    sorted order, and ranks each complete assignment.  Before a node
+    places a child (c, h), the child is cut when the least key any of its
+    completions can have ranks after the best so far: minus the node's own
+    `_bound`, the node's moves plus (h != the current host of c) plus the
+    moves forced later (a component whose current host is no candidate),
+    then the node's items followed by (c, h).  This holds because every
+    completion of the child is one of the node, so it scores at most the
+    node's bound, makes at least those moves, and its sorted items begin
+    with that tuple.  No float margin: ties are common, and the bound
+    holds for the computed floats.
 
     A node is bounded at most once, and only once a best exists.  Its
     children's least keys rise in the order they are placed, so once a
     child is cut, so is every later one, and a failover replan whose
     candidates all tie scores one assignment.
+
+    The budget: the search stops once it has made EXHAUSTIVE_LIMIT calls
+    of `_score_assignment` and `_bound` together; a bound that spends the
+    last one places no child.  It bounds nothing before its first leaf,
+    the assignment of fewest moves, so it always ranks that one.  The
+    budget counts calls, not time, so the plan stays a pure function of
+    the inputs.
     """
     comps = cache.model.components
+
+    def moved(placed):
+        return sum(1 for c, h in placed.items() if comps[c].host != h)
     orders = [sorted(candidates[c], key=lambda h, c=c: h != comps[c].host)
               for c in affected]
     forced = [sum(comps[c].host not in candidates[c] for c in affected[i:])
               for i in range(len(affected) + 1)]
     best = None
+    nodes = 0                           # calls of _bound, _score_assignment
     partial = {}                        # the node's items, in affected order
     stack = [iter(orders[0])]
     floors = [None]                     # per node: (-_bound, moves)
-    while stack:
+    while stack and nodes < EXHAUSTIVE_LIMIT:
         depth = len(stack) - 1
         cid = affected[depth]
         hid = next(stack[-1], None)
         if hid is not None and best is not None:
             if floors[depth] is None:
-                floors[depth] = (-_bound(cache, partial), sum(
-                    1 for c, h in partial.items() if comps[c].host != h))
+                nodes += 1
+                floors[depth] = (-_bound(cache, partial), moved(partial))
             score, moves = floors[depth]
             least = (score,
                      moves + (hid != comps[cid].host) + forced[depth + 1],
                      tuple(partial.items()) + ((cid, hid),))
-            if least > best[0]:
+            if least > best[0] or nodes >= EXHAUSTIVE_LIMIT:
                 hid = None              # and so is every later child
         if hid is None:
             stack.pop()
@@ -442,7 +423,9 @@ def _depth_first(cache, affected: list, candidates: dict, rank):
             continue
         partial[cid] = hid
         if depth + 1 == len(affected):
-            key = rank(partial)
+            nodes += 1
+            key = (-_score_assignment(cache, partial), moved(partial),
+                   tuple(sorted(partial.items())))
             if best is None or key < best[0]:
                 best = (key, dict(partial))
             del partial[cid]
@@ -729,9 +712,11 @@ class Coordinator:
         of them moved (see `_repair`): from the model last scored, set
         against the current one, and from the kept observation and its
         routes, a snapshot of the old topology.  Batteries move every tick
-        and with no version (a BatterySet can give a mains host one), so
-        every cycle re-reads each reachable host's battery and the
-        battery term, and keeps the scoring's terms and their means.
+        and with no version, so every cycle re-reads the battery of each
+        reachable host that has one, and the battery term, and keeps the
+        scoring's terms and their means.  A mains host's kept `HostObs`
+        is handed out as it is: a BatterySet can give such a host a
+        battery, which is then re-read, but nothing takes one away.
         """
         shape = (world, world.coordinator_host, len(world.hosts),
                  len(world.links))
@@ -743,10 +728,9 @@ class Coordinator:
             kept = self._scored = _repair(kept, world, now, versions)
         hosts = {}
         for hid, ho in kept.obs.hosts.items():
-            if ho.up:
-                power = world.hosts[hid].desc.power
-                ho = HostObs(True, ho.cpu_free, ho.mem_free,
-                             power.level if power else None)
+            power = world.hosts[hid].desc.power
+            if ho.up and power is not None:
+                ho = HostObs(True, ho.cpu_free, ho.mem_free, power.level)
             hosts[hid] = ho
         obs = Observation(now, hosts, dict(kept.obs.links), kept.obs.routes)
         return obs, _report(world.model, obs, dict(kept.resource),

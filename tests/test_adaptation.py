@@ -257,87 +257,42 @@ class TestSelectDeployment:
             assert repr(again) == repr(first)
 
 
-    def test_greedy_climbs_from_its_start_when_the_space_is_too_large(
-            self, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 2, 30, 400])
+    def test_the_budget_keeps_the_best_plan_ranked_so_far(
+            self, monkeypatch, budget):
         # five components stranded on a dead host, seven live candidates
-        # each: 7**5 assignments, above the exhaustive limit
+        # each: 7**5 assignments, more than the budget can rank
         hosts = {"dead": (False, 0, 0, None)}
         hosts.update({f"h{i}": (True, 1.0 + i, 4.0, None) for i in range(7)})
         comps = {f"c{i}": "dead" for i in range(5)}
         ds = {c: desc(c, cpu=1.5, mem=1.0) for c in comps}
         tiers = {h: "Full" for h in hosts}
         m, o = model_of(comps), obs_of(hosts)
-        assert 7 ** 5 > adaptation.EXHAUSTIVE_LIMIT
-        scored = []
-        score = adaptation._score_assignment
-        monkeypatch.setattr(adaptation, "_score_assignment",
-                            lambda *a: scored.append(a) or score(*a))
+        monkeypatch.setattr(adaptation, "EXHAUSTIVE_LIMIT", budget)
+        calls = searched(monkeypatch)
         plan = select_deployment(m, o, ds, tiers)
-        assert 0 < len(scored) < 7 ** 5              # climbed, not listed
+        assert 0 < sum(map(len, calls.values())) <= budget
 
-        def rescore(assignment):
-            return reference_score(m, o, ds, sorted(comps), assignment,
-                                   {c: "Full" for c in comps})
-
-        # the climb starts with every stranded component on the first
-        # candidate host
-        assert plan.expected_qos > rescore({c: "h0" for c in comps})
-        assert plan.expected_qos == rescore(plan.assignment)
-        # the climb stops at a local optimum: no single move scores higher
-        for c in comps:
-            for h in sorted(hosts):
-                if hosts[h][0]:
-                    assert rescore({**plan.assignment, c: h}) \
-                        <= plan.expected_qos
+        def rank(assignment):
+            score = reference_score(m, o, ds, sorted(comps), assignment,
+                                    {c: "Full" for c in comps})
+            return -score, len(assignment), tuple(sorted(assignment.items()))
+        ranked = min(rank(dict(a)) for a in calls["_score_assignment"])
+        assert rank(plan.assignment) == ranked
+        assert plan.expected_qos == -ranked[0]
         for _ in range(3):
             assert repr(select_deployment(m, o, ds, tiers)) == repr(plan)
 
-    def greedy_and_exhaustive(self, monkeypatch, m, o, ds, tiers):
-        monkeypatch.setattr(adaptation, "EXHAUSTIVE_LIMIT", 10_000)
-        exhaustive = select_deployment(m, o, ds, tiers)
-        monkeypatch.setattr(adaptation, "EXHAUSTIVE_LIMIT", 0)
-        return select_deployment(m, o, ds, tiers), exhaustive
+    def test_a_rugged_failover_gets_the_exact_plan(self, monkeypatch):
+        # 80**3 assignments; climbing by single moves from the plan of
+        # fewest moves stops at 0.9122
+        calls = searched(monkeypatch)
+        plan = select_deployment(*rugged(37))
+        assert plan.expected_qos == 1.0
+        assert plan.assignment == {"mid": "h02", "s1": "h03", "s2": "h14"}
+        assert {name: len(a) for name, a in calls.items()} == {
+            "_bound": 168, "_score_assignment": 175}
 
-    def test_greedy_never_beats_exhaustive(self, monkeypatch):
-        rng = random.Random(29)
-        compared = 0
-        for _ in range(60):
-            hids = [f"h{i}" for i in range(rng.randint(2, 4))]
-            hosts = {h: (h == "h0" or rng.random() > 0.3,
-                         rng.uniform(0.5, 4), rng.uniform(0.5, 4),
-                         rng.choice([None, rng.random()])) for h in hids}
-            comps = {f"c{i}": rng.choice(hids)
-                     for i in range(rng.randint(1, 4))}
-            ds = {c: desc(c, cpu=rng.uniform(0.5, 2),
-                          mem=rng.uniform(0.5, 2)) for c in comps}
-            greedy, exhaustive = self.greedy_and_exhaustive(
-                monkeypatch, model_of(comps), obs_of(hosts), ds,
-                {h: "Full" for h in hids})
-            if exhaustive is None:
-                assert greedy is None
-                continue
-            compared += 1
-            assert greedy.expected_qos <= exhaustive.expected_qos
-        assert compared >= 20
-
-    def test_greedy_ties_exhaustive_on_one_stranded_component(
-            self, monkeypatch):
-        rng = random.Random(31)
-        for _ in range(20):
-            hids = [f"h{i}" for i in range(rng.randint(2, 5))]
-            hosts = {h: (True, rng.uniform(4, 8), rng.uniform(4, 8),
-                         rng.choice([None, rng.random()])) for h in hids}
-            hosts["dead"] = (False, 0, 0, None)
-            comps = {"c0": "dead"}
-            comps.update({f"c{i}": rng.choice(hids)
-                          for i in range(1, rng.randint(1, 4))})
-            ds = {c: desc(c, cpu=rng.uniform(0.5, 2),
-                          mem=rng.uniform(0.5, 2)) for c in comps}
-            greedy, exhaustive = self.greedy_and_exhaustive(
-                monkeypatch, model_of(comps), obs_of(hosts), ds,
-                {h: "Full" for h in hosts})
-            assert list(exhaustive.assignment) == ["c0"]
-            assert greedy.expected_qos == exhaustive.expected_qos
 
 # -- incremental scoring against the full evaluate_qos --------------------
 
@@ -426,14 +381,14 @@ def starved(free, demands):
 
 class TestIncrementalScoring:
     @settings(max_examples=400, deadline=None)
-    @given(deployments(), st.sampled_from([10_000, 0]))
+    @given(deployments(), st.sampled_from([10_000, 2]))
     # r stays on h0 and sees the capacity a leaves there
     @example(starved(1.0, {"a": 3.0, "r": 1.5}), 10_000)
     # a and b lift off h0 in that order: the other order rounds differently
     @example(starved(0.01, {"a": 0.03, "b": 0.07}), 10_000)
     # staying put gives terms whose sum depends on the order they are
     # added in, and the model lists them out of id order
-    @example(starved(0.7, {"c": 0.3, "a": 3.5, "b": 7.0}), 0)
+    @example(starved(0.7, {"c": 0.3, "a": 3.5, "b": 7.0}), 2)
     # only a sink moves, and its connector's link term moves with it
     @example((model_of({"s": "h1", "a": "h2"}, {"k": ("s", "a", 1.0)}),
               obs_of({h: (True, 0.2 if h == "h2" else 8, 8, None)
@@ -442,13 +397,13 @@ class TestIncrementalScoring:
               {"s": desc("s"), "a": desc("a")},
               {"h1": "Full", "h2": "Full", "h3": "Full"}), 10_000)
     def test_every_candidate_scores_what_evaluate_qos_scores(
-            self, deployment, limit):
-        # limit 0 makes the search climb greedily
+            self, deployment, budget):
+        # a budget of 2 stops the search after at most one bound
         m, o, ds, tiers = deployment
         scored = []
         score = adaptation._score_assignment
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(adaptation, "EXHAUSTIVE_LIMIT", limit)
+            mp.setattr(adaptation, "EXHAUSTIVE_LIMIT", budget)
             mp.setattr(adaptation, "_score_assignment",
                        lambda cache, a: scored.append(
                            (dict(a), score(cache, a))) or scored[-1][1])
@@ -535,6 +490,23 @@ def failover(hosts, sources=("src",)):
                      {f"k{s}": (s, "mid", 1.0) for s in sources}),
             obs_of(spec, [(a, b, 100.0) for a, b in zip(up, up[1:])]),
             {c: desc(c) for c in ("mid",) + tuple(sources)},
+            {h: "Full" for h in spec})
+
+
+def rugged(seed):
+    """A failover replan on a rugged landscape: sources s1 and s2 stranded
+    on a down host, their cut-off peer `mid` on h01, and 80 up hosts with
+    cpu_free in U(1, 3), in a row of links plus 40 random ones, each of
+    width in U(0.5, 2), so placements score apart."""
+    rng = random.Random(seed)
+    up = [f"h{i:02d}" for i in range(80)]
+    spec = {"down": (False, 0, 0, None)}
+    spec.update({h: (True, rng.uniform(1, 3), 8, None) for h in up})
+    pairs = [*zip(up, up[1:]), *(rng.sample(up, 2) for _ in range(40))]
+    return (model_of({"mid": "h01", "s1": "down", "s2": "down"},
+                     {"k1": ("s1", "mid", 1.0), "k2": ("s2", "mid", 1.0)}),
+            obs_of(spec, [(a, b, rng.uniform(0.5, 2)) for a, b in pairs]),
+            {c: desc(c) for c in ("mid", "s1", "s2")},
             {h: "Full" for h in spec})
 
 
@@ -657,11 +629,9 @@ class TestDepthFirstSearch:
     @pytest.mark.parametrize("sources", [("src",), ("s1", "s2")])
     def test_a_failover_replan_scores_each_host_once(self, sources):
         # each host at most once: in fact one assignment, at 12 hosts and at
-        # 40, where the exact search runs though two sources exceed its limit
+        # 40, where two sources give 64,000 assignments
         for hosts in (12, 40):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(adaptation, "EXHAUSTIVE_LIMIT",
-                           hosts ** (len(sources) + 1))
                 calls = searched(mp)
                 plan = select_deployment(*failover(hosts, sources))
             # every plan ties: mid stays and each source takes h00, and then
@@ -1036,7 +1006,7 @@ class TestCycleMemo:
             mp.setattr(Coordinator, "run_cycle", lambda coord, world, now: (
                 seen.append((world.model_version, world.topology_version)),
                 cycle(coord, world, now))[1])
-            w.run(6)
+            run_checked(w, 6)
         assert len(seen) == 2 and seen[0] == seen[1]
         report = evaluate_qos(w.model, observe(w, 5), w.descriptors)
         assert report.battery == 0.25

@@ -47,8 +47,6 @@ DATA = os.path.join(ROOT, "tests", "data")
 PIN = {
     "adaptation:Infeasible.__repr__":
         "item 6: names the INFEASIBLE sentinel in a decision record",
-    "adaptation:select_deployment.<locals>.best":
-        "item 3: greedy; no run's space exceeds EXHAUSTIVE_LIMIT",
     "behaviors:_counter":
         "item 12: the stateful behaviour the migration and plan tests move",
     "connector:ConnectorInstance.drain":
@@ -121,7 +119,7 @@ LINE_PIN = {
     "adaptation:_report": 1,
     "adaptation:_terms": 1,
     "adaptation:affected_components": 1,
-    "adaptation:select_deployment": 13,
+    "adaptation:select_deployment": 2,
     "connector:ConnectorInstance.__init__": 1,
     "connector:ConnectorInstance.pull": 1,
     "connector:ConnectorInstance.push": 2,

@@ -4,17 +4,21 @@ Wall time drifts with the shared host; the number of calls a run makes
 does not.  The tests count, from the test side, the calls of
 `World.link_up` and `ConnectorInstance.reroute_check` over world 0 of seed
 7 of the link_churn shape at 10 and at 40 hosts, and the cycles, the
-placement searches and the calls of `observe` and `evaluate_qos` made
-under `Coordinator.run_cycle` over world 0 of seed 7 of the
-failover_replan shape at 10 and at 20 hosts (chains = hosts / 2), and pin
-them exactly, so a change that makes the re-route pass or a replan do
-more work fails here.  The generator is imported read-only from
-perfbench/, and the scaled shapes are set with `MonkeyPatch.setitem`.
-`python tests/test_scaling.py` prints the current counts in PINNED's
-format.
+placement searches and the calls of `observe`, `evaluate_qos`,
+`_score_assignment` and `_bound` made under `Coordinator.run_cycle` over
+world 0 of seed 7 of the failover_replan shape at 10, 20 and 160 hosts
+(chains = hosts / 2), and pin them exactly, so a change that makes the
+re-route pass or a replan do more work fails here.  The generator is
+imported read-only from perfbench/, and the scaled shapes are set with
+`MonkeyPatch.setitem`.  `python tests/test_scaling.py` prints the current
+counts in PINNED's format.
+
+It also pins the trace bytes of seed 201 of each workload shape, and of
+worlds 0 and 1 of seed 201 of the failover_replan shape at 160 hosts.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -39,7 +43,8 @@ SEED = 7
 # checked every queued sample.  failover_replan: a run observes and
 # scores in full once, at its first cycle, and repairs that scoring at
 # each replan; it was once per cycle (4 of each) while every version move
-# re-observed the world
+# re-observed the world.  A replan's placement search scores one
+# assignment and bounds two nodes at 20 hosts and at 160 alike
 PINNED = {
     "link_churn": {
         10: {"component_ticks": 600, "link_up": 433, "reroute_check": 42},
@@ -48,21 +53,35 @@ PINNED = {
     },
     "failover_replan": {
         10: {"cycles": 4, "select_deployment": 3, "observe": 1,
-             "evaluate_qos": 1},
+             "evaluate_qos": 1, "_score_assignment": 4, "_bound": 7},
         20: {"cycles": 4, "select_deployment": 3, "observe": 1,
-             "evaluate_qos": 1},
+             "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6},
+        160: {"cycles": 4, "select_deployment": 3, "observe": 1,
+              "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6},
     },
+}
+# (workload, hosts, worlds) -> the sha256 over the trace digests of worlds
+# 0 to worlds - 1 of seed 201, as `perfbench/run.py` prints it
+DIGESTS = {
+    ("flows_steady", 80, 4):
+        "7f1fc58b5531b980f91be04a993d313717cb03846d846d20295ad470fcc52aa0",
+    ("failover_replan", 20, 12):
+        "c8be73aa12ee892ec7237be7a68ca61f261f78dac406867b12dacea25587686a",
+    ("link_churn", 40, 10):
+        "4efad2ec9e27e567997f8cac230b4d72b46bf4a61974db5ac184c929dad6f7d0",
+    ("failover_replan", 160, 2):
+        "14d9485f607e15a0e589ab03c2afe28accf7cb3c992ae6720a8f8451fbc3d663",
 }
 
 
-def built(mp, workload: str, hosts: int):
-    """(world, ticks to run) of world 0 of seed SEED of the workload's
-    shape at `hosts` hosts; `mp` is a MonkeyPatch, whose undo restores
-    the shape."""
+def built(mp, workload: str, hosts: int, seed: int = SEED, index: int = 0):
+    """(world, ticks to run) of world `index` of seed `seed` of the
+    workload's shape at `hosts` hosts; `mp` is a MonkeyPatch, whose undo
+    restores the shape."""
     shape = worldgen.WORKLOADS[workload]
     mp.setitem(worldgen.WORKLOADS, workload, dataclasses.replace(
         shape, hosts=hosts, chains=hosts // 2))
-    app_doc, net_doc, scenario_doc = worldgen.generate(workload, SEED)
+    app_doc, net_doc, scenario_doc = worldgen.generate(workload, seed, index)
     app, d1 = descriptors.parse_app(app_doc)
     net, d2 = descriptors.parse_net(net_doc)
     scenario, d3 = descriptors.parse_scenario(scenario_doc)
@@ -107,7 +126,8 @@ def replan_counts(mp, hosts: int) -> dict:
         finally:
             cycling.pop()
     mp.setattr(Coordinator, "run_cycle", cycle)
-    for name in ("select_deployment", "observe", "evaluate_qos"):
+    for name in ("select_deployment", "observe", "evaluate_qos",
+                 "_score_assignment", "_bound"):
         def counted(*args, _fn=getattr(adaptation, name), _name=name,
                     **kwargs):
             calls[_name] += bool(cycling)
@@ -139,6 +159,29 @@ def test_the_work_of_a_churning_world_is_pinned(monkeypatch, hosts):
 def test_a_replanning_world_is_observed_in_full_once(monkeypatch, hosts):
     assert replan_counts(monkeypatch, hosts) == \
         PINNED["failover_replan"][hosts]
+
+
+def trace_digest(mp, workload: str, hosts: int, index: int) -> str:
+    """The sha256 of the trace file of world `index` of seed 201 of the
+    workload's shape at `hosts` hosts."""
+    world, duration = built(mp, workload, hosts, 201, index)
+    world.run(duration)
+    return hashlib.sha256("".join(
+        line + "\n" for line in world.trace_lines).encode()).hexdigest()
+
+
+def test_every_workload_shape_is_pinned():
+    assert {(w.name, w.hosts, w.worlds)
+            for w in worldgen.WORKLOADS.values()} <= DIGESTS.keys()
+
+
+@pytest.mark.parametrize("workload, hosts, worlds", sorted(DIGESTS))
+def test_seed_201_writes_the_pinned_trace_bytes(monkeypatch, workload,
+                                                hosts, worlds):
+    digests = "".join(trace_digest(monkeypatch, workload, hosts, j)
+                      for j in range(worlds))
+    assert hashlib.sha256(digests.encode()).hexdigest() == \
+        DIGESTS[workload, hosts, worlds]
 
 
 def test_the_counts_do_not_depend_on_the_hash_seed():
