@@ -121,12 +121,12 @@ def _reachable(world, routes: kernel.Routes) -> dict:
 
 def _host_obs(world, hid: str, reachable: bool) -> HostObs:
     """A host's capacity less its running containers' demands, added in
-    registry order, and its battery; nothing free when unreachable."""
+    firing order, and its battery; nothing free when unreachable."""
     if not reachable:
         return HostObs(up=False, cpu_free=0.0, mem_free=0.0, battery=None)
     host = world.hosts[hid]
     load_cpu = load_mem = 0.0
-    for c in host.containers.values():
+    for _, c in world.firing_order(hid):
         if c.lifecycle is Lifecycle.RUNNING:
             load_cpu += c.active_variant.cpu_demand
             load_mem += c.active_variant.mem_demand
@@ -587,7 +587,6 @@ class _Scoring:
     resource: dict              # the report's terms and their means
     link: dict
     means: tuple
-    orders: dict                # `_orders` of the world
     flows: Optional[dict] = None    # `_flow_paths`, once a repair read it
 
 
@@ -600,19 +599,13 @@ def _flow_paths(model: ArchitectureModel, routes: kernel.Routes) -> dict:
             in _flow_ends(model.connectors, hosts.get)}
 
 
-def _orders(world) -> dict:
-    """Host id -> the ids in its registry, in registry order, which is the
-    order `_host_obs` adds their demands in."""
-    return {hid: tuple(host.containers) for hid, host in world.hosts.items()}
-
-
 def _score(world, now: int, shape: tuple, versions: tuple) -> _Scoring:
     """`observe` and `evaluate_qos` in full."""
     model = world.model
     obs = observe(world, now)
     report = evaluate_qos(model, obs, world.descriptors)
     return _Scoring(shape, versions, model, obs, report.resource,
-                    report.link, report.means, _orders(world))
+                    report.link, report.means)
 
 
 def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
@@ -624,9 +617,9 @@ def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
     is a connector's demand and path to one sink (see `_flow_paths`); the
     old flows are read over the kept observation's routes, a snapshot of
     the old topology.  Recomputes:
-    - the observation of each host whose reachability or registry order
-      moved, or that a changed component left, joined or runs on, and
-      the resource term of each component on such a host;
+    - the observation of each host whose reachability moved, or that a
+      changed component left, joined or runs on, and the resource term of
+      each component on such a host;
     - each link that a changed flow crossed or crosses, or whose `up`
       flag moved, charged anew with every flow crossing it now;
     - the link term of each changed connector, of each connector with a
@@ -643,12 +636,12 @@ def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
              for cid in old.components.keys() | model.components.keys()
              if old.components.get(cid) != model.components.get(cid)
              for m in (old, model) if cid in m.components}
-    routes, orders = world.routes(), _orders(world)
+    routes = world.routes()
     reachable = _reachable(world, routes)
     hosts, redone = dict(kept.obs.hosts), set()
     for hid, ho in kept.obs.hosts.items():
         up = reachable[hid]
-        if up != ho.up or hid in moved or orders[hid] != kept.orders[hid]:
+        if up != ho.up or hid in moved:
             hosts[hid] = _host_obs(world, hid, up)
             redone.add(hid)
     obs = Observation(now, hosts, dict(kept.obs.links), routes.view(
@@ -683,7 +676,7 @@ def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
         link[kid] = _link_term(model, obs, kid)
     return _Scoring(kept.shape, versions, model, obs, resource, link,
                     (_mean(resource.values()), _mean(link.values())),
-                    orders, flows)
+                    flows)
 
 
 # -- control loop ----------------------------------------------------------

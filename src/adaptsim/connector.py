@@ -63,18 +63,16 @@ class _Queued:
 class ConnectorInstance:
     """One flow: a source endpoint fanned out to per-sink queues.
 
-    `transit` is an injected callable (sink endpoint -> (ticks, path)) for
-    a sample in flight from the source to that sink, None when no route
-    currently exists; the default treats everything as local.  `hops` is
-    an injected callable (sinks -> [transit of each sink, in order]), the
-    one a push reads; the default calls `transit` per sink.  `tracer`
-    is called as (connector, now, op, sink, seq) for each flow event; the
-    default does nothing.
+    `hops` is an injected callable (sinks -> [(ticks, path) of each sink,
+    in order]) for a sample in flight from the source to each sink, None
+    for a sink no route currently reaches; the default treats every sink
+    as local.  A push, a pull that retries an unrouted sample and
+    `reroute_check` all read it.  `tracer` is called as (connector, now,
+    op, sink, seq) for each flow event; the default does nothing.
     """
 
     def __init__(self, id: str, source: Endpoint, sinks: list,
                  policy: FlowPolicy,
-                 transit: Optional[Callable] = None,
                  hops: Optional[Callable] = None,
                  tracer=None):
         if not sinks:
@@ -83,14 +81,13 @@ class ConnectorInstance:
         self.source = source
         self.sinks: list = list(sinks)
         self.policy = policy
-        self.transit = transit or (lambda sink: (0, ()))
-        self.hops = hops or (lambda sinks: [self.transit(s) for s in sinks])
+        self.hops = hops or (lambda sinks: [(0, ())] * len(sinks))
         self.tracer = tracer or (lambda conn, now, op, sink, seq: None)
         self._seq = 0
         self._queues: dict = {}         # sink -> its queue
-        self._sink_at: dict = {}        # (component, port) -> (sink, queue)
-        for s in self.sinks:
-            self._requeue(s, [])
+        self._sink_at: dict = {}        # (component, port) -> (index, queue)
+        for i in range(len(self.sinks)):
+            self._requeue(i, [])
         self.pushed_count = 0
         self.delivered_count = 0
         self._delivered_window = 0   # deliveries since last report
@@ -151,13 +148,13 @@ class ConnectorInstance:
         if at is None:
             raise BindingError(
                 f"{component}.{port} is not a sink of {self.id}")
-        sink, q = at
+        i, q = at
         if not q:
             return None
         head = q[0]
         if head.path is None:
             # was unroutable at push time; try again now
-            hop = self.transit(sink)
+            hop = self.hops(self.sinks)[i]
             if hop is None:
                 return None
             head.available_at = now + hop[0]
@@ -167,7 +164,7 @@ class ConnectorInstance:
         q.pop(0)
         self.delivered_count += 1
         self._delivered_window += 1
-        self.tracer(self, now, "deliver", sink, head.seq)
+        self.tracer(self, now, "deliver", self.sinks[i], head.seq)
         return head.payload
 
     def reroute_check(self, now: int, link_up: Callable) -> None:
@@ -176,7 +173,7 @@ class ConnectorInstance:
         Lossless samples are re-scheduled over the current route (waiting
         when none exists); keep-latest samples on a dead path are dropped.
         """
-        for sink, q in list(self._queues.items()):
+        for i, (sink, q) in enumerate(list(self._queues.items())):
             kept = []
             for entry in q:
                 path = entry.path
@@ -186,23 +183,25 @@ class ConnectorInstance:
                     if self.policy.loss is LossKind.KEEP_LATEST:
                         self.tracer(self, now, "drop", sink, entry.seq)
                         continue
-                    hop = self.transit(sink)
+                    hop = self.hops(self.sinks)[i]
                     if hop is None:
                         entry.path = None
                     else:
                         entry.available_at = now + hop[0]
                         entry.path = hop[1]
                 kept.append(entry)
-            self._requeue(sink, kept)
+            self._requeue(i, kept)
 
     # -- control -----------------------------------------------------------
 
-    def _requeue(self, sink: Endpoint, q: list) -> None:
-        """Make `q` the sink's queue, in `_queues` and for its pulls.  The
-        writers replace a queue, never change it in place, so a checkpoint
-        that copied both maps one level deep keeps the queues it saw."""
+    def _requeue(self, i: int, q: list) -> None:
+        """Make `q` the queue of sink `i`, in `_queues` and for its pulls.
+        The writers replace a queue, never change it in place, so a
+        checkpoint that copied both maps one level deep keeps the queues it
+        saw."""
+        sink = self.sinks[i]
         self._queues[sink] = q
-        self._sink_at[sink.component, sink.port] = (sink, q)
+        self._sink_at[sink.component, sink.port] = (i, q)
 
     def drain(self) -> dict:
         """Remove and return all buffered and in-flight samples per sink.
@@ -211,17 +210,19 @@ class ConnectorInstance:
         checkpoint that copied `_queues` one level deep keeps its queues.
         """
         out = {}
-        for sink in self.sinks:
+        for i, sink in enumerate(self.sinks):
             out[sink] = self._queues[sink]
-            self._requeue(sink, [])
+            self._requeue(i, [])
         return out
 
     def refill(self, sink: Endpoint, samples: list, now: int) -> None:
         """Re-queue drained samples at a sink, due now, ahead of its queue."""
-        if sink not in self._queues:
+        at = self._sink_at.get((sink.component, sink.port))
+        if at is None:
             raise BindingError(f"{sink} is not a sink of {self.id}")
-        self._requeue(sink, [_Queued(s.seq, s.payload, now, ())
-                             for s in samples] + self._queues[sink])
+        i, q = at
+        self._requeue(i, [_Queued(s.seq, s.payload, now, ())
+                          for s in samples] + q)
 
     # -- reporting ---------------------------------------------------------
 

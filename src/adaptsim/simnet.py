@@ -13,6 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from . import kernel
@@ -255,15 +256,15 @@ class World:
 
     def make_connector(self, kid: str, source: Endpoint, sinks: list,
                        policy: FlowPolicy) -> ConnectorInstance:
-        # the callbacks hold the world and plain ids only, so a connector
-        # carries no reference to the state around it.  A push reads its
-        # hops from `connector_hops`, which calls `connector_transit` only
-        # at a version it has no hops for; both callbacks look the method
-        # up per call, so a wrapper set on World reaches it
-        transit = lambda sink, _w=self, _k=kid: _w.connector_transit(_k, sink)
-        hops = lambda sinks, _w=self, _k=kid: _w.connector_hops(_k, sinks)
+        # the callback holds the world and the connector's id only, so a
+        # connector carries no reference to the state around it, and it
+        # pickles.  A connector reads every hop from `connector_hops`,
+        # which calls `connector_transit` only at a version it has no hops
+        # for, looking the method up per call, so a wrapper set on World
+        # reaches it
         return ConnectorInstance(id=kid, source=source, sinks=sinks,
-                                 policy=policy, transit=transit, hops=hops,
+                                 policy=policy,
+                                 hops=partial(self.connector_hops, kid),
                                  tracer=self.flow_trace)
 
     def connector_hops(self, kid: str, sinks: list) -> list:

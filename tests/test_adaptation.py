@@ -978,21 +978,30 @@ class TestCycleMemo:
         run_checked(w, 6)
         assert w.last_qos.link == {"k0": 0.0, "k1": 0.0}
 
-    def test_a_repair_sees_a_registry_that_changed_order(self):
-        # a leaves h1 and comes back within one cycle: the model reads as
-        # before, but h1 adds its demands in another order, to other bits
-        w = World(seed=0)
-        for hid in ("h1", "h2"):
-            w.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
-                                      cpu_capacity=1.0, mem_capacity=4.0))
-        w.add_link("h1", "h2")
-        w.coordinator = Coordinator("h1", "M1")
-        for cid, cpu in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
-            assert kernel.apply_now(w, Add(desc(cid, cpu=cpu), "h1")).applied
+    def test_a_registry_that_changed_order_scores_as_before(self):
+        # a leaves h1 and comes back within one cycle: h1's registry reads
+        # b, c, a, and in registry order its demands would add up to 0.4,
+        # but a host's load adds up in firing order, which is id order
+        def built(order):
+            w = World(seed=0)
+            for hid in ("h1", "h2"):
+                w.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
+                                          cpu_capacity=1.0,
+                                          mem_capacity=4.0))
+            w.add_link("h1", "h2")
+            w.coordinator = Coordinator("h1", "M1")
+            for cid in order:
+                assert kernel.apply_now(w, Add(desc(
+                    cid, cpu={"a": 0.1, "b": 0.2, "c": 0.3}[cid]),
+                    "h1")).applied
+            return w
+        w = built("abc")
         assert observe(w, 0).hosts["h1"].cpu_free == 0.3999999999999999
         run_checked(w, 6, {2: [Move("a", "h2")], 3: [Move("a", "h1")]})
         assert list(w.hosts["h1"].containers) == ["b", "c", "a"]
-        assert observe(w, 5).hosts["h1"].cpu_free == 0.4
+        assert observe(w, 5).hosts["h1"].cpu_free == 0.3999999999999999
+        assert observe(built("cba"), 0).hosts["h1"].cpu_free \
+            == 0.3999999999999999
 
     def test_a_battery_given_to_a_mains_host_is_scored_at_once(self):
         # the only change between the two cycles: b's host gets a battery,

@@ -12,9 +12,11 @@ SRC = Endpoint("a", "out")
 SNK = Endpoint("b", "in")
 
 
-def conn(policy=None, sinks=None, transit=None, cid="k"):
-    return ConnectorInstance(cid, SRC, sinks or [SNK],
-                             policy or FlowPolicy(), transit=transit)
+def conn(policy=None, sinks=None, route=None, cid="k"):
+    """A connector whose hop to each sink is `route(sink)`, or local."""
+    return ConnectorInstance(
+        cid, SRC, sinks or [SNK], policy or FlowPolicy(),
+        hops=route and (lambda sinks: [route(s) for s in sinks]))
 
 
 class TestPushPull:
@@ -112,14 +114,14 @@ class TestFanOut:
 class TestLatency:
     def test_cross_host_delay_is_route_latency(self):
         # three-tick route: pushed at 10, deliverable from 13 (10 + 3)
-        c = conn(transit=lambda sink: (3, ("h1", "h2", "h3")))
+        c = conn(route=lambda sink: (3, ("h1", "h2", "h3")))
         c.push("a", "out", "x", now=10)
         assert c.pull("b", "in", now=12) is None
         assert c.pull("b", "in", now=13) == "x"
 
     def test_unroutable_sample_waits_for_route(self):
         routes = {"up": False}
-        c = conn(transit=lambda sink: (2, ("h1", "h2")) if routes["up"]
+        c = conn(route=lambda sink: (2, ("h1", "h2")) if routes["up"]
                  else None)
         c.push("a", "out", "x", now=0)
         assert c.pull("b", "in", now=5) is None
@@ -128,7 +130,7 @@ class TestLatency:
         assert c.pull("b", "in", now=7) == "x"
 
     def test_reroute_on_link_failure_lossless(self):
-        c = conn(transit=lambda sink: (4, ("h1", "h3", "h2")))
+        c = conn(route=lambda sink: (4, ("h1", "h3", "h2")))
         c.push("a", "out", "x", now=0)
         c.reroute_check(now=1, link_up=lambda a, b: (a, b) != ("h1", "h3"))
         assert c.pull("b", "in", now=4) is None
@@ -136,7 +138,7 @@ class TestLatency:
 
     def test_reroute_on_link_failure_keep_latest_drops(self):
         c = conn(FlowPolicy(loss=LossKind.KEEP_LATEST),
-                 transit=lambda sink: (4, ("h1", "h3", "h2")))
+                 route=lambda sink: (4, ("h1", "h3", "h2")))
         c.push("a", "out", "x", now=0)
         c.reroute_check(now=1, link_up=lambda a, b: (a, b) != ("h1", "h3"))
         assert c.pull("b", "in", now=100) is None

@@ -586,6 +586,58 @@ class TestHopLists:
             ((30, ("h1", "h2", "h4", "h3")), tap),  # h1-h3 down
             (None, None)}                           # h2 left: h1 cut off
 
+    def test_a_retry_and_a_reroute_read_the_hop_list(self, monkeypatch):
+        """One fixed script.  h4 is cut off while k1 pushes samples 1 and
+        2 to snk; h2-h4 comes back before tick 2, where snk's pull retries
+        its unrouted head; h3-h4 comes back, and h2-h4 goes down again
+        under samples 1 and 3-5, which the pass of tick 5 re-paths over
+        h3.  Each retry and re-route reads through `connector_hops`."""
+        w = hop_world()
+        HOP_APP_COMMANDS.clear()
+        reads = []                  # (tick, method, connector, hop reads)
+        for name in ("pull", "reroute_check"):
+            def counted(k, *args, _method=getattr(ConnectorInstance, name),
+                        _name=name):
+                before = w.reads
+                out = _method(k, *args)
+                if w.reads != before:
+                    reads.append((w.now, _name, k.id, w.reads - before))
+                return out
+            monkeypatch.setattr(ConnectorInstance, name, counted)
+        queues = {}                 # tick -> snk's queue after it
+
+        def run_to(tick):
+            while w.now <= tick:
+                w.step()
+                queues[w.now - 1] = [
+                    (e.seq, e.available_at, e.path)
+                    for e in w.connectors["k1"]._queues[Endpoint("snk", "i")]]
+
+        def fire(event, arg):
+            kind, key = HOP_EVENTS[event]
+            w._fire(sim_event(w.now, kind, **{key: arg}))
+        fire("linkdown", ("h2", "h4"))
+        fire("linkdown", ("h3", "h4"))
+        run_to(1)
+        fire("linkup", ("h2", "h4"))
+        run_to(3)
+        fire("linkup", ("h3", "h4"))
+        run_to(4)
+        fire("linkdown", ("h2", "h4"))
+        run_to(26)
+        assert reads == [(0, "pull", "k1", 1), (1, "pull", "k1", 1),
+                         (2, "pull", "k1", 1), (5, "reroute_check", "k1", 4),
+                         (26, "pull", "k1", 1)]
+        over_h2, over_h3 = ("h1", "h2", "h4"), ("h1", "h3", "h4")
+        assert queues[1] == [(1, 0, None), (2, 1, None)]
+        assert queues[2] == [(1, 22, over_h2), (2, 1, None), (3, 22, over_h2)]
+        assert queues[5] == [(1, 25, over_h3), (2, 1, None)] + [
+            (seq, 25, over_h3) for seq in range(3, 7)]
+        assert [line for line in w.trace_lines
+                if "op=deliver sink=snk.i" in line] == [
+            "tick=25 host=h4 kind=FLOW conn=k1 op=deliver sink=snk.i seq=1"]
+        assert queues[26][0] == (2, 46, over_h3)
+
 
 # -- routing kept per topology state -----------------------------------------
 
