@@ -126,7 +126,7 @@ def _host_obs(world, hid: str, reachable: bool) -> HostObs:
         return HostObs(up=False, cpu_free=0.0, mem_free=0.0, battery=None)
     host = world.hosts[hid]
     load_cpu = load_mem = 0.0
-    for _, c in world.firing_order(hid):
+    for _, c, _ in world.firing_order(hid):
         if c.lifecycle is Lifecycle.RUNNING:
             load_cpu += c.active_variant.cpu_demand
             load_mem += c.active_variant.mem_demand

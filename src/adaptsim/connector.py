@@ -35,6 +35,11 @@ class PushResult(Enum):
     OVERWROTE = "Overwrote"
 
 
+# bound at import: on CPython 3.11 a member load costs ~110 ns, a name ~8 ns
+_ACCEPTED, _BLOCKED, _OVERWROTE = (PushResult.ACCEPTED, PushResult.BLOCKED,
+                                   PushResult.OVERWROTE)
+
+
 @dataclass(frozen=True)
 class FlowPolicy:
     sync: FlowSync = FlowSync.SYNCHRONIZED
@@ -81,6 +86,9 @@ class ConnectorInstance:
         self.source = source
         self.sinks: list = list(sinks)
         self.policy = policy
+        self._keep_latest = policy.loss is LossKind.KEEP_LATEST
+        self._blocks = (policy.loss is LossKind.LOSSLESS
+                        and policy.sync is FlowSync.SYNCHRONIZED)
         self.hops = hops or (lambda sinks: [(0, ())] * len(sinks))
         self.tracer = tracer or (lambda conn, now, op, sink, seq: None)
         self._seq = 0
@@ -108,10 +116,7 @@ class ConnectorInstance:
         Drives producer-side stalling: a full synchronized lossless buffer
         holds the producer for a tick.
         """
-        policy = self.policy
-        return (policy.loss is LossKind.LOSSLESS
-                and policy.sync is FlowSync.SYNCHRONIZED
-                and self._any_full())
+        return self._blocks and self._any_full()
 
     # -- data path ---------------------------------------------------------
 
@@ -121,10 +126,10 @@ class ConnectorInstance:
         if component != source.component or port != source.port:
             raise BindingError(
                 f"{component}.{port} is not the source of {self.id}")
-        keep_latest = self.policy.loss is LossKind.KEEP_LATEST
+        keep_latest = self._keep_latest
         if not keep_latest and self._any_full():
-            return PushResult.BLOCKED
-        result = PushResult.ACCEPTED
+            return _BLOCKED
+        result = _ACCEPTED
         self._seq += 1
         seq = self._seq
         self.pushed_count += 1
@@ -137,7 +142,7 @@ class ConnectorInstance:
             entry = _Queued(seq, payload, now + ticks, path)
             if keep_latest and q:
                 self.tracer(self, now, "drop", sink, q.pop(0).seq)
-                result = PushResult.OVERWROTE
+                result = _OVERWROTE
             q.append(entry)
         self.tracer(self, now, "push", None, seq)
         return result
@@ -180,7 +185,7 @@ class ConnectorInstance:
                 broken = path and any(
                     not link_up(a, b) for a, b in zip(path, path[1:]))
                 if broken and entry.available_at > now:
-                    if self.policy.loss is LossKind.KEEP_LATEST:
+                    if self._keep_latest:
                         self.tracer(self, now, "drop", sink, entry.seq)
                         continue
                     hop = self.hops(self.sinks)[i]

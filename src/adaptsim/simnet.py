@@ -29,6 +29,8 @@ REPORTING_INTERVAL = 5      # ticks between a host's context reports
 ADAPTATION_INTERVAL = 5     # ticks between adaptation cycles
 
 _ABSENT = object()          # a map (checkpointed, or a memo) had no entry
+# bound at import: on CPython 3.11 a member load costs ~110 ns, a name ~8 ns
+_RUNNING, _HARDWARE = Lifecycle.RUNNING, ContextNature.HARDWARE
 
 
 @dataclass
@@ -112,9 +114,11 @@ class World:
         self.descriptors: dict = {}           # component id -> descriptor
         self.model_version = 0        # moves wherever the deployment changes
         self._model = None            # kernel.ArchitectureModel, see `model`
-        # (model version, host -> firing order, host -> sourced connectors)
+        # (model version, host -> firing entries, host -> sourced connectors)
         self._registry = (None, {}, {})
-        self._apis: dict = {}                 # (host, component) -> api
+        # (model version, (connector, op[, sink component, port]) -> the
+        # FLOW line's (host, text up to "seq="))
+        self._heads = (None, {})
         self._last_report: dict = {}  # component -> see _reported
         self._flow_infos: dict = {}   # (connector, key, value) -> info
         self.coordinator = None               # adaptation.Coordinator
@@ -232,12 +236,15 @@ class World:
         return self._registry
 
     def firing_order(self, hid: str) -> list:
-        """The host's (component id, container) pairs in id order, sorted
-        once per model version: every write of a registry bumps it."""
+        """The host's (component id, container, its `PlatformApi`) entries
+        in id order, built once per model version: every write of a
+        registry bumps it."""
         orders = self._at_version()[1]
         order = orders.get(hid)
         if order is None:
-            order = orders[hid] = sorted(self.hosts[hid].containers.items())
+            order = orders[hid] = [
+                (cid, c, PlatformApi(self, hid, cid))
+                for cid, c in sorted(self.hosts[hid].containers.items())]
         return order
 
     def _sourced(self, hid: str) -> list:
@@ -312,15 +319,30 @@ class World:
         self._trace_seq += 1
 
     def flow_trace(self, conn, now, op, sink, seq) -> None:
-        """One FLOW line, charged to the sink's host for a delivery and to
-        the source's host otherwise."""
+        """One FLOW line.  Its host and its text up to `seq=` are kept per
+        model version, which moves wherever `component_host` does, keyed by
+        the connector's id, the op and the sink's component and port, not
+        by the `Endpoint`, whose dataclass hash is slow."""
+        if self._heads[0] != self.model_version:
+            self._heads = (self.model_version, {})
+        heads = self._heads[1]
+        key = ((conn.id, op) if sink is None
+               else (conn.id, op, sink.component, sink.port))
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = self._flow_head(conn, op, sink)
+        self._tick_buffer.append((head[0], "FLOW", self._trace_seq,
+                                  f"{head[1]}{seq}"))
+        self._trace_seq += 1
+
+    def _flow_head(self, conn, op, sink) -> tuple:
+        """(host, text up to `seq=`) of a FLOW line, charged to the sink's
+        host for a delivery and to the source's host otherwise."""
         end = sink if op == "deliver" else conn.source
         host = self.component_host.get(end.component) or "-"
         where = "" if op == "push" else f" sink={sink}"
-        self._tick_buffer.append((
-            host, "FLOW", self._trace_seq,
-            f"host={host} kind=FLOW conn={conn.id} op={op}{where} seq={seq}"))
-        self._trace_seq += 1
+        return (host,
+                f"host={host} kind=FLOW conn={conn.id} op={op}{where} seq=")
 
     def _flush_trace(self) -> None:
         # seq is unique within a tick, so the sort never compares lines
@@ -397,6 +419,7 @@ class World:
 
     def step(self) -> dict:
         report = {"tick": self.now, "events": 0, "faults": 0}
+        reporting = self.now % REPORTING_INTERVAL == 0
         # (1) scripted events
         while self._events and self._events[0][0] <= self.now:
             self._fire(heapq.heappop(self._events)[3])
@@ -434,24 +457,25 @@ class World:
             if not host.desc.up:
                 continue
             registry = host.containers
-            for cid, c in self.firing_order(hid):
+            for cid, c, api in self.firing_order(hid):
                 # an application's command may have moved it this tick; a
                 # container that arrived on a later host fires there
                 if registry.get(cid) is not c:
                     continue
                 try:
-                    c.process_step(self.now, api=self._api(hid, cid))
+                    c.process_step(self.now, api=api)
                 except ComponentFault:
                     report["faults"] += 1
                     info = ContextInformation(
-                        nature=ContextNature.HARDWARE, key="component.fault",
+                        nature=_HARDWARE, key="component.fault",
                         value=cid, producer="platform")
                     obj = stamp(info, self.now, host.location,
                                 owner="platform", base_confidence=1.0)
                     host.store.put(obj)
                     self.trace(hid, "CTX", obj.trace_repr())
                     self.model_version += 1
-            self._kernel_tick(hid)
+            if reporting:
+                self._kernel_tick(hid)
         # (5) adaptation cycle
         if self.coordinator is not None \
                 and self.hosts[self.coordinator.host].desc.up \
@@ -466,37 +490,37 @@ class World:
             self.step()
 
     def _kernel_tick(self, hid: str) -> None:
+        """The host's context report, made on every reporting tick."""
         host = self.hosts[hid]
-        if self.now % REPORTING_INTERVAL == 0:
-            # every object of one report shares its host's validity, and
-            # every line of the report the validity's trace text
-            validity = InformationValidity(
-                timestamp=self.now, location=host.location,
-                base_confidence=1.0, owner="platform")
-            tail = validity.trace_repr()
-            put = host.store.put
-            for cid, c in self.firing_order(hid):
-                if c.lifecycle is Lifecycle.RUNNING:
-                    info, head = self._reported(cid)
-                    put(ContextObject(info, validity))
-                    self.trace(hid, "CTX", f"{head} {tail}")
-            if host.desc.power is not None:
-                # a draining host's level moves every report: nothing to keep
-                info = ContextInformation(
-                    nature=ContextNature.HARDWARE, key="battery.level",
-                    value=Quantity(round(host.desc.power.level, 6), ""),
-                    producer=hid)
+        # every object of one report shares its host's validity, and every
+        # line of the report the validity's trace text
+        validity = InformationValidity(
+            timestamp=self.now, location=host.location,
+            base_confidence=1.0, owner="platform")
+        tail = validity.trace_repr()
+        put = host.store.put
+        for cid, c, _ in self.firing_order(hid):
+            if c.lifecycle is _RUNNING:
+                info, head = self._reported(cid)
                 put(ContextObject(info, validity))
-                self.trace(hid, "CTX", f"{info.trace_repr()} {tail}")
-            for k in self._sourced(hid):
-                rate, depth = k.take_rate(), k.depth()
-                put(ContextObject(self._flow_info(k.id, "flow.rate", rate),
-                                  validity))
-                put(ContextObject(self._flow_info(k.id, "flow.depth", depth),
-                                  validity))
-                self.trace(hid, "CTX",
-                           f"key=flow.rate conn={k.id} rate={rate:g} "
-                           f"depth={depth}")
+                self.trace(hid, "CTX", f"{head} {tail}")
+        if host.desc.power is not None:
+            # a draining host's level moves every report: nothing to keep
+            info = ContextInformation(
+                nature=_HARDWARE, key="battery.level",
+                value=Quantity(round(host.desc.power.level, 6), ""),
+                producer=hid)
+            put(ContextObject(info, validity))
+            self.trace(hid, "CTX", f"{info.trace_repr()} {tail}")
+        for k in self._sourced(hid):
+            rate, depth = k.take_rate(), k.depth()
+            put(ContextObject(self._flow_info(k.id, "flow.rate", rate),
+                              validity))
+            put(ContextObject(self._flow_info(k.id, "flow.depth", depth),
+                              validity))
+            self.trace(hid, "CTX",
+                       f"key=flow.rate conn={k.id} rate={rate:g} "
+                       f"depth={depth}")
 
     def _reported(self, cid: str) -> tuple:
         """(information, its trace text) of a component's liveness report,
@@ -504,7 +528,7 @@ class World:
         last = self._last_report.get(cid)
         if last is None:
             info = ContextInformation(
-                nature=ContextNature.HARDWARE, key="component.alive",
+                nature=_HARDWARE, key="component.alive",
                 value=cid, producer=cid)
             last = self._last_report[cid] = (info, info.trace_repr())
         return last
@@ -518,15 +542,9 @@ class World:
         info = self._flow_infos.get((kid, key, value))
         if info is None:
             info = self._flow_infos[kid, key, value] = ContextInformation(
-                nature=ContextNature.HARDWARE, key=key, producer=kid,
+                nature=_HARDWARE, key=key, producer=kid,
                 value=Quantity(float(value), ""))
         return info
-
-    def _api(self, hid: str, cid: str):
-        api = self._apis.get((hid, cid))
-        if api is None:
-            api = self._apis[hid, cid] = PlatformApi(self, hid, cid)
-        return api
 
     # -- scripted event handlers ------------------------------------------
 

@@ -4,9 +4,11 @@ Random sequences of every command type, aborted ones and ones an
 application submits while it fires included, with component faults and
 hosts leaving and joining.  After each step, every container's firing plan
 equals one built fresh from its bindings and variant, each host's firing
-order and sourced connectors equal their registries, and each reused
-report information equals a fresh one.  The trace equals that of the same
-run with every plan and memo dropped before each tick.
+entries and sourced connectors equal their registries, each entry's
+`PlatformApi` equals a fresh one for its host and component, each kept
+FLOW line head equals a fresh one, and each reused report information
+equals a fresh one.  The trace equals that of the same run with every
+plan and memo dropped before each tick.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,7 +19,7 @@ from adaptsim.container import ComponentDescriptor, Variant
 from adaptsim.context import ContextInformation, ContextNature, Quantity
 from adaptsim.kernel import (Add, Connect, Disconnect, HostDescriptor,
                              HostTier, Move, Remove, ReplaceBusiness)
-from adaptsim.simnet import SimEventKind, World, sim_event
+from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 
 HOSTS = ("h1", "h2", "h3")
 PORTS = {"src": ((), ("o",), "source"), "mid": (("i",), ("o",), "identity"),
@@ -100,6 +102,15 @@ def fresh_plan(c):
             tuple(sorted(c.output_bindings.items())))
 
 
+def assert_entries(w, hid, entries):
+    """Each firing entry is a registry pair, in id order, with an api that
+    equals a fresh one for its host and component."""
+    assert [(cid, c) for cid, c, _ in entries] \
+        == sorted(w.hosts[hid].containers.items())
+    for cid, _, api in entries:
+        assert vars(api) == vars(PlatformApi(w, hid, cid))
+
+
 def assert_fresh(w):
     version, orders, sourced = w._registry
     for hid in HOSTS:
@@ -108,13 +119,16 @@ def assert_fresh(w):
             if c._plan is not None:
                 assert c._plan == fresh_plan(c)
         if version == w.model_version:
-            assert orders.get(hid, sorted(host.containers.items())) \
-                == sorted(host.containers.items())
+            if hid in orders:
+                assert_entries(w, hid, orders[hid])
             assert sourced.get(hid, kernel.sourced_connectors(host)) \
                 == kernel.sourced_connectors(host)
-        assert w.firing_order(hid) == sorted(host.containers.items())
-    for (hid, cid), api in w._apis.items():
-        assert (api.host_id, api.component_id) == (hid, cid)
+        assert_entries(w, hid, w.firing_order(hid))
+    version, heads = w._heads
+    if version == w.model_version:
+        for (kid, op, *sink), head in heads.items():
+            assert head == w._flow_head(w.connectors[kid], op,
+                                        Endpoint(*sink) if sink else None)
     for cid, (info, head) in w._last_report.items():
         assert info == ContextInformation(
             nature=ContextNature.HARDWARE, key="component.alive", value=cid,
@@ -131,7 +145,7 @@ def drop_plans(w):
         for c in host.containers.values():
             c._plan = None
     w._registry = (None, {}, {})
-    w._apis.clear()
+    w._heads = (None, {})
     w._last_report.clear()
     w._flow_infos.clear()
     w._hops = (None, {})

@@ -11,7 +11,9 @@ of what its memos held.
   as memo.
 
 Runs: tests/data in M1-M4, and world 0 of seed 201 of each workload shape
-of perfbench/worldgen.py, imported read-only.
+of perfbench/worldgen.py, imported read-only.  One more, fixed run moves a
+source and a sink between ticks: the FLOW lines after each move name the
+new hosts, in a plain run and in a cold-memo run alike.
 """
 
 import os
@@ -25,7 +27,11 @@ DATA = os.path.join(ROOT, "tests", "data")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import worldgen  # noqa: E402
-from adaptsim import cli, descriptors, trace  # noqa: E402
+from adaptsim import cli, descriptors, kernel, trace  # noqa: E402
+from adaptsim.connector import Endpoint, FlowPolicy  # noqa: E402
+from adaptsim.container import ComponentDescriptor, Variant  # noqa: E402
+from adaptsim.kernel import (Add, Connect, HostDescriptor,  # noqa: E402
+                             HostTier, Move)
 from adaptsim.simnet import World  # noqa: E402
 
 RUNS = [("data", mode) for mode in ("M1", "M2", "M3", "M4")] + [
@@ -39,8 +45,8 @@ WORLD_STATE = {"rng", "now", "hosts", "links", "connectors", "descriptors",
 COORDINATOR_STATE = {"host", "mode", "alert_since", "infeasible_outstanding"}
 # what a run may rebuild from that state at any step, empty in a new World
 # or Coordinator; each container's `_plan` is one too
-WORLD_MEMOS = {"_model", "_registry", "_routing", "_routed_at", "_hops",
-               "_flow_infos", "_last_report", "_apis"}
+WORLD_MEMOS = {"_model", "_registry", "_heads", "_routing", "_routed_at",
+               "_hops", "_flow_infos", "_last_report"}
 COORDINATOR_MEMOS = {"_scored"}
 
 
@@ -77,7 +83,8 @@ def forget(world):
     empty = vars(World())
     for name in WORLD_MEMOS:
         setattr(world, name, empty[name])
-    world.coordinator._scored = None
+    if world.coordinator is not None:
+        world.coordinator._scored = None
     for host in world.hosts.values():
         for c in host.containers.values():
             c._plan = None
@@ -117,3 +124,61 @@ def test_every_attribute_is_state_or_memo():
         world.run(ticks)
         assert before == (set(vars(world)), set(vars(world.coordinator))) \
             == listed, run
+
+
+def moving_run(cold: bool) -> list:
+    """The FLOW lines of a chain h1-h2-h3-h4 where `src` (h1) feeds both
+    in ports of `snk` (h2) over one connector: ticks 0-2, then `snk`
+    moves to h4, ticks 3-4, then `src` moves to h3, ticks 5-6.  A cold
+    run empties every memo before each step."""
+    world = World(seed=0)
+    for hid in ("h1", "h2", "h3", "h4"):
+        world.add_host(HostDescriptor(id=hid, tier=HostTier.FULL,
+                                      cpu_capacity=8, mem_capacity=8))
+    for a, b in (("h1", "h2"), ("h2", "h3"), ("h3", "h4")):
+        world.add_link(a, b)
+    for cid, hid, ins, outs, behavior in (
+            ("src", "h1", (), ("o",), "source"),
+            ("snk", "h2", ("a", "b"), (), "sink")):
+        assert kernel.apply_now(world, Add(ComponentDescriptor(
+            id=cid, in_ports=ins, out_ports=outs,
+            variants=(Variant("Full", 1.0, 1.0, behavior),)), hid)).applied
+    assert kernel.apply_now(world, Connect(
+        "k", Endpoint("src", "o"), (Endpoint("snk", "a"),
+                                    Endpoint("snk", "b")),
+        FlowPolicy())).applied
+    for move, ticks in ((None, 3), (Move("snk", "h4"), 2),
+                        (Move("src", "h3"), 2)):
+        if move is not None:
+            assert kernel.apply_now(world, move).applied
+        for _ in range(ticks):
+            if cold:
+                forget(world)
+            world.step()
+    return [line for line in world.trace_lines if "kind=FLOW" in line]
+
+
+def test_flow_lines_name_the_hosts_a_source_and_a_sink_moved_to():
+    """A move refills the samples it drained due at once: `snk` takes seq
+    3 on h4 at tick 3, and seq 4, pushed over three hops, at tick 5."""
+    lines = moving_run(cold=False)
+    head = "kind=FLOW conn=k op="
+    assert lines == [
+        f"tick=0 host=h1 {head}push seq=1",
+        f"tick=1 host=h1 {head}push seq=2",
+        f"tick=1 host=h2 {head}deliver sink=snk.a seq=1",
+        f"tick=1 host=h2 {head}deliver sink=snk.b seq=1",
+        f"tick=2 host=h1 {head}push seq=3",
+        f"tick=2 host=h2 {head}deliver sink=snk.a seq=2",
+        f"tick=2 host=h2 {head}deliver sink=snk.b seq=2",
+        f"tick=3 host=h1 {head}push seq=4",
+        f"tick=3 host=h4 {head}deliver sink=snk.a seq=3",
+        f"tick=3 host=h4 {head}deliver sink=snk.b seq=3",
+        f"tick=4 host=h1 {head}push seq=5",
+        f"tick=5 host=h3 {head}push seq=6",
+        f"tick=5 host=h4 {head}deliver sink=snk.a seq=4",
+        f"tick=5 host=h4 {head}deliver sink=snk.b seq=4",
+        f"tick=6 host=h3 {head}push seq=7",
+        f"tick=6 host=h4 {head}deliver sink=snk.a seq=5",
+        f"tick=6 host=h4 {head}deliver sink=snk.b seq=5"]
+    assert moving_run(cold=True) == lines

@@ -1,4 +1,5 @@
-"""Exact work counts on generated link_churn and failover_replan worlds.
+"""Exact work counts on generated link_churn, failover_replan and
+flows_steady worlds.
 
 Wall time drifts with the shared host; the number of calls a run makes
 does not.  The tests count, from the test side, the calls of
@@ -7,11 +8,13 @@ does not.  The tests count, from the test side, the calls of
 placement searches and the calls of `observe`, `evaluate_qos`,
 `_score_assignment` and `_bound` made under `Coordinator.run_cycle` over
 world 0 of seed 7 of the failover_replan shape at 10, 20 and 160 hosts
-(chains = hosts / 2), and pin them exactly, so a change that makes the
-re-route pass or a replan do more work fails here.  The generator is
-imported read-only from perfbench/, and the scaled shapes are set with
-`MonkeyPatch.setitem`.  `python tests/test_scaling.py` prints the current
-counts in PINNED's format.
+(chains = hosts / 2), and the FLOW line heads and firing entries built
+over world 0 of seed 7 of the flows_steady shape at 20 and 80 hosts, and
+pin them exactly, so a change that makes the re-route pass or a replan do
+more work, or builds a head or an entry per tick, fails here.  The
+generator is imported read-only from perfbench/, and the scaled shapes
+are set with `MonkeyPatch.setitem`.  `python tests/test_scaling.py`
+prints the current counts in PINNED's format.
 
 It also pins the trace bytes of seed 201 of each workload shape, and of
 worlds 0 and 1 of seed 201 of the failover_replan shape at 160 hosts.
@@ -31,7 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import worldgen  # noqa: E402
-from adaptsim import adaptation, cli, descriptors  # noqa: E402
+from adaptsim import adaptation, cli, descriptors, simnet  # noqa: E402
 from adaptsim.adaptation import Coordinator  # noqa: E402
 from adaptsim.connector import ConnectorInstance  # noqa: E402
 from adaptsim.simnet import World  # noqa: E402
@@ -58,6 +61,15 @@ PINNED = {
              "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6},
         160: {"cycles": 4, "select_deployment": 3, "observe": 1,
               "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6},
+    },
+    # one model version a run: a push head and a deliver head for each
+    # connector, whose one sink is a component's one in port, and one
+    # firing entry for each component
+    "flows_steady": {
+        20: {"ticks": 44, "model_versions": 1, "connectors": 20,
+             "components": 30, "flow_heads": 40, "firing_entries": 30},
+        80: {"ticks": 44, "model_versions": 1, "connectors": 80,
+             "components": 120, "flow_heads": 160, "firing_entries": 120},
     },
 }
 # (workload, hosts, worlds) -> the sha256 over the trace digests of worlds
@@ -137,7 +149,36 @@ def replan_counts(mp, hosts: int) -> dict:
     return dict(calls)
 
 
-COUNTS = {"link_churn": work_counts, "failover_replan": replan_counts}
+def memo_counts(mp, hosts: int) -> dict:
+    """Runs the flows_steady world at `hosts` hosts and counts the FLOW
+    line heads (`World._flow_head` calls) and the firing entries (each
+    builds one `PlatformApi`) it builds, and the model versions its ticks
+    start at; `mp`'s undo restores the wrapped names."""
+    world, duration = built(mp, "flows_steady", hosts)
+    calls = Counter()
+    versions = set()
+    for owner, name, counter in ((World, "_flow_head", "flow_heads"),
+                                 (simnet, "PlatformApi", "firing_entries")):
+        def counted(*args, _fn=getattr(owner, name), _counter=counter):
+            calls[_counter] += 1
+            return _fn(*args)
+        mp.setattr(owner, name, counted)
+    step = World.step
+
+    def versioned(w):
+        versions.add(w.model_version)
+        return step(w)
+    mp.setattr(World, "step", versioned)
+    world.run(duration)
+    return {"ticks": world.now, "model_versions": len(versions),
+            "connectors": len(world.connectors),
+            "components": len(world.component_host),
+            "flow_heads": calls["flow_heads"],
+            "firing_entries": calls["firing_entries"]}
+
+
+COUNTS = {"link_churn": work_counts, "failover_replan": replan_counts,
+          "flows_steady": memo_counts}
 
 
 def all_counts() -> dict:
@@ -159,6 +200,16 @@ def test_the_work_of_a_churning_world_is_pinned(monkeypatch, hosts):
 def test_a_replanning_world_is_observed_in_full_once(monkeypatch, hosts):
     assert replan_counts(monkeypatch, hosts) == \
         PINNED["failover_replan"][hosts]
+
+
+@pytest.mark.parametrize("hosts", sorted(PINNED["flows_steady"]))
+def test_a_steady_world_builds_its_heads_and_entries_once_a_version(
+        monkeypatch, hosts):
+    counts = memo_counts(monkeypatch, hosts)
+    assert counts == PINNED["flows_steady"][hosts]
+    versions = counts["model_versions"]
+    assert counts["flow_heads"] == 2 * counts["connectors"] * versions
+    assert counts["firing_entries"] == counts["components"] * versions
 
 
 def trace_digest(mp, workload: str, hosts: int, index: int) -> str:
