@@ -15,8 +15,7 @@ from typing import Optional
 
 from . import kernel
 from .container import EventKind, Lifecycle, PlatformEvent
-from .context import (ContextInformation, ContextNature, Location, Quantity,
-                      stamp)
+from .context import ContextNature
 from .kernel import ArchitectureModel, Move
 
 EXHAUSTIVE_LIMIT = 10_000           # scores and bounds per placement search
@@ -794,9 +793,7 @@ class Coordinator:
         return CycleOutcome("PlanApplied", plan=plan)
 
     def _store_report(self, world, report: QoSReport, now: int) -> None:
-        info = ContextInformation(
-            nature=ContextNature.HARDWARE, key="qos.global",
-            value=Quantity(report.global_score, ""), producer="adaptation")
-        obj = stamp(info, now, Location(host=self.host),
-                    owner="platform", base_confidence=1.0)
-        world.hosts[self.host].store.put(obj)
+        host = world.hosts[self.host]
+        host.store.put(((now, host.location, 1.0, "platform"),
+                        [(ContextNature.HARDWARE, "qos.global",
+                          report.global_score, "adaptation")]))

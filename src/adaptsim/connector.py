@@ -89,6 +89,8 @@ class ConnectorInstance:
         self._keep_latest = policy.loss is LossKind.KEEP_LATEST
         self._blocks = (policy.loss is LossKind.LOSSLESS
                         and policy.sync is FlowSync.SYNCHRONIZED)
+        # `would_block` found room, and no push has been made since
+        self._cleared = False
         self.hops = hops or (lambda sinks: [(0, ())] * len(sinks))
         self.tracer = tracer or (lambda conn, now, op, sink, seq: None)
         self._seq = 0
@@ -114,9 +116,16 @@ class ConnectorInstance:
         """True when a push right now could not be accepted.
 
         Drives producer-side stalling: a full synchronized lossless buffer
-        holds the producer for a tick.
+        holds the producer for a tick.  When it finds room, the next push
+        takes it without testing the queues again: only a push adds to
+        them (a drain and its refill put back what was there, a re-route
+        and a rollback add nothing).
         """
-        return self._blocks and self._any_full()
+        if not self._blocks:
+            return False
+        full = self._any_full()
+        self._cleared = not full
+        return full
 
     # -- data path ---------------------------------------------------------
 
@@ -127,8 +136,10 @@ class ConnectorInstance:
             raise BindingError(
                 f"{component}.{port} is not the source of {self.id}")
         keep_latest = self._keep_latest
-        if not keep_latest and self._any_full():
-            return _BLOCKED
+        if not keep_latest:
+            cleared, self._cleared = self._cleared, False
+            if not cleared and self._any_full():
+                return _BLOCKED
         result = _ACCEPTED
         self._seq += 1
         seq = self._seq

@@ -19,8 +19,8 @@ from typing import Optional
 from . import kernel
 from .connector import ConnectorInstance, Endpoint, FlowPolicy
 from .container import Lifecycle
-from .context import (ContextInformation, ContextNature, ContextObject,
-                      InformationValidity, Location, Quantity, stamp)
+from .context import (ContextInformation, ContextNature, Location,
+                      Quantity, stamp)
 from .errors import ComponentFault, ScheduleError, ValidationError
 from .kernel import Battery, HostDescriptor, TopologyFlag
 from .store import ContextStore
@@ -114,13 +114,11 @@ class World:
         self.descriptors: dict = {}           # component id -> descriptor
         self.model_version = 0        # moves wherever the deployment changes
         self._model = None            # kernel.ArchitectureModel, see `model`
-        # (model version, host -> firing entries, host -> sourced connectors)
+        # (model version, host -> firing entries, host -> report plan)
         self._registry = (None, {}, {})
         # (model version, (connector, op[, sink component, port]) -> the
         # FLOW line's (host, text up to "seq="))
         self._heads = (None, {})
-        self._last_report: dict = {}  # component -> see _reported
-        self._flow_infos: dict = {}   # (connector, key, value) -> info
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
         self.component_host: dict = {}        # component id -> host id
@@ -247,14 +245,21 @@ class World:
                 for cid, c in sorted(self.hosts[hid].containers.items())]
         return order
 
-    def _sourced(self, hid: str) -> list:
-        """`kernel.sourced_connectors` of the host, once per model
-        version."""
-        sourced = self._at_version()[2]
-        ks = sourced.get(hid)
-        if ks is None:
-            ks = sourced[hid] = kernel.sourced_connectors(self.hosts[hid])
-        return ks
+    def _report_plan(self, hid: str) -> tuple:
+        """What the host's context report keeps for a model version: the
+        (container, reading, line text up to `t=`) of each firing entry,
+        the battery line's text up to its level, the (connector, line text
+        up to its rate) of each connector the host sources, by id, and the
+        lines' text after `t=<tick>`.  A reading is what the host's store
+        files (see `ContextStore.put`)."""
+        ctx, nature = f"host={hid} kind=CTX key=", _HARDWARE.short
+        alive = [(c, (_HARDWARE, "component.alive", cid, cid),
+                  f"{ctx}component.alive nature={nature} val={cid} ")
+                 for cid, c, _ in self.firing_order(hid)]
+        flows = [(k, f"{ctx}flow.rate conn={k.id} rate=")
+                 for k in kernel.sourced_connectors(self.hosts[hid])]
+        return (alive, f"{ctx}battery.level nature={nature} val=", flows,
+                f" loc={hid} conf=1 own=platform")
 
     def host_of(self, component_id: str) -> Optional[str]:
         return self.component_host.get(component_id)
@@ -490,61 +495,39 @@ class World:
             self.step()
 
     def _kernel_tick(self, hid: str) -> None:
-        """The host's context report, made on every reporting tick."""
+        """The host's context report, made on every reporting tick: a CTX
+        line and a reading for each running component, for the battery
+        level and for each sourced connector's rate and depth, the
+        readings put in the host's store as one record.  Only the tick,
+        the level, the rate and the depth are worked out here; the rest
+        is the host's report plan, kept per model version."""
+        plans = self._at_version()[2]
+        plan = plans.get(hid)
+        if plan is None:
+            plan = plans[hid] = self._report_plan(hid)
+        alive, battery, flows, suffix = plan
         host = self.hosts[hid]
-        # every object of one report shares its host's validity, and every
-        # line of the report the validity's trace text
-        validity = InformationValidity(
-            timestamp=self.now, location=host.location,
-            base_confidence=1.0, owner="platform")
-        tail = validity.trace_repr()
-        put = host.store.put
-        for cid, c, _ in self.firing_order(hid):
+        now = self.now
+        tail = f"t={now}{suffix}"
+        readings, lines = [], []
+        for c, reading, head in alive:
             if c.lifecycle is _RUNNING:
-                info, head = self._reported(cid)
-                put(ContextObject(info, validity))
-                self.trace(hid, "CTX", f"{head} {tail}")
+                readings.append(reading)
+                lines.append(head + tail)
         if host.desc.power is not None:
-            # a draining host's level moves every report: nothing to keep
-            info = ContextInformation(
-                nature=_HARDWARE, key="battery.level",
-                value=Quantity(round(host.desc.power.level, 6), ""),
-                producer=hid)
-            put(ContextObject(info, validity))
-            self.trace(hid, "CTX", f"{info.trace_repr()} {tail}")
-        for k in self._sourced(hid):
+            level = round(host.desc.power.level, 6)
+            readings.append((_HARDWARE, "battery.level", level, hid))
+            lines.append(f"{battery}{level:g} {tail}")
+        for k, head in flows:
             rate, depth = k.take_rate(), k.depth()
-            put(ContextObject(self._flow_info(k.id, "flow.rate", rate),
-                              validity))
-            put(ContextObject(self._flow_info(k.id, "flow.depth", depth),
-                              validity))
-            self.trace(hid, "CTX",
-                       f"key=flow.rate conn={k.id} rate={rate:g} "
-                       f"depth={depth}")
-
-    def _reported(self, cid: str) -> tuple:
-        """(information, its trace text) of a component's liveness report,
-        built once per component: its value is the component's id."""
-        last = self._last_report.get(cid)
-        if last is None:
-            info = ContextInformation(
-                nature=_HARDWARE, key="component.alive",
-                value=cid, producer=cid)
-            last = self._last_report[cid] = (info, info.trace_repr())
-        return last
-
-    def _flow_info(self, kid: str, key: str, value: int):
-        """The information of a connector's `flow.rate` or `flow.depth`
-        `value`, built once per value.  A rate counts the deliveries since
-        the connector's last report, at most one per sink and tick, and a
-        depth is at most a lossless queue's capacity (one, keeping the
-        latest), so the memo stays small while the values alternate."""
-        info = self._flow_infos.get((kid, key, value))
-        if info is None:
-            info = self._flow_infos[kid, key, value] = ContextInformation(
-                nature=_HARDWARE, key=key, producer=kid,
-                value=Quantity(float(value), ""))
-        return info
+            readings += ((_HARDWARE, "flow.rate", rate, k.id),
+                         (_HARDWARE, "flow.depth", depth, k.id))
+            lines.append(f"{head}{rate:g} depth={depth}")
+        host.store.put(((now, host.location, 1.0, "platform"), readings))
+        self._tick_buffer += [(hid, "CTX", seq, line)
+                              for seq, line in enumerate(lines,
+                                                         self._trace_seq)]
+        self._trace_seq += len(lines)
 
     # -- scripted event handlers ------------------------------------------
 

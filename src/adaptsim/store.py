@@ -4,15 +4,25 @@ queries over it.
 One store exists per host and is only touched by that host's platform
 activity.  Remote context goes through platform services, never through
 direct store access.
+
+The store pays on read, not on write.  A host's context report, and the
+coordinator's QoS report, is put as one record, and each of its readings
+is filed as a light tuple in the same per-key ring as the objects put one
+by one.  `history`, `all_objects` and `query` build the `ContextObject`
+of a reading when they are called, so a report that no one reads builds
+no object.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
-from .context import ContextObject, ValidityPolicy, is_valid
+from .context import (ContextInformation, ContextObject,
+                      InformationValidity, Quantity, ValidityPolicy,
+                      is_valid)
 from .errors import ValidationError
 
 DEFAULT_CAPACITY = 64
@@ -33,36 +43,59 @@ class ContextQuery:
 
 class ContextStore:
     """History-preserving ring-buffer store, keyed by context key: each key
-    keeps its newest `DEFAULT_CAPACITY` objects."""
+    keeps its newest `DEFAULT_CAPACITY` objects, in put order."""
 
     def __init__(self):
-        self._by_key: dict[str, deque] = {}
+        self._by_key: dict[str, deque] = defaultdict(
+            partial(deque, maxlen=DEFAULT_CAPACITY))
 
-    def put(self, obj: ContextObject) -> None:
-        key = obj.info.key
-        if key not in self._by_key:
-            self._by_key[key] = deque(maxlen=DEFAULT_CAPACITY)
-        self._by_key[key].append(obj)
-
-    def _matches(self, obj: ContextObject, q: ContextQuery) -> bool:
-        if q.nature_filter is not None and obj.info.nature not in q.nature_filter:
-            return False
-        if q.prefix:
-            return obj.info.key.startswith(q.key_pattern)
-        return q.key_pattern == "" or obj.info.key == q.key_pattern
+    def put(self, item) -> None:
+        """File a `ContextObject`, or a report record: (validity, readings),
+        the validity a (timestamp, location, base confidence, owner) tuple
+        that every reading shares, and each reading the (nature, key,
+        value, producer) of an information, a number value standing for a
+        unitless `Quantity`.  A reading is filed as (validity, reading)."""
+        rings = self._by_key
+        if type(item) is ContextObject:
+            rings[item.info.key].append(item)
+        else:
+            validity, readings = item
+            for reading in readings:
+                rings[reading[1]].append((validity, reading))
 
     def all_objects(self) -> Iterable[ContextObject]:
         for key in sorted(self._by_key):
-            yield from self._by_key[key]
+            yield from self.history(key)
 
     def query(self, q: ContextQuery, now: int) -> list[ContextObject]:
-        """Matching objects, newest first, producer id breaking ties."""
-        hits = [o for o in self.all_objects()
-                if self._matches(o, q) and is_valid(o, now, q.validity)]
+        """Matching objects, newest first, producer id breaking ties.  Only
+        the keys the query names are read, so only their objects are
+        built."""
+        if q.prefix:
+            keys = [k for k in sorted(self._by_key)
+                    if k.startswith(q.key_pattern)]
+        else:
+            keys = [q.key_pattern] if q.key_pattern else sorted(self._by_key)
+        natures = q.nature_filter
+        hits = [o for key in keys for o in self.history(key)
+                if (natures is None or o.info.nature in natures)
+                and is_valid(o, now, q.validity)]
         hits.sort(key=lambda o: (-o.validity.timestamp, o.info.producer))
         if q.limit is not None:
             hits = hits[:q.limit]
         return hits
 
     def history(self, key: str) -> list[ContextObject]:
-        return list(self._by_key.get(key, ()))
+        """The key's objects, oldest first; a filed reading becomes its
+        object here."""
+        out = []
+        for item in self._by_key.get(key, ()):
+            if type(item) is not ContextObject:
+                validity, (nature, _, value, producer) = item
+                if type(value) is not str:
+                    value = Quantity(float(value), "")
+                item = ContextObject(
+                    ContextInformation(nature, key, value, producer),
+                    InformationValidity(*validity))
+            out.append(item)
+        return out

@@ -71,7 +71,9 @@ class TestPushPull:
     def test_synchronized_lossless_stalls_producer(self):
         c = conn(FlowPolicy(capacity=1))
         assert c.would_block() is False
-        c.push("a", "out", 1, now=0)
+        assert c.push("a", "out", 1, now=0) is PushResult.ACCEPTED
+        # the room `would_block` found is taken: a second push tests again
+        assert c.push("a", "out", 2, now=0) is PushResult.BLOCKED
         assert c.would_block() is True
 
     def test_keep_latest_overwrites(self):

@@ -4,11 +4,10 @@ Random sequences of every command type, aborted ones and ones an
 application submits while it fires included, with component faults and
 hosts leaving and joining.  After each step, every container's firing plan
 equals one built fresh from its bindings and variant, each host's firing
-entries and sourced connectors equal their registries, each entry's
-`PlatformApi` equals a fresh one for its host and component, each kept
-FLOW line head equals a fresh one, and each reused report information
-equals a fresh one.  The trace equals that of the same run with every
-plan and memo dropped before each tick.
+entries equal its registry, each entry's `PlatformApi` equals a fresh one
+for its host and component, and each kept FLOW line head and report plan
+equals a fresh one.  The trace equals that of the same run with every plan
+and memo dropped before each tick.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +15,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from adaptsim import behaviors, kernel
 from adaptsim.connector import Endpoint, FlowPolicy, LossKind
 from adaptsim.container import ComponentDescriptor, Variant
-from adaptsim.context import ContextInformation, ContextNature, Quantity
 from adaptsim.kernel import (Add, Connect, Disconnect, HostDescriptor,
                              HostTier, Move, Remove, ReplaceBusiness)
 from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
@@ -112,7 +110,7 @@ def assert_entries(w, hid, entries):
 
 
 def assert_fresh(w):
-    version, orders, sourced = w._registry
+    version, orders, plans = w._registry
     for hid in HOSTS:
         host = w.hosts[hid]
         for c in host.containers.values():
@@ -121,23 +119,14 @@ def assert_fresh(w):
         if version == w.model_version:
             if hid in orders:
                 assert_entries(w, hid, orders[hid])
-            assert sourced.get(hid, kernel.sourced_connectors(host)) \
-                == kernel.sourced_connectors(host)
+            if hid in plans:
+                assert plans[hid] == w._report_plan(hid)
         assert_entries(w, hid, w.firing_order(hid))
     version, heads = w._heads
     if version == w.model_version:
         for (kid, op, *sink), head in heads.items():
             assert head == w._flow_head(w.connectors[kid], op,
                                         Endpoint(*sink) if sink else None)
-    for cid, (info, head) in w._last_report.items():
-        assert info == ContextInformation(
-            nature=ContextNature.HARDWARE, key="component.alive", value=cid,
-            producer=cid)
-        assert head == info.trace_repr()
-    for (kid, key, value), info in w._flow_infos.items():
-        assert info == ContextInformation(
-            nature=ContextNature.HARDWARE, key=key,
-            value=Quantity(float(value), ""), producer=kid)
 
 
 def drop_plans(w):
@@ -146,8 +135,6 @@ def drop_plans(w):
             c._plan = None
     w._registry = (None, {}, {})
     w._heads = (None, {})
-    w._last_report.clear()
-    w._flow_infos.clear()
     w._hops = (None, {})
 
 

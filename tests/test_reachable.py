@@ -99,8 +99,6 @@ PIN = {
         "item 10: a behaviour submits a command",
     "store:ContextQuery.__post_init__":
         "items 7 and 10: the context store's query path",
-    "store:ContextStore._matches":
-        "items 7 and 10: the context store's query path",
     "store:ContextStore.all_objects":
         "items 7 and 10: the context store's query path",
     "store:ContextStore.history":

@@ -46,7 +46,7 @@ COORDINATOR_STATE = {"host", "mode", "alert_since", "infeasible_outstanding"}
 # what a run may rebuild from that state at any step, empty in a new World
 # or Coordinator; each container's `_plan` is one too
 WORLD_MEMOS = {"_model", "_registry", "_heads", "_routing", "_routed_at",
-               "_hops", "_flow_infos", "_last_report"}
+               "_hops"}
 COORDINATOR_MEMOS = {"_scored"}
 
 

@@ -8,10 +8,12 @@ does not.  The tests count, from the test side, the calls of
 placement searches and the calls of `observe`, `evaluate_qos`,
 `_score_assignment` and `_bound` made under `Coordinator.run_cycle` over
 world 0 of seed 7 of the failover_replan shape at 10, 20 and 160 hosts
-(chains = hosts / 2), and the FLOW line heads and firing entries built
-over world 0 of seed 7 of the flows_steady shape at 20 and 80 hosts, and
-pin them exactly, so a change that makes the re-route pass or a replan do
-more work, or builds a head or an entry per tick, fails here.  The
+(chains = hosts / 2), and the FLOW line heads, firing entries and report
+plans built over world 0 of seed 7 of the flows_steady shape at 20 and 80
+hosts, with the context objects, validities and informations its reports
+and cycles build, and pin them exactly, so a change that makes the
+re-route pass or a replan do more work, builds a head, an entry or a plan
+per tick, or builds a context object that no one reads, fails here.  The
 generator is imported read-only from perfbench/, and the scaled shapes
 are set with `MonkeyPatch.setitem`.  `python tests/test_scaling.py`
 prints the current counts in PINNED's format.
@@ -37,6 +39,8 @@ import worldgen  # noqa: E402
 from adaptsim import adaptation, cli, descriptors, simnet  # noqa: E402
 from adaptsim.adaptation import Coordinator  # noqa: E402
 from adaptsim.connector import ConnectorInstance  # noqa: E402
+from adaptsim.context import (ContextInformation, ContextObject,  # noqa: E402
+                              InformationValidity)
 from adaptsim.simnet import World  # noqa: E402
 
 SEED = 7
@@ -63,13 +67,19 @@ PINNED = {
               "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6},
     },
     # one model version a run: a push head and a deliver head for each
-    # connector, whose one sink is a component's one in port, and one
-    # firing entry for each component
+    # connector, whose one sink is a component's one in port, one firing
+    # entry for each component and one report plan for each host.  A
+    # host's report and a cycle's QoS report build no context object: the
+    # store builds them when read, and no run reads it
     "flows_steady": {
         20: {"ticks": 44, "model_versions": 1, "connectors": 20,
-             "components": 30, "flow_heads": 40, "firing_entries": 30},
+             "components": 30, "flow_heads": 40, "firing_entries": 30,
+             "hosts": 20, "reports": 180, "report_plans": 20,
+             "report_objects": 0},
         80: {"ticks": 44, "model_versions": 1, "connectors": 80,
-             "components": 120, "flow_heads": 160, "firing_entries": 120},
+             "components": 120, "flow_heads": 160, "firing_entries": 120,
+             "hosts": 80, "reports": 720, "report_plans": 80,
+             "report_objects": 0},
     },
 }
 # (workload, hosts, worlds) -> the sha256 over the trace digests of worlds
@@ -151,18 +161,38 @@ def replan_counts(mp, hosts: int) -> dict:
 
 def memo_counts(mp, hosts: int) -> dict:
     """Runs the flows_steady world at `hosts` hosts and counts the FLOW
-    line heads (`World._flow_head` calls) and the firing entries (each
-    builds one `PlatformApi`) it builds, and the model versions its ticks
-    start at; `mp`'s undo restores the wrapped names."""
+    line heads (`World._flow_head` calls), the firing entries (each builds
+    one `PlatformApi`), the reports (`World._kernel_tick` calls) and the
+    report plans (`World._report_plan` calls) it builds, the context
+    objects, validities and informations built while a host's report or
+    the coordinator's cycle, which stores the QoS report, is made, and the
+    model versions its ticks start at; `mp`'s undo restores the wrapped
+    names."""
     world, duration = built(mp, "flows_steady", hosts)
     calls = Counter()
     versions = set()
     for owner, name, counter in ((World, "_flow_head", "flow_heads"),
-                                 (simnet, "PlatformApi", "firing_entries")):
+                                 (simnet, "PlatformApi", "firing_entries"),
+                                 (World, "_kernel_tick", "reports"),
+                                 (World, "_report_plan", "report_plans")):
         def counted(*args, _fn=getattr(owner, name), _counter=counter):
             calls[_counter] += 1
             return _fn(*args)
         mp.setattr(owner, name, counted)
+    reporting = []
+    for owner, name in ((World, "_kernel_tick"), (Coordinator, "run_cycle")):
+        def report(*args, _fn=getattr(owner, name)):
+            reporting.append(args)
+            try:
+                return _fn(*args)
+            finally:
+                reporting.pop()
+        mp.setattr(owner, name, report)
+    for cls in (ContextObject, InformationValidity, ContextInformation):
+        def init(obj, *args, _init=cls.__init__, **kwargs):
+            calls["report_objects"] += bool(reporting)
+            _init(obj, *args, **kwargs)
+        mp.setattr(cls, "__init__", init)
     step = World.step
 
     def versioned(w):
@@ -174,7 +204,10 @@ def memo_counts(mp, hosts: int) -> dict:
             "connectors": len(world.connectors),
             "components": len(world.component_host),
             "flow_heads": calls["flow_heads"],
-            "firing_entries": calls["firing_entries"]}
+            "firing_entries": calls["firing_entries"],
+            "hosts": len(world.hosts), "reports": calls["reports"],
+            "report_plans": calls["report_plans"],
+            "report_objects": calls["report_objects"]}
 
 
 COUNTS = {"link_churn": work_counts, "failover_replan": replan_counts,
@@ -210,6 +243,9 @@ def test_a_steady_world_builds_its_heads_and_entries_once_a_version(
     versions = counts["model_versions"]
     assert counts["flow_heads"] == 2 * counts["connectors"] * versions
     assert counts["firing_entries"] == counts["components"] * versions
+    assert counts["report_plans"] == counts["hosts"] * versions
+    assert counts["reports"] > counts["report_plans"]
+    assert counts["report_objects"] == 0
 
 
 def trace_digest(mp, workload: str, hosts: int, index: int) -> str:
