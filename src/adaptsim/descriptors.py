@@ -62,11 +62,16 @@ class ScenarioScript:
 
 def load_json(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise DescriptorError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"{path}: not UTF-8 text ({exc.reason} at "
+                              f"byte {exc.start})") from None
+    except RecursionError:
+        raise DescriptorError(f"{path}: nested too deeply to read") from None
     except OSError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
 

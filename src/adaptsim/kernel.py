@@ -356,7 +356,8 @@ def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
     # a Move to the component's own host changes no registry
     stays = (isinstance(cmd, Move)
              and world.component_host.get(cmd.component) == cmd.target)
-    checkpoint = world.runtime_snapshot(*_scope(world, cmd))
+    _, connectors, hosts = scope = _scope(world, cmd)
+    checkpoint = world.runtime_snapshot(*scope)
     try:
         _execute(world, cmd)
     except _Abort as a:
@@ -369,6 +370,8 @@ def apply_now(world, cmd, origin: str = "platform") -> CommandResult:
         if not stays:
             world.model_version += 1
         result = APPLIED
+    if not stays:               # the checkpoint scope is the change set
+        world.drop_memos(hosts, connectors)
     world.trace(world.coordinator_host or "-", "CMD",
                 f"cmd={_cmd_name(cmd)} {_cmd_args(cmd)} "
                 f"result={result.status}"

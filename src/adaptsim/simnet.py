@@ -79,11 +79,12 @@ def sim_event(at, kind, **args) -> SimEvent:
 @dataclass(slots=True)
 class _Routing:
     """What routing knows of one topology state: its down host ids and
-    down link endpoint pairs, its routes and its `connector_transit`
-    memo of (src, dst) host pairs."""
+    down link endpoint pairs, its routes and its memos of
+    `connector_transit` by host pair and `connector_hops` by connector."""
     down: tuple                     # (host ids, link pairs), frozensets
     routes: kernel.Routes
     transit: dict
+    hops: dict
 
 
 def _avoids(path, hosts: frozenset, links: frozenset) -> bool:
@@ -114,11 +115,11 @@ class World:
         self.descriptors: dict = {}           # component id -> descriptor
         self.model_version = 0        # moves wherever the deployment changes
         self._model = None            # kernel.ArchitectureModel, see `model`
-        # (model version, host -> firing entries, host -> report plan)
-        self._registry = (None, {}, {})
-        # (model version, (connector, op[, sink component, port]) -> the
-        # FLOW line's (host, text up to "seq="))
-        self._heads = (None, {})
+        # (host -> firing entries, host -> report plan), see `drop_memos`
+        self._registry = ({}, {})
+        # (connector, op[, sink component, port]) -> the FLOW line's (host,
+        # text up to "seq="), see `drop_memos`
+        self._heads = {}
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
         self.component_host: dict = {}        # component id -> host id
@@ -129,8 +130,6 @@ class World:
         self._routed_at = None
         # _Routing.down at the last re-route pass
         self._passed = (frozenset(), frozenset())
-        # ((model version, topology version), connector id -> its hops)
-        self._hops = (None, {})
         self._events: list = []       # heap of (at, kind order, seq, event)
         self._event_seq = 0
         self.trace_lines: list = []
@@ -181,10 +180,11 @@ class World:
         The current state's record is kept, and so is the previous
         state's, for a host that rejoins or a link that comes back.  When
         hosts or links only went down since the current state, every
-        memoized path and transit that avoids them is carried over: a
-        least fewest-hop path that survives in a smaller graph is still
-        least there, and an unreachable pair stays unreachable.  Any other
-        change, or a host or link added, routes anew.
+        memoized path and transit, and every hop list whose hops all do,
+        that avoids them is carried over: a least fewest-hop path that
+        survives in a smaller graph is still least there, and an
+        unreachable pair stays unreachable.  Any other change, or a host
+        or link added, routes anew.
         """
         kept = self._routing
         if self._routed_at == self.topology_version:
@@ -199,7 +199,7 @@ class World:
         if len(kept) > 1 and kept[1].down == down:
             self._routing = (kept[1], kept[0])
             return kept[1]
-        known, transit = {}, {}
+        known, transit, hops = {}, {}, {}
         was = kept[0].down if kept else None
         if was and down[0] >= was[0] and down[1] >= was[1]:
             hosts, links = down[0] - was[0], down[1] - was[1]
@@ -208,9 +208,12 @@ class World:
                      if path is None or _avoids(path, hosts, links)}
             transit = {pair: hop for pair, hop in kept[0].transit.items()
                        if hop is None or _avoids(hop[1], hosts, links)}
+            hops = {kid: found for kid, found in kept[0].hops.items()
+                    if all(hop is None or _avoids(hop[1], hosts, links)
+                           for hop in found)}
         record = _Routing(down, kernel.Routes(
             {hid: h.desc.up for hid, h in self.hosts.items()}, self.links,
-            known), transit)
+            known), transit, hops)
         self._routing = (record,) + kept[:1]
         return record
 
@@ -226,18 +229,26 @@ class World:
     def coordinator_host(self) -> Optional[str]:
         return self.coordinator.host if self.coordinator else None
 
-    def _at_version(self) -> tuple:
-        """This model version's memo of the hosts' registries; each host's
-        entries are built when first asked for."""
-        if self._registry[0] != self.model_version:
-            self._registry = (self.model_version, {}, {})
-        return self._registry
+    def drop_memos(self, hosts, connectors) -> None:
+        """Forget the firing entries and report plans of the `hosts` and
+        the FLOW line heads and hop lists of the `connectors`: a command
+        writes no registry, binding or `component_host` entry outside its
+        checkpoint scope (`kernel._scope`), and no other write moves them."""
+        orders, plans = self._registry
+        for hid in hosts:
+            orders.pop(hid, None)
+            plans.pop(hid, None)
+        if connectors:
+            self._heads = {key: head for key, head in self._heads.items()
+                           if key[0] not in connectors}
+        for record in self._routing:
+            for kid in connectors:
+                record.hops.pop(kid, None)
 
     def firing_order(self, hid: str) -> list:
         """The host's (component id, container, its `PlatformApi`) entries
-        in id order, built once per model version: every write of a
-        registry bumps it."""
-        orders = self._at_version()[1]
+        in id order, kept until `drop_memos` names the host."""
+        orders = self._registry[0]
         order = orders.get(hid)
         if order is None:
             order = orders[hid] = [
@@ -246,7 +257,7 @@ class World:
         return order
 
     def _report_plan(self, hid: str) -> tuple:
-        """What the host's context report keeps for a model version: the
+        """What the host's context report keeps with its firing entries: the
         (container, reading, line text up to `t=`) of each firing entry,
         the battery line's text up to its level, the (connector, line text
         up to its rate) of each connector the host sources, by id, and the
@@ -271,9 +282,9 @@ class World:
         # the callback holds the world and the connector's id only, so a
         # connector carries no reference to the state around it, and it
         # pickles.  A connector reads every hop from `connector_hops`,
-        # which calls `connector_transit` only at a version it has no hops
-        # for, looking the method up per call, so a wrapper set on World
-        # reaches it
+        # which calls `connector_transit` only when it keeps no hops for
+        # the connector, looking the method up per call, so a wrapper set
+        # on World reaches it
         return ConnectorInstance(id=kid, source=source, sinks=sinks,
                                  policy=policy,
                                  hops=partial(self.connector_hops, kid),
@@ -281,16 +292,13 @@ class World:
 
     def connector_hops(self, kid: str, sinks: list) -> list:
         """`connector_transit` of each of the connector's sinks, in order,
-        once per (model version, topology version): a sink's transit moves
-        only with `component_host` or the topology (a host or link added,
-        an `up` flag written), and each of those moves one of the two."""
-        versions = (self.model_version, self.topology_version)
-        if self._hops[0] != versions:
-            self._hops = (versions, {})
-        hops = self._hops[1].get(kid)
+        kept on the routing of the topology state it was read in until
+        `drop_memos` names the connector."""
+        kept = self._routed().hops
+        hops = kept.get(kid)
         if hops is None:
-            hops = self._hops[1][kid] = [self.connector_transit(kid, sink)
-                                         for sink in sinks]
+            hops = kept[kid] = [self.connector_transit(kid, sink)
+                                for sink in sinks]
         return hops
 
     def connector_transit(self, kid: str, sink: Endpoint):
@@ -324,13 +332,11 @@ class World:
         self._trace_seq += 1
 
     def flow_trace(self, conn, now, op, sink, seq) -> None:
-        """One FLOW line.  Its host and its text up to `seq=` are kept per
-        model version, which moves wherever `component_host` does, keyed by
-        the connector's id, the op and the sink's component and port, not
-        by the `Endpoint`, whose dataclass hash is slow."""
-        if self._heads[0] != self.model_version:
-            self._heads = (self.model_version, {})
-        heads = self._heads[1]
+        """One FLOW line.  Its host and its text up to `seq=` are kept until
+        `drop_memos` names the connector, keyed by the connector's id, the
+        op and the sink's component and port, not by the `Endpoint`, whose
+        dataclass hash is slow."""
+        heads = self._heads
         key = ((conn.id, op) if sink is None
                else (conn.id, op, sink.component, sink.port))
         head = heads.get(key)
@@ -500,8 +506,8 @@ class World:
         level and for each sourced connector's rate and depth, the
         readings put in the host's store as one record.  Only the tick,
         the level, the rate and the depth are worked out here; the rest
-        is the host's report plan, kept per model version."""
-        plans = self._at_version()[2]
+        is the host's report plan, kept with its firing entries."""
+        plans = self._registry[1]
         plan = plans.get(hid)
         if plan is None:
             plan = plans[hid] = self._report_plan(hid)

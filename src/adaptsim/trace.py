@@ -114,19 +114,22 @@ def flow_summary(records: list) -> dict:
             continue
         conn = r.get("conn")
         op = r.get("op")
+        sink = r.get("sink")
         try:
             seq = int(r.get("seq", 0))
         except ValueError:
             raise DescriptorError(
                 f"tick {r.tick}: FLOW seq {r.get('seq')!r} is not an "
                 f"integer") from None
+        if conn is None or sink is None and op in ("deliver", "drop"):
+            raise DescriptorError(f"tick {r.tick}: FLOW {op} line has no "
+                                  f"{'conn' if conn is None else 'sink'}=")
         if op == "push":
             pushed.setdefault(conn, []).append(seq)
         elif op == "deliver":
-            delivered.setdefault((conn, r.get("sink")), []).append(seq)
+            delivered.setdefault((conn, sink), []).append(seq)
         elif op == "drop":
-            key = (conn, r.get("sink"))
-            drops[key] = drops.get(key, 0) + 1
+            drops[conn, sink] = drops.get((conn, sink), 0) + 1
     summary = {}
     for conn in sorted(pushed):
         sinks = sorted(k for k in delivered.keys() | drops.keys()

@@ -22,8 +22,12 @@ SCENARIO = os.path.join(DATA, "scenario.json")
 
 
 def write(tmp_path, name, doc):
+    """Writes `doc` as JSON, or as it is when it is bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -230,19 +234,28 @@ class TestCli:
             f"tick=3 cmd=Move comp=relay target=h9 result=Aborted "
             f"reason={reason} origin=app", "app_targeted_applied=0"]
 
-    @pytest.mark.parametrize("query, content", [
-        ("flows", b"tick=0 host=h1 kind=FLOW conn=k1 op=push seq=x\n"),
-        ("qos", b"\xff\xfe\n"),
-    ], ids=["non-integer-seq", "not-utf8"])
+    @pytest.mark.parametrize("query, content, error", [
+        ("flows", b"tick=0 host=h1 kind=FLOW conn=k1 op=push seq=x\n",
+         "tick 0: FLOW seq 'x' is not an integer"),
+        ("qos", b"\xff\xfe\n", "not UTF-8 text"),
+        ("flows", b"tick=0 host=h1 kind=FLOW conn=k1 op=push seq=1\n"
+                  b"tick=1 host=h1 kind=FLOW op=push seq=2\n",
+         "tick 1: FLOW push line has no conn="),
+        ("flows", b"tick=0 host=h1 kind=FLOW conn=k1 op=push seq=1\n"
+                  b"tick=1 host=h2 kind=FLOW conn=k1 op=deliver sink=b.i "
+                  b"seq=1\n"
+                  b"tick=2 host=h2 kind=FLOW conn=k1 op=drop seq=1\n",
+         "tick 2: FLOW drop line has no sink="),
+    ], ids=["non-integer-seq", "not-utf8", "no-conn", "no-sink"])
     def test_inspect_of_a_malformed_trace_is_a_diagnostic(
-            self, tmp_path, capsys, query, content):
+            self, tmp_path, capsys, query, content, error):
         bad = tmp_path / "bad.trace"
         bad.write_bytes(content)
         assert cli.main(["inspect", "--trace", str(bad),
                          "--query", query]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err and "Traceback" not in captured.err
+        assert error in captured.err and "Traceback" not in captured.err
 
     def test_flow_summary_keeps_each_sink_to_its_own_losses(self):
         lines = ["tick=0 host=h1 kind=FLOW conn=k op=push seq=1",
@@ -517,6 +530,11 @@ def _with_battery(change):
      "links[0]: bandwidth must be > 0, not 0"),
     ("net", _with_battery(lambda p: p.update(level=1.5)),
      "hosts[2].power: level must be in [0, 1], not 1.5"),
+    # documents that raised out of the reader
+    pytest.param("app", b"\xff{}", "app.json: not UTF-8 text (invalid start "
+                 "byte at byte 0)", id="app-not-utf8"),
+    pytest.param("app", b"[" * 200_000 + b"]" * 200_000,
+                 "app.json: nested too deeply to read", id="app-too-deep"),
 ])
 def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
                                               diag):
@@ -531,7 +549,11 @@ def test_malformed_descriptor_is_a_diagnostic(tmp_path, capsys, which, doc,
     for argv in runs:
         assert cli.main(argv + ["--app", paths["app"],
                                 "--net", paths["net"]]) == 1
-        assert diag in capsys.readouterr().out
+        # a document that cannot be read is refused on stderr, as a JSON
+        # syntax error is; a read one's diagnostics go to stdout
+        out, err = capsys.readouterr()
+        assert diag in (err if isinstance(doc, bytes) else out)
+        assert "Traceback" not in err
 
 
 def test_an_unknown_behavior_is_a_diagnostic(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """What a firing and a report reuse never goes stale.
 
 Random sequences of every command type, aborted ones and ones an
-application submits while it fires included, with component faults and
-hosts leaving and joining.  After each step, every container's firing plan
-equals one built fresh from its bindings and variant, each host's firing
-entries equal its registry, each entry's `PlatformApi` equals a fresh one
-for its host and component, and each kept FLOW line head and report plan
-equals a fresh one.  The trace equals that of the same run with every plan
-and memo dropped before each tick.
+application submits while it fires included, with component faults, hosts
+leaving and joining and links going down and up.  A command drops only
+what its checkpoint scope names, so after each step every kept entry is
+checked: every container's firing plan equals one built fresh from its
+bindings and variant, each host's firing entries equal its registry, each
+entry's `PlatformApi` equals a fresh one for its host and component, each
+kept FLOW line head and report plan equals a fresh one, and each hop list
+the current topology state keeps equals fresh `connector_transit` reads.
+The trace equals that of the same run with every plan and memo dropped
+before each tick.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,6 +23,7 @@ from adaptsim.kernel import (Add, Connect, Disconnect, HostDescriptor,
 from adaptsim.simnet import PlatformApi, SimEventKind, World, sim_event
 
 HOSTS = ("h1", "h2", "h3")
+LINKS = (("h1", "h2"), ("h2", "h3"), ("h1", "h3"))
 PORTS = {"src": ((), ("o",), "source"), "mid": (("i",), ("o",), "identity"),
          "snk": (("i",), (), "sink"), "app": ((), ("o",), "plans_app"),
          "tap": (("i",), (), "sink"), "x": (("i",), ("o",), "counter")}
@@ -54,8 +58,8 @@ def world():
     for hid, tier in zip(HOSTS, ("Full", "Full", "LightStd")):
         w.add_host(HostDescriptor(id=hid, tier=HostTier(tier),
                                   cpu_capacity=8.0, mem_capacity=8.0))
-    w.add_link("h1", "h2")
-    w.add_link("h2", "h3")
+    for a, b in LINKS:
+        w.add_link(a, b)
     for cid, hid in (("src", "h1"), ("mid", "h2"), ("snk", "h3"),
                      ("app", "h1"), ("tap", "h2")):
         kernel.apply_now(w, Add(desc(cid), hid))
@@ -90,7 +94,12 @@ steps = st.lists(st.one_of(
     st.tuples(st.just("cmd"), commands),
     st.tuples(st.just("app"), commands),
     st.tuples(st.sampled_from(("leave", "join")), st.sampled_from(HOSTS)),
+    st.tuples(st.sampled_from(("linkdown", "linkup")), st.sampled_from(LINKS)),
 ), max_size=40)
+EVENTS = {"leave": (SimEventKind.HOST_LEAVE, "host"),
+          "join": (SimEventKind.HOST_JOIN, "host"),
+          "linkdown": (SimEventKind.LINK_DOWN, "endpoints"),
+          "linkup": (SimEventKind.LINK_UP, "endpoints")}
 
 
 def fresh_plan(c):
@@ -110,32 +119,33 @@ def assert_entries(w, hid, entries):
 
 
 def assert_fresh(w):
-    version, orders, plans = w._registry
+    orders, plans = w._registry
     for hid in HOSTS:
         host = w.hosts[hid]
         for c in host.containers.values():
             if c._plan is not None:
                 assert c._plan == fresh_plan(c)
-        if version == w.model_version:
-            if hid in orders:
-                assert_entries(w, hid, orders[hid])
-            if hid in plans:
-                assert plans[hid] == w._report_plan(hid)
+        if hid in orders:
+            assert_entries(w, hid, orders[hid])
+        if hid in plans:
+            assert plans[hid] == w._report_plan(hid)
         assert_entries(w, hid, w.firing_order(hid))
-    version, heads = w._heads
-    if version == w.model_version:
-        for (kid, op, *sink), head in heads.items():
-            assert head == w._flow_head(w.connectors[kid], op,
-                                        Endpoint(*sink) if sink else None)
+    for (kid, op, *sink), head in w._heads.items():
+        assert head == w._flow_head(w.connectors[kid], op,
+                                    Endpoint(*sink) if sink else None)
+    for kid, hops in w._routed().hops.items():
+        assert hops == [w.connector_transit(kid, sink)
+                        for sink in w.connectors[kid].sinks]
 
 
 def drop_plans(w):
     for host in w.hosts.values():
         for c in host.containers.values():
             c._plan = None
-    w._registry = (None, {}, {})
-    w._heads = (None, {})
-    w._hops = (None, {})
+    w._registry = ({}, {})
+    w._heads = {}
+    for record in w._routing:
+        record.hops.clear()
 
 
 def run(script, dropped):
@@ -151,9 +161,8 @@ def run(script, dropped):
         elif step[0] == "app":
             APP_COMMANDS.append(step[1])
         else:
-            kind = (SimEventKind.HOST_LEAVE if step[0] == "leave"
-                    else SimEventKind.HOST_JOIN)
-            w.schedule(sim_event(w.now, kind, host=step[1]))
+            kind, key = EVENTS[step[0]]
+            w.schedule(sim_event(w.now, kind, **{key: step[1]}))
         if not dropped:
             assert_fresh(w)
     return w.trace_lines
@@ -183,3 +192,19 @@ def test_the_script_reaches_plans_of_every_kind():
     assert "tick=1 host=h1 kind=FLOW conn=k3" not in text
     assert "key=component.fault" in text
     assert "cmd=Disconnect conn=k1 result=Applied" in text
+
+
+def test_the_script_reaches_kept_hop_lists():
+    """One fixed script: the hop lists are carried past a link going down,
+    k2's is dropped when its sink's host leaves, a Move between the leave
+    and the rejoin drops its connectors' lists from both kept topology
+    states, and the rejoin reuses the older state's."""
+    script = [("tick",), ("linkdown", ("h1", "h3")), ("tick",),
+              ("leave", "h3"), ("tick",), ("cmd", Move("mid", "h1")),
+              ("join", "h3"), ("tick",), ("linkup", ("h1", "h3")),
+              ("tick",)]
+    lines = run(script, dropped=False)
+    assert lines == run(script, dropped=True)
+    text = "\n".join(lines)
+    assert "op=linkdown peer=h3" in text and "op=leave" in text
+    assert "cmd=Move comp=mid target=h1 result=Applied" in text

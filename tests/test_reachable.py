@@ -137,7 +137,7 @@ LINE_PIN = {
     "simnet:World._routed": 1,
     "simnet:World.schedule": 2,
     "simnet:World.step": 9,
-    "trace:flow_summary": 5,
+    "trace:flow_summary": 4,
     "trace:query_events": 1,
 }
 
@@ -261,6 +261,11 @@ def _refused(app: dict, net: dict, scenario: dict) -> list:
         (("inspect",), {"trace": "tick=0 host=h1 kind=QOS\nnope\n"}),
         (("inspect",), {"trace": "tick=0 host=h1 kind=FLOW seq=x\n"}),
         (("inspect",), {"trace": b"tick=0 host=h1 \xff\n"}),
+        (validated, {"net": b"\xff{}"}),                        # not UTF-8
+        (validated, {"app": "[" * 200_000 + "]" * 200_000}),    # too deep
+        (("inspect",), {"trace": "tick=0 host=h1 kind=FLOW op=push seq=1\n"}),
+        (("inspect",), {"trace": "tick=0 host=h1 kind=FLOW conn=k op=drop "
+                                 "seq=1\n"}),
     ]
 
 

@@ -45,8 +45,7 @@ WORLD_STATE = {"rng", "now", "hosts", "links", "connectors", "descriptors",
 COORDINATOR_STATE = {"host", "mode", "alert_since", "infeasible_outstanding"}
 # what a run may rebuild from that state at any step, empty in a new World
 # or Coordinator; each container's `_plan` is one too
-WORLD_MEMOS = {"_model", "_registry", "_heads", "_routing", "_routed_at",
-               "_hops"}
+WORLD_MEMOS = {"_model", "_registry", "_heads", "_routing", "_routed_at"}
 COORDINATOR_MEMOS = {"_scored"}
 
 

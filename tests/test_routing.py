@@ -553,9 +553,10 @@ hop_steps = st.lists(st.one_of(
 
 
 class TestHopLists:
-    """A push reads its connector's hop list once per model and topology
-    version, so every write to `component_host` or to an `up` flag must
-    move one of the two before the next push."""
+    """A push reads its connector's hop list as kept on the routing of the
+    topology state, so every write to `component_host` must drop the
+    connector's list, and every write to an `up` flag must move the
+    topology version, before the next push."""
 
     @settings(max_examples=150, deadline=None)
     @given(script=hop_steps)

@@ -11,9 +11,12 @@ world 0 of seed 7 of the failover_replan shape at 10, 20 and 160 hosts
 (chains = hosts / 2), and the FLOW line heads, firing entries and report
 plans built over world 0 of seed 7 of the flows_steady shape at 20 and 80
 hosts, with the context objects, validities and informations its reports
-and cycles build, and pin them exactly, so a change that makes the
-re-route pass or a replan do more work, builds a head, an entry or a plan
-per tick, or builds a context object that no one reads, fails here.  The
+and cycles build, and the heads, entries, plans and `connector_transit`
+calls of the failover_replan world at 20 and 160 hosts, and pin them
+exactly, so a change that makes the re-route pass or a replan do more
+work, builds a head, an entry or a plan per tick or for hosts a command
+does not touch, or builds a context object that no one reads, fails
+here.  The
 generator is imported read-only from perfbench/, and the scaled shapes
 are set with `MonkeyPatch.setitem`.  `python tests/test_scaling.py`
 prints the current counts in PINNED's format.
@@ -81,6 +84,20 @@ PINNED = {
              "hosts": 80, "reports": 720, "report_plans": 80,
              "report_objects": 0},
     },
+}
+# failover_replan again: the firing entries, report plans, FLOW line heads
+# and transits it builds, and the entries and plans it builds after tick 0.
+# A command drops only what its scope names, so the late ones are those of
+# the hosts its three Moves touch, at 20 hosts and at 160 alike.  They were
+# 90 and 720 entries, 38 and 318 plans (120 / 58 / 122 / 169 and 960 / 478
+# / 775 / 1,208 in all) while every version move dropped every host's.
+# Heads and transits after tick 0 still grow with the world: a sink's first
+# delivery, and a connector's first read in each topology state
+PINNED["failover_rebuilds"] = {
+    20: {"firing_entries": 42, "report_plans": 24, "flow_heads": 45,
+         "connector_transit": 39, "late_entries": 12, "late_plans": 4},
+    160: {"firing_entries": 249, "report_plans": 164, "flow_heads": 279,
+          "connector_transit": 211, "late_entries": 9, "late_plans": 4},
 }
 # (workload, hosts, worlds) -> the sha256 over the trace digests of worlds
 # 0 to worlds - 1 of seed 201, as `perfbench/run.py` prints it
@@ -169,16 +186,8 @@ def memo_counts(mp, hosts: int) -> dict:
     model versions its ticks start at; `mp`'s undo restores the wrapped
     names."""
     world, duration = built(mp, "flows_steady", hosts)
-    calls = Counter()
+    calls = count_calls(mp, (World, "_kernel_tick", "reports"))
     versions = set()
-    for owner, name, counter in ((World, "_flow_head", "flow_heads"),
-                                 (simnet, "PlatformApi", "firing_entries"),
-                                 (World, "_kernel_tick", "reports"),
-                                 (World, "_report_plan", "report_plans")):
-        def counted(*args, _fn=getattr(owner, name), _counter=counter):
-            calls[_counter] += 1
-            return _fn(*args)
-        mp.setattr(owner, name, counted)
     reporting = []
     for owner, name in ((World, "_kernel_tick"), (Coordinator, "run_cycle")):
         def report(*args, _fn=getattr(owner, name)):
@@ -210,8 +219,41 @@ def memo_counts(mp, hosts: int) -> dict:
             "report_objects": calls["report_objects"]}
 
 
+def count_calls(mp, *wrapped) -> Counter:
+    """Counts, under their counter names, the FLOW line heads
+    (`World._flow_head` calls), the firing entries (each builds one
+    `PlatformApi`), the report plans (`World._report_plan` calls) and
+    the calls of each (owner, name, counter) of `wrapped`; `mp`'s undo
+    restores the wrapped names."""
+    calls = Counter()
+    for owner, name, counter in ((World, "_flow_head", "flow_heads"),
+                                 (simnet, "PlatformApi", "firing_entries"),
+                                 (World, "_report_plan", "report_plans"),
+                                 *wrapped):
+        def counted(*args, _fn=getattr(owner, name), _counter=counter):
+            calls[_counter] += 1
+            return _fn(*args)
+        mp.setattr(owner, name, counted)
+    return calls
+
+
+def rebuild_counts(mp, hosts: int) -> dict:
+    """Runs the failover_replan world at `hosts` hosts and counts the
+    heads, entries and plans it builds and its `connector_transit` calls,
+    and the entries and plans built after tick 0."""
+    world, duration = built(mp, "failover_replan", hosts)
+    calls = count_calls(mp, (World, "connector_transit",
+                             "connector_transit"))
+    world.step()
+    first = Counter(calls)
+    world.run(duration - 1)
+    return {**calls,
+            "late_entries": calls["firing_entries"] - first["firing_entries"],
+            "late_plans": calls["report_plans"] - first["report_plans"]}
+
+
 COUNTS = {"link_churn": work_counts, "failover_replan": replan_counts,
-          "flows_steady": memo_counts}
+          "flows_steady": memo_counts, "failover_rebuilds": rebuild_counts}
 
 
 def all_counts() -> dict:
@@ -246,6 +288,16 @@ def test_a_steady_world_builds_its_heads_and_entries_once_a_version(
     assert counts["report_plans"] == counts["hosts"] * versions
     assert counts["reports"] > counts["report_plans"]
     assert counts["report_objects"] == 0
+
+
+@pytest.mark.parametrize("hosts", sorted(PINNED["failover_rebuilds"]))
+def test_a_command_rebuilds_the_entries_of_its_scope_only(monkeypatch,
+                                                          hosts):
+    counts = rebuild_counts(monkeypatch, hosts)
+    assert counts == PINNED["failover_rebuilds"][hosts]
+    fewest = PINNED["failover_rebuilds"][min(PINNED["failover_rebuilds"])]
+    assert counts["late_entries"] <= fewest["late_entries"]
+    assert counts["late_plans"] <= fewest["late_plans"]
 
 
 def trace_digest(mp, workload: str, hosts: int, index: int) -> str:
