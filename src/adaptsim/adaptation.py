@@ -241,21 +241,24 @@ def _global_score(rmean: float, lmean: float, battery: float) -> float:
     return w_r * rmean + w_l * lmean + w_b * battery
 
 
-def _report(model: ArchitectureModel, obs: Observation, resource: dict,
-            link: dict, means: tuple) -> QoSReport:
+def _in_use(model: ArchitectureModel, obs: Observation) -> list:
+    """The up hosts of `obs` that the model's components run on, in id
+    order."""
+    return sorted({mc.host for mc in model.components.values()
+                   if mc.host in obs.hosts and obs.hosts[mc.host].up})
+
+
+def _report(model: ArchitectureModel, at: int, resource: dict, link: dict,
+            means: tuple, levels: list) -> QoSReport:
     """The report of these resource and link terms, whose `_mean`s are
-    `means`, with the battery term read from `obs`: the worst level among
-    the up battery-powered hosts in use, 1 when there is none.  An empty
-    model scores 1."""
+    `means`, with the battery term the worst of `levels`, those of the up
+    battery-powered hosts in use, 1 when there is none.  An empty model
+    scores 1."""
     if not model.components:
-        return QoSReport({}, {}, 1.0, 1.0, obs.at, (1.0, 1.0))
-    used = {mc.host for mc in model.components.values()}
-    levels = [obs.hosts[h].battery for h in used
-              if obs.hosts.get(h) and obs.hosts[h].up
-              and obs.hosts[h].battery is not None]
-    battery = min(levels) if levels else 1.0
+        return QoSReport({}, {}, 1.0, 1.0, at, (1.0, 1.0))
+    battery = min(levels, default=1.0)
     return QoSReport(resource, link, battery,
-                     _global_score(*means, battery), obs.at, means)
+                     _global_score(*means, battery), at, means)
 
 
 def evaluate_qos(model: ArchitectureModel, obs: Observation,
@@ -271,8 +274,10 @@ def evaluate_qos(model: ArchitectureModel, obs: Observation,
                 for cid in sorted(model.components)}
     link = {kid: _link_term(model, obs, kid)
             for kid in sorted(model.connectors)}
-    return _report(model, obs, resource, link,
-                   (_mean(resource.values()), _mean(link.values())))
+    levels = [obs.hosts[hid].battery for hid in _in_use(model, obs)]
+    return _report(model, obs.at, resource, link,
+                   (_mean(resource.values()), _mean(link.values())),
+                   [level for level in levels if level is not None])
 
 
 def _resource_term(model: ArchitectureModel, obs: Observation, descriptors,
@@ -578,7 +583,9 @@ def _bound(cache: _ScoreCache, partial: dict) -> float:
 @dataclass
 class _Scoring:
     """An observation of one world at `versions` and its report's terms,
-    with what they were read from that the versions do not name."""
+    with what they were read from that the versions do not name, and what
+    a cycle reads from them alone: the hosts whose batteries it reads, and
+    its hard-violation verdict."""
     shape: tuple                # (world, coordinator host, hosts, links)
     versions: tuple             # (model version, topology version)
     model: ArchitectureModel    # the model scored
@@ -587,6 +594,17 @@ class _Scoring:
     link: dict
     means: tuple
     flows: Optional[dict] = None    # `_flow_paths`, once a repair read it
+    used: list = field(init=False)  # `_in_use`
+    # a component's host is down or unreachable, or a connector scores 0
+    hard: bool = field(init=False)
+
+    def __post_init__(self):
+        self.used = _in_use(self.model, self.obs)
+        hosts = self.obs.hosts
+        self.hard = any(
+            mc.host not in hosts or not hosts[mc.host].up
+            for mc in self.model.components.values()) \
+            or 0.0 in self.link.values()
 
 
 def _flow_paths(model: ArchitectureModel, routes: kernel.Routes) -> dict:
@@ -694,8 +712,8 @@ class Coordinator:
         # copies of its dicts
         self._scored: Optional[_Scoring] = None
 
-    def _observe_and_score(self, world, now: int) -> tuple:
-        """The cycle's observation and report.
+    def _scoring(self, world, now: int) -> _Scoring:
+        """The scoring of the world's current versions.
 
         `observe` and `evaluate_qos` run in full only at the coordinator's
         first cycle in a world, and again if it moved host or the world
@@ -703,12 +721,7 @@ class Coordinator:
         the model and topology versions stay put, and repair it when one
         of them moved (see `_repair`): from the model last scored, set
         against the current one, and from the kept observation and its
-        routes, a snapshot of the old topology.  Batteries move every tick
-        and with no version, so every cycle re-reads the battery of each
-        reachable host that has one, and the battery term, and keeps the
-        scoring's terms and their means.  A mains host's kept `HostObs`
-        is handed out as it is: a BatterySet can give such a host a
-        battery, which is then re-read, but nothing takes one away.
+        routes, a snapshot of the old topology.
         """
         shape = (world, world.coordinator_host, len(world.hosts),
                  len(world.links))
@@ -718,18 +731,33 @@ class Coordinator:
             kept = self._scored = _score(world, now, shape, versions)
         elif kept.versions != versions:
             kept = self._scored = _repair(kept, world, now, versions)
+        return kept
+
+    def _observation(self, world, now: int) -> Observation:
+        """The kept observation at `now`.  Batteries move every tick and
+        with no version, so the battery of each reachable host that has
+        one is read anew.  A mains host's kept `HostObs` is handed out as
+        it is: a BatterySet can give such a host a battery, which is then
+        read, but nothing takes one away."""
+        kept = self._scored.obs
         hosts = {}
-        for hid, ho in kept.obs.hosts.items():
+        for hid, ho in kept.hosts.items():
             power = world.hosts[hid].desc.power
             if ho.up and power is not None:
                 ho = HostObs(True, ho.cpu_free, ho.mem_free, power.level)
             hosts[hid] = ho
-        obs = Observation(now, hosts, dict(kept.obs.links), kept.obs.routes)
-        return obs, _report(world.model, obs, dict(kept.resource),
-                            dict(kept.link), kept.means)
+        return Observation(now, hosts, dict(kept.links), kept.routes)
 
     def run_cycle(self, world, now: int) -> CycleOutcome:
-        obs, report = self._observe_and_score(world, now)
+        """Score, report, and react when triggered.  Only the batteries of
+        the up hosts in use and the global score are read anew while the
+        versions stay put; the observation is built only for a plan."""
+        kept = self._scoring(world, now)
+        powers = [world.hosts[hid].desc.power for hid in kept.used]
+        report = _report(kept.model, now, dict(kept.resource),
+                         dict(kept.link), kept.means,
+                         [power.level for power in powers
+                          if power is not None])
         world.last_qos = report
         world.trace(self.host, "QOS",
                     f"global={report.global_score:.4f} "
@@ -737,8 +765,7 @@ class Coordinator:
                     f"lmean={report.means[1]:.4f} "
                     f"b={report.battery:.4f}")
         self._store_report(world, report, now)
-        triggered = (report.global_score < QOS_THRESHOLD
-                     or self._hard_violation(world.model, report, obs))
+        triggered = report.global_score < QOS_THRESHOLD or kept.hard
         if not triggered:
             self.alert_since = None
             self.infeasible_outstanding = False
@@ -749,13 +776,15 @@ class Coordinator:
             n = self._alert(world, report)
             return CycleOutcome("EventsEmitted", events=n)
         if self.mode == "M3":
-            return self._plan_and_apply(world, obs, report)
+            return self._plan_and_apply(
+                world, self._observation(world, now), report)
         # M4: alert first, reconfigure only after the grace window
         n = self._alert(world, report)
         if self.alert_since is None:
             self.alert_since = now
         if now - self.alert_since >= GRACE:
-            out = self._plan_and_apply(world, obs, report)
+            out = self._plan_and_apply(
+                world, self._observation(world, now), report)
             if out.kind == "PlanApplied":
                 self.alert_since = None
             out.events = n
@@ -766,13 +795,6 @@ class Coordinator:
         e = PlatformEvent(kind=EventKind.QOS_ALERT, payload=report,
                           priority=7)
         return kernel.emit_event(world, e, self.host)
-
-    def _hard_violation(self, model, report, obs) -> bool:
-        for cid, mc in model.components.items():
-            ho = obs.hosts.get(mc.host)
-            if ho is None or not ho.up:
-                return True
-        return any(v == 0.0 for v in report.link.values())
 
     def _plan_and_apply(self, world, obs, report) -> CycleOutcome:
         host_tiers = {hid: world.hosts[hid].desc.tier.value

@@ -69,8 +69,7 @@ def build_world(app: desc.AppDescriptor, net: desc.NetDescriptor,
                 f"{', '.join(map(str, k.sinks))}: {result.reason}")
     if refusals:
         raise DescriptorError("\n".join(refusals))
-    world._tick_buffer.clear()
-    world._trace_seq = 0
+    world.discard_tick_lines()
     return world
 
 

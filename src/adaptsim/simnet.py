@@ -9,6 +9,7 @@ one seeded RNG is consumed in a single global order.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -117,8 +118,8 @@ class World:
         self._model = None            # kernel.ArchitectureModel, see `model`
         # (host -> firing entries, host -> report plan), see `drop_memos`
         self._registry = ({}, {})
-        # (connector, op[, sink component, port]) -> the FLOW line's (host,
-        # text up to "seq="), see `drop_memos`
+        # (connector, op[, sink component, port]) -> the FLOW line's (lines
+        # of its host, text up to "seq="), see `drop_memos`
         self._heads = {}
         self.coordinator = None               # adaptation.Coordinator
         self.last_qos = None
@@ -133,8 +134,11 @@ class World:
         self._events: list = []       # heap of (at, kind order, seq, event)
         self._event_seq = 0
         self.trace_lines: list = []
-        self._tick_buffer: list = []          # (host, kind, seq, line)
-        self._trace_seq = 0
+        # (host, kind) -> the tick's lines of that host and kind, in the
+        # order they were made; `_filed` holds the (key, lines) pairs in
+        # key order.  FLOW heads and report plans hold their host's lists
+        self._lines: dict = {}
+        self._filed: list = []
 
     # -- construction ------------------------------------------------------
 
@@ -260,9 +264,10 @@ class World:
         """What the host's context report keeps with its firing entries: the
         (container, reading, line text up to `t=`) of each firing entry,
         the battery line's text up to its level, the (connector, line text
-        up to its rate) of each connector the host sources, by id, and the
-        lines' text after `t=<tick>`.  A reading is what the host's store
-        files (see `ContextStore.put`)."""
+        up to its rate) of each connector the host sources, by id, the
+        lines' text after `t=<tick>`, and the list the host's CTX lines are
+        filed in.  A reading is what the host's store files (see
+        `ContextStore.put`)."""
         ctx, nature = f"host={hid} kind=CTX key=", _HARDWARE.short
         alive = [(c, (_HARDWARE, "component.alive", cid, cid),
                   f"{ctx}component.alive nature={nature} val={cid} ")
@@ -270,7 +275,7 @@ class World:
         flows = [(k, f"{ctx}flow.rate conn={k.id} rate=")
                  for k in kernel.sourced_connectors(self.hosts[hid])]
         return (alive, f"{ctx}battery.level nature={nature} val=", flows,
-                f" loc={hid} conf=1 own=platform")
+                f" loc={hid} conf=1 own=platform", self._filing(hid, "CTX"))
 
     def host_of(self, component_id: str) -> Optional[str]:
         return self.component_host.get(component_id)
@@ -327,42 +332,55 @@ class World:
     # -- trace -------------------------------------------------------------
 
     def trace(self, host: str, kind: str, text: str) -> None:
-        self._tick_buffer.append((host, kind, self._trace_seq,
-                                  f"host={host} kind={kind} {text}"))
-        self._trace_seq += 1
+        self._filing(host, kind).append(f"host={host} kind={kind} {text}")
+
+    def _filing(self, host: str, kind: str) -> list:
+        """The list the tick's (host, kind) lines are filed in; a key's
+        first list is filed in key order, and is kept from then on."""
+        lines = self._lines.get((host, kind))
+        if lines is None:
+            lines = self._lines[host, kind] = []
+            # keys are unique, so the pairs never compare their lists
+            bisect.insort(self._filed, ((host, kind), lines))
+        return lines
+
+    def discard_tick_lines(self) -> None:
+        """Drop the lines the tick has made so far."""
+        for _, lines in self._filed:
+            lines.clear()
 
     def flow_trace(self, conn, now, op, sink, seq) -> None:
-        """One FLOW line.  Its host and its text up to `seq=` are kept until
-        `drop_memos` names the connector, keyed by the connector's id, the
-        op and the sink's component and port, not by the `Endpoint`, whose
-        dataclass hash is slow."""
+        """One FLOW line.  Its host's lines and its text up to `seq=` are
+        kept until `drop_memos` names the connector, keyed by the
+        connector's id, the op and the sink's component and port, not by
+        the `Endpoint`, whose dataclass hash is slow."""
         heads = self._heads
         key = ((conn.id, op) if sink is None
                else (conn.id, op, sink.component, sink.port))
         head = heads.get(key)
         if head is None:
             head = heads[key] = self._flow_head(conn, op, sink)
-        self._tick_buffer.append((head[0], "FLOW", self._trace_seq,
-                                  f"{head[1]}{seq}"))
-        self._trace_seq += 1
+        head[0].append(f"{head[1]}{seq}")
 
     def _flow_head(self, conn, op, sink) -> tuple:
-        """(host, text up to `seq=`) of a FLOW line, charged to the sink's
-        host for a delivery and to the source's host otherwise."""
+        """(lines of its host, text up to `seq=`) of a FLOW line, charged to
+        the sink's host for a delivery and to the source's host
+        otherwise."""
         end = sink if op == "deliver" else conn.source
         host = self.component_host.get(end.component) or "-"
         where = "" if op == "push" else f" sink={sink}"
-        return (host,
+        return (self._filing(host, "FLOW"),
                 f"host={host} kind=FLOW conn={conn.id} op={op}{where} seq=")
 
     def _flush_trace(self) -> None:
-        # seq is unique within a tick, so the sort never compares lines
-        self._tick_buffer.sort()
-        prefix = f"tick={self.now} "
-        self.trace_lines.extend(prefix + line
-                                for _, _, _, line in self._tick_buffer)
-        self._tick_buffer.clear()
-        self._trace_seq = 0
+        """Append the tick's lines by host, then kind, then the order they
+        were made."""
+        prefix = f"tick={self.now} ".__add__
+        out = self.trace_lines
+        for _, lines in self._filed:
+            if lines:
+                out += map(prefix, lines)
+                lines.clear()
 
     # -- rollback checkpoints ---------------------------------------------
 
@@ -511,11 +529,11 @@ class World:
         plan = plans.get(hid)
         if plan is None:
             plan = plans[hid] = self._report_plan(hid)
-        alive, battery, flows, suffix = plan
+        alive, battery, flows, suffix, lines = plan
         host = self.hosts[hid]
         now = self.now
         tail = f"t={now}{suffix}"
-        readings, lines = [], []
+        readings = []
         for c, reading, head in alive:
             if c.lifecycle is _RUNNING:
                 readings.append(reading)
@@ -530,10 +548,6 @@ class World:
                          (_HARDWARE, "flow.depth", depth, k.id))
             lines.append(f"{head}{rate:g} depth={depth}")
         host.store.put(((now, host.location, 1.0, "platform"), readings))
-        self._tick_buffer += [(hid, "CTX", seq, line)
-                              for seq, line in enumerate(lines,
-                                                         self._trace_seq)]
-        self._trace_seq += len(lines)
 
     # -- scripted event handlers ------------------------------------------
 

@@ -6,9 +6,10 @@ activity.  Remote context goes through platform services, never through
 direct store access.
 
 The store pays on read, not on write.  A host's context report, and the
-coordinator's QoS report, is put as one record, and each of its readings
-is filed as a light tuple in the same per-key ring as the objects put one
-by one.  `history`, `all_objects` and `query` build the `ContextObject`
+coordinator's QoS report, is put as one record.  Each of its readings is
+filed in the same per-key ring as the objects put one by one, next to
+the validity the record's readings share, so filing a reading builds
+nothing.  `history`, `all_objects` and `query` build the `ContextObject`
 of a reading when they are called, so a report that no one reads builds
 no object.
 """
@@ -43,25 +44,30 @@ class ContextQuery:
 
 class ContextStore:
     """History-preserving ring-buffer store, keyed by context key: each key
-    keeps its newest `DEFAULT_CAPACITY` objects, in put order."""
+    keeps its newest `DEFAULT_CAPACITY` objects, in put order.  A key's
+    ring holds two entries per object: None and the `ContextObject`, or a
+    report's validity and one of its readings."""
 
     def __init__(self):
         self._by_key: dict[str, deque] = defaultdict(
-            partial(deque, maxlen=DEFAULT_CAPACITY))
+            partial(deque, maxlen=2 * DEFAULT_CAPACITY))
 
     def put(self, item) -> None:
         """File a `ContextObject`, or a report record: (validity, readings),
         the validity a (timestamp, location, base confidence, owner) tuple
         that every reading shares, and each reading the (nature, key,
         value, producer) of an information, a number value standing for a
-        unitless `Quantity`.  A reading is filed as (validity, reading)."""
+        unitless `Quantity`.  A reading is filed as its validity, then
+        itself."""
         rings = self._by_key
         if type(item) is ContextObject:
-            rings[item.info.key].append(item)
+            rings[item.info.key].extend((None, item))
         else:
             validity, readings = item
             for reading in readings:
-                rings[reading[1]].append((validity, reading))
+                ring = rings[reading[1]]
+                ring.append(validity)
+                ring.append(reading)
 
     def all_objects(self) -> Iterable[ContextObject]:
         for key in sorted(self._by_key):
@@ -89,9 +95,10 @@ class ContextStore:
         """The key's objects, oldest first; a filed reading becomes its
         object here."""
         out = []
-        for item in self._by_key.get(key, ()):
-            if type(item) is not ContextObject:
-                validity, (nature, _, value, producer) = item
+        ring = iter(self._by_key.get(key, ()))
+        for validity, item in zip(ring, ring):
+            if validity is not None:
+                nature, _, value, producer = item
                 if type(value) is not str:
                     value = Quantity(float(value), "")
                 item = ContextObject(

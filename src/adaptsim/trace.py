@@ -46,16 +46,22 @@ def parse_line(line: str) -> TraceRecord:
 
 
 def parse_file(path: str) -> list:
-    records = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
+    """The records of a trace file, read a line at a time; LF, CR LF and
+    CR each end a line.  A file that is not UTF-8 is refused with the
+    offset in the file of its first bad byte."""
+    records, offset = [], 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DescriptorError(
+                    f"{path}: not UTF-8 text ({exc.reason} at byte "
+                    f"{offset + exc.start})") from None
+            offset += len(raw)
+            for line in text.rstrip("\n").split("\r"):
                 if line:
                     records.append(parse_line(line))
-    except UnicodeDecodeError as exc:
-        raise DescriptorError(f"{path}: not UTF-8 text ({exc.reason} at "
-                              f"byte {exc.start})") from None
     return records
 
 

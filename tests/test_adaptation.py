@@ -735,7 +735,7 @@ def seeded_world(mode="M3", battery=None):
                                  in_ports=("in",)), "h2"))
     kernel.apply_now(w, Connect("k1", Endpoint("a", "out"),
                                 (Endpoint("b", "in"),), FlowPolicy()))
-    w._tick_buffer.clear()
+    w.discard_tick_lines()
     return w
 
 
@@ -909,29 +909,51 @@ def spoiled_world():
     return w
 
 
+def hard_violation(model, report, obs) -> bool:
+    """The hard-violation verdict as a cycle once worked it out from its
+    observation and report: a component's host down or unknown, or a
+    connector scoring 0."""
+    for mc in model.components.values():
+        ho = obs.hosts.get(mc.host)
+        if ho is None or not ho.up:
+            return True
+    return any(v == 0.0 for v in report.link.values())
+
+
 def run_checked(w, ticks, commands=None):
     """Runs `w` for `ticks` ticks, each app command of `commands` ({tick:
-    [command]}) submitted before its tick, and checks every cycle's
-    observation and report against a fresh `observe` + `evaluate_qos`."""
-    scored = Coordinator._observe_and_score
+    [command]}) submitted before its tick, and checks every cycle's report
+    and kept hard-violation verdict against those of a fresh `observe` +
+    `evaluate_qos` made as the cycle starts, and every observation a cycle
+    builds against a fresh `observe`."""
+    cycle = Coordinator.run_cycle
+    observation = Coordinator._observation
 
-    def checked(coord, world, now):
-        obs, report = scored(coord, world, now)
+    def checked_cycle(coord, world, now):
         fresh = observe(world, now)
         want = evaluate_qos(world.model, fresh, world.descriptors)
+        hard = hard_violation(world.model, want, fresh)
+        out = cycle(coord, world, now)
         # repr tells every float bit apart, -0.0 from 0.0 too
+        assert repr(world.last_qos) == repr(want)
+        assert coord._scored.hard is hard
+        return out
+
+    def checked_observation(coord, world, now):
+        obs = observation(coord, world, now)
+        fresh = observe(world, now)
         assert repr((obs.at, obs.hosts, obs.links)) \
             == repr((fresh.at, fresh.hosts, fresh.links))
-        assert repr(report) == repr(want)
         for src in obs.hosts:
             for dst in obs.hosts:
                 assert adaptation._obs_path(obs, src, dst) \
                     == adaptation._obs_path(fresh, src, dst)
-        return obs, report
+        return obs
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(behaviors._CATALOG, "faulty", faulty)
-        mp.setattr(Coordinator, "_observe_and_score", checked)
+        mp.setattr(Coordinator, "run_cycle", checked_cycle)
+        mp.setattr(Coordinator, "_observation", checked_observation)
         for tick in range(ticks):
             for cmd in (commands or {}).get(tick, ()):
                 cid = (cmd.component
@@ -1023,6 +1045,33 @@ class TestCycleMemo:
         assert first.endswith(" b=1.0000")
         assert second.endswith(" b=0.2500")
         assert f" global={report.global_score:.4f} " in second
+
+    def test_a_battery_that_sinks_below_the_threshold_plans_as_cold(self):
+        # b has no cpu left on h2, so its resource term is 0 and the mean
+        # 0.5: the global score is 0.78 with h1's battery at 0.9, and 0.65
+        # once a BatterySet, which moves no version, takes it to 0.25.  A
+        # cold coordinator forgets its scoring before every tick
+        runs = []
+        for cold in (False, True):
+            w = seeded_world("M3", battery=0.9)
+            w.hosts["h2"].desc.cpu_capacity = 0.5
+            w.schedule(sim_event(3, SimEventKind.BATTERY_SET, host="h1",
+                                 level=0.25))
+            w.step()
+            versions = (w.model_version, w.topology_version)
+            for _ in range(5):
+                if cold:
+                    w.coordinator._scored = None
+                w.step()
+            assert (w.model_version, w.topology_version) != versions
+            runs.append(w)
+        kept, fresh = runs
+        assert kept.trace_lines == fresh.trace_lines
+        first, second = qos_lines(kept)
+        assert first.startswith("tick=0 ") and " global=0.7800 " in first
+        assert second.startswith("tick=5 ") and " global=0.6500 " in second
+        assert "tick=5 host=h1 kind=CMD cmd=Move comp=b target=h1 " \
+            "result=Applied origin=platform" in kept.trace_lines
 
     def test_one_coordinator_scores_each_world_on_its_own(self):
         # two worlds at the same versions, where b's host differs

@@ -257,6 +257,29 @@ class TestCli:
         assert captured.out == ""
         assert error in captured.err and "Traceback" not in captured.err
 
+    def test_a_non_utf8_trace_is_refused_at_its_offset_in_the_file(
+            self, tmp_path, capsys):
+        # far past the first chunk a text decoder reads
+        lines = b"".join(b"tick=%03d host=h1 kind=QOS g=1.00\n" % i
+                         for i in range(1000))
+        bad = tmp_path / "late.trace"
+        bad.write_bytes(lines + b"\xff\n")
+        assert len(lines) == 33000 and bad.stat().st_size == 33002
+        assert cli.main(["inspect", "--trace", str(bad),
+                         "--query", "qos"]) == 1
+        err = capsys.readouterr().err
+        assert "not UTF-8 text (invalid start byte at byte 33000)" in err
+
+    def test_inspect_reads_each_line_ending(self, tmp_path, capsys):
+        out = tmp_path / "endings.trace"
+        out.write_bytes(b"tick=0 host=h1 kind=QOS global=0.5\r\n"
+                        b"tick=1 host=h1 kind=QOS global=0.6\r"
+                        b"tick=2 host=h1 kind=QOS global=0.7\n")
+        assert cli.main(["inspect", "--trace", str(out),
+                         "--query", "qos"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "tick=0 global=0.5", "tick=1 global=0.6", "tick=2 global=0.7"]
+
     def test_flow_summary_keeps_each_sink_to_its_own_losses(self):
         lines = ["tick=0 host=h1 kind=FLOW conn=k op=push seq=1",
                  "tick=1 host=h1 kind=FLOW conn=k op=push seq=2",
@@ -651,7 +674,7 @@ class TestBuildWorld:
         net, _ = descriptors.parse_net(load(NET))
         w = cli.build_world(app, net)
         assert w.trace_lines == []
-        assert w._tick_buffer == []
+        assert all(lines == [] for _, lines in w._filed)
         assert w.coordinator.host == "h1"    # first full-tier host
         assert set(w.model.components) == {"reader", "relay", "writer"}
 

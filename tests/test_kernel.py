@@ -104,8 +104,8 @@ class TestServices:
         got = kernel.service_call(w, "h1", Service.CONTEXT_DISTANT,
                                   ("h3", TEMP))
         assert [o.info.value.value for o in got] == [30.0]
-        assert ("h1", "NET", "host=h1 kind=NET op=query to=h3 what=context"
-                ) == tuple(w._tick_buffer[-1][i] for i in (0, 1, 3))
+        assert w._lines["h1", "NET"][-1] == \
+            "host=h1 kind=NET op=query to=h3 what=context"
         with pytest.raises(Unreachable):
             kernel.service_call(w, "h1", Service.CONTEXT_DISTANT,
                                 ("h9", TEMP))
@@ -138,7 +138,7 @@ class TestServices:
         r = PlatformApi(w, "h2", "c").submit_command(Add(desc("c1"), "h3"))
         assert r.applied
         assert "c1" in w.hosts["h3"].containers
-        assert w._tick_buffer[-1][3].endswith(
+        assert w._lines["h1", "CMD"][-1].endswith(
             "cmd=Add comp=c1 host=h3 result=Applied origin=app")
 
     def test_a_behavior_reads_context_and_reconfigures_itself(
@@ -226,10 +226,11 @@ class TestRouting:
         w = make_world(tiers=("LightMin", "Full", "LightStd"))
         # neighbour: answered locally, no delegation trace
         assert kernel.route(w, "h1", "h2") == ["h1", "h2"]
-        assert not any("delegate" in l for _, _, _, l in w._tick_buffer)
+        assert not any("delegate" in l for _, lines in w._filed
+                       for l in lines)
         assert kernel.route(w, "h1", "h3") == ["h1", "h2", "h3"]
         assert any("op=delegate to=h2" in l
-                   for _, _, _, l in w._tick_buffer)
+                   for _, lines in w._filed for l in lines)
 
     def test_down_sensor_host_routes_nothing(self):
         w = make_world(tiers=("LightMin", "Full", "LightStd"))
@@ -399,7 +400,7 @@ class TestMove:
         kernel.apply_now(w, Add(desc("c1"), "h2"))
         version = w.model_version
         assert kernel.apply_now(w, Move("c1", "h2")).applied
-        assert w._tick_buffer[-1][3] == (
+        assert w._lines["-", "CMD"][-1] == (
             "host=- kind=CMD cmd=Move comp=c1 target=h2 result=Applied "
             "origin=platform")
         assert w.model_version == version

@@ -41,11 +41,12 @@ RUNS = [("data", mode) for mode in ("M1", "M2", "M3", "M4")] + [
 WORLD_STATE = {"rng", "now", "hosts", "links", "connectors", "descriptors",
                "model_version", "coordinator", "last_qos", "component_host",
                "topology_version", "_passed", "_events", "_event_seq",
-               "trace_lines", "_tick_buffer", "_trace_seq"}
+               "trace_lines"}
 COORDINATOR_STATE = {"host", "mode", "alert_since", "infeasible_outstanding"}
 # what a run may rebuild from that state at any step, empty in a new World
 # or Coordinator; each container's `_plan` is one too
-WORLD_MEMOS = {"_model", "_registry", "_heads", "_routing", "_routed_at"}
+WORLD_MEMOS = {"_model", "_registry", "_heads", "_routing", "_routed_at",
+               "_lines", "_filed"}
 COORDINATOR_MEMOS = {"_scored"}
 
 

@@ -11,15 +11,16 @@ world 0 of seed 7 of the failover_replan shape at 10, 20 and 160 hosts
 (chains = hosts / 2), and the FLOW line heads, firing entries and report
 plans built over world 0 of seed 7 of the flows_steady shape at 20 and 80
 hosts, with the context objects, validities and informations its reports
-and cycles build, and the heads, entries, plans and `connector_transit`
-calls of the failover_replan world at 20 and 160 hosts, and pin them
-exactly, so a change that makes the re-route pass or a replan do more
-work, builds a head, an entry or a plan per tick or for hosts a command
-does not touch, or builds a context object that no one reads, fails
-here.  The
-generator is imported read-only from perfbench/, and the scaled shapes
-are set with `MonkeyPatch.setitem`.  `python tests/test_scaling.py`
-prints the current counts in PINNED's format.
+and cycles build, the observations and host observations its cycles build
+and the trace line lists it makes, and the heads, entries, plans and
+`connector_transit` calls of the failover_replan world at 20 and 160
+hosts, and pin them exactly, so a change that makes the re-route pass or
+a replan do more work, builds a head, an entry, a plan or a line list per
+tick or for hosts a command does not touch, builds a context object that
+no one reads, or observes the world at a cycle whose versions did not
+move, fails here.  The generator is imported read-only from perfbench/,
+and the scaled shapes are set with `MonkeyPatch.setitem`.  `python
+tests/test_scaling.py` prints the current counts in PINNED's format.
 
 It also pins the trace bytes of seed 201 of each workload shape, and of
 worlds 0 and 1 of seed 201 of the failover_replan shape at 160 hosts.
@@ -73,16 +74,26 @@ PINNED = {
     # connector, whose one sink is a component's one in port, one firing
     # entry for each component and one report plan for each host.  A
     # host's report and a cycle's QoS report build no context object: the
-    # store builds them when read, and no run reads it
+    # store builds them when read, and no run reads it.  The first cycle
+    # observes in full, one `Observation` and a `HostObs` a host, and no
+    # later cycle builds either.  One line list is made for each (host,
+    # kind) a line or a report plan is made for, bootstrap lines and the
+    # plans of hosts with nothing to report included: the late ones are
+    # the FLOW lists of hosts whose first FLOW line is a delivery, one
+    # link latency or more after tick 0
     "flows_steady": {
         20: {"ticks": 44, "model_versions": 1, "connectors": 20,
              "components": 30, "flow_heads": 40, "firing_entries": 30,
              "hosts": 20, "reports": 180, "report_plans": 20,
-             "report_objects": 0},
+             "report_objects": 0, "observations": 1, "host_obs": 20,
+             "late_observations": 0, "late_host_obs": 0, "line_lists": 39,
+             "late_line_lists": 9, "trace_keys": 37},
         80: {"ticks": 44, "model_versions": 1, "connectors": 80,
              "components": 120, "flow_heads": 160, "firing_entries": 120,
              "hosts": 80, "reports": 720, "report_plans": 80,
-             "report_objects": 0},
+             "report_objects": 0, "observations": 1, "host_obs": 80,
+             "late_observations": 0, "late_host_obs": 0, "line_lists": 140,
+             "late_line_lists": 27, "trace_keys": 131},
     },
 }
 # failover_replan again: the firing entries, report plans, FLOW line heads
@@ -182,9 +193,11 @@ def memo_counts(mp, hosts: int) -> dict:
     one `PlatformApi`), the reports (`World._kernel_tick` calls) and the
     report plans (`World._report_plan` calls) it builds, the context
     objects, validities and informations built while a host's report or
-    the coordinator's cycle, which stores the QoS report, is made, and the
-    model versions its ticks start at; `mp`'s undo restores the wrapped
-    names."""
+    the coordinator's cycle, which stores the QoS report, is made, the
+    `Observation`s and `HostObs` built, in all and after tick 0, the
+    trace line lists made, in all and after tick 0, and the (host, kind)
+    keys the trace names, and the model versions its ticks start at;
+    `mp`'s undo restores the wrapped names."""
     world, duration = built(mp, "flows_steady", hosts)
     calls = count_calls(mp, (World, "_kernel_tick", "reports"))
     versions = set()
@@ -202,13 +215,23 @@ def memo_counts(mp, hosts: int) -> dict:
             calls["report_objects"] += bool(reporting)
             _init(obj, *args, **kwargs)
         mp.setattr(cls, "__init__", init)
+    for cls, counter in ((adaptation.Observation, "observations"),
+                         (adaptation.HostObs, "host_obs")):
+        def init(obj, *args, _init=cls.__init__, _counter=counter,
+                 **kwargs):
+            calls[_counter] += 1
+            calls[f"late_{_counter}"] += world.now > 0
+            _init(obj, *args, **kwargs)
+        mp.setattr(cls, "__init__", init)
     step = World.step
 
     def versioned(w):
         versions.add(w.model_version)
         return step(w)
     mp.setattr(World, "step", versioned)
-    world.run(duration)
+    world.step()
+    lists = len(world._filed)
+    world.run(duration - 1)
     return {"ticks": world.now, "model_versions": len(versions),
             "connectors": len(world.connectors),
             "components": len(world.component_host),
@@ -216,7 +239,15 @@ def memo_counts(mp, hosts: int) -> dict:
             "firing_entries": calls["firing_entries"],
             "hosts": len(world.hosts), "reports": calls["reports"],
             "report_plans": calls["report_plans"],
-            "report_objects": calls["report_objects"]}
+            "report_objects": calls["report_objects"],
+            "observations": calls["observations"],
+            "host_obs": calls["host_obs"],
+            "late_observations": calls["late_observations"],
+            "late_host_obs": calls["late_host_obs"],
+            "line_lists": len(world._filed),
+            "late_line_lists": len(world._filed) - lists,
+            "trace_keys": len({tuple(line.split()[1:3])
+                               for line in world.trace_lines})}
 
 
 def count_calls(mp, *wrapped) -> Counter:
@@ -288,6 +319,11 @@ def test_a_steady_world_builds_its_heads_and_entries_once_a_version(
     assert counts["report_plans"] == counts["hosts"] * versions
     assert counts["reports"] > counts["report_plans"]
     assert counts["report_objects"] == 0
+    assert counts["observations"] == 1
+    assert counts["host_obs"] == counts["hosts"]
+    assert counts["late_observations"] == counts["late_host_obs"] == 0
+    assert counts["trace_keys"] <= counts["line_lists"]
+    assert counts["late_line_lists"] < counts["hosts"]
 
 
 @pytest.mark.parametrize("hosts", sorted(PINNED["failover_rebuilds"]))

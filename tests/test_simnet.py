@@ -2,8 +2,10 @@
 
 import dataclasses
 import os
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptsim import behaviors, kernel
 from adaptsim.connector import Endpoint, FlowPolicy, FlowSync, LossKind
@@ -147,7 +149,7 @@ class TestHostPhase:
                                      behavior="sink"), "h2"))
         kernel.apply_now(w, Connect("k1", Endpoint("src", "o"),
                                     (Endpoint("snk", "i"),), FlowPolicy()))
-        w._tick_buffer.clear()
+        w.discard_tick_lines()
         return w
 
     def test_samples_cross_the_link_after_latency(self):
@@ -325,8 +327,7 @@ def dataplane_world():
                                            policy)).applied
     w.schedule(sim_event(3, SimEventKind.LINK_DOWN, endpoints=("h2", "h3")))
     w.schedule(sim_event(9, SimEventKind.LINK_UP, endpoints=("h2", "h3")))
-    w._tick_buffer.clear()
-    w._trace_seq = 0
+    w.discard_tick_lines()
     return w
 
 
@@ -335,6 +336,85 @@ def test_the_data_plane_trace_is_pinned():
     w.run(17)                       # reporting ticks 0, 5, 10 and 15
     with open(DATAPLANE_GOLDEN) as fh:
         assert "\n".join(w.trace_lines) + "\n" == fh.read()
+
+
+def reference_order(made: list) -> list:
+    """The tick's lines in the order the trace once kept them: a sort of
+    (host, kind, seq, line) tuples, seq counting the lines of the tick in
+    the order they were made."""
+    return [line for _, _, _, line in sorted(made)]
+
+
+TRACE_OPS = st.one_of(
+    st.tuples(st.just("trace"), st.sampled_from(["h1", "h2", "h3", "h4",
+                                                 "-"]),
+              st.sampled_from(["CMD", "CTX", "EVT", "FLOW", "NET", "QOS"])),
+    st.tuples(st.just("flow"), st.sampled_from(["keep", "refuse", "stall"]),
+              st.sampled_from(["push", "deliver", "drop"]),
+              st.integers(0, 1)),
+    st.tuples(st.just("report"), st.sampled_from(["h1", "h2", "h3", "h4"])),
+    st.tuples(st.just("move"), st.sampled_from(["x", "y", "u", "s"]),
+              st.sampled_from(["h1", "h2", "h3", "h4"])),
+    st.just(("tick",)), st.just(("pickle",)))
+
+
+class TestTraceOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(TRACE_OPS, max_size=60))
+    def test_lines_come_out_in_the_order_of_the_old_sort(self, ops):
+        """Random interleavings of `trace`, `flow_trace`, host reports and
+        moves, which drop FLOW heads and report plans, over several hosts,
+        kinds and ticks, the world pickled and resumed mid-tick here and
+        there: each tick's lines equal the old sort of the lines as they
+        were made, and every head and plan holds the list its (host, kind)
+        is filed in."""
+        w = dataplane_world()
+        want, made = [], []
+
+        def flush():
+            w._flush_trace()
+            want.extend(f"tick={w.now} {line}"
+                        for line in reference_order(made))
+            made.clear()
+            w.now += 1
+
+        for n, op in enumerate(ops):
+            before = {key: len(lines) for key, lines in w._lines.items()}
+            if op[0] == "trace":
+                w.trace(op[1], op[2], f"n={n}")
+            elif op[0] == "flow":
+                k = w.connectors[op[1]]
+                sink = None if op[2] == "push" else k.sinks[op[3] %
+                                                            len(k.sinks)]
+                w.flow_trace(k, w.now, op[2], sink, n)
+            elif op[0] == "report":
+                w._kernel_tick(op[1])
+            elif op[0] == "move":
+                kernel.apply_now(w, Move(op[1], op[2]))
+            elif op[0] == "tick":
+                flush()
+            else:
+                w = pickle.loads(pickle.dumps(w))
+                assert_filing_shared(w)
+            for key, lines in w._lines.items():
+                for line in lines[before.get(key, 0):]:
+                    host, kind = (f.split("=", 1)[1]
+                                  for f in line.split()[:2])
+                    made.append((host, kind, len(made), line))
+        flush()
+        assert w.trace_lines == want
+        assert_filing_shared(w)
+
+
+def assert_filing_shared(w):
+    """Each (key, lines) pair is filed once, in key order, and every FLOW
+    head and report plan holds the list of its host's key."""
+    assert [key for key, _ in w._filed] == sorted(w._lines)
+    assert all(lines is w._lines[key] for key, lines in w._filed)
+    for lines, text in w._heads.values():
+        assert lines is w._lines[text.split()[0][5:], "FLOW"]
+    for hid, plan in w._registry[1].items():
+        assert plan[-1] is w._lines[hid, "CTX"]
 
 
 class TestReports:
