@@ -593,7 +593,7 @@ class _Scoring:
     resource: dict              # the report's terms and their means
     link: dict
     means: tuple
-    flows: Optional[dict] = None    # `_flow_paths`, once a repair read it
+    flows: dict                     # `_flow_paths` over the obs's routes
     used: list = field(init=False)  # `_in_use`
     # a component's host is down or unreachable, or a connector scores 0
     hard: bool = field(init=False)
@@ -622,7 +622,7 @@ def _score(world, now: int, shape: tuple, versions: tuple) -> _Scoring:
     obs = observe(world, now)
     report = evaluate_qos(model, obs, world.descriptors)
     return _Scoring(shape, versions, model, obs, report.resource,
-                    report.link, report.means)
+                    report.link, report.means, _flow_paths(model, obs.routes))
 
 
 def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
@@ -632,8 +632,7 @@ def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
     The components and connectors that changed are those whose entries
     differ between the model `kept` scored and the current one.  A flow
     is a connector's demand and path to one sink (see `_flow_paths`); the
-    old flows are read over the kept observation's routes, a snapshot of
-    the old topology.  Recomputes:
+    old flows are those `kept` holds.  Recomputes:
     - the observation of each host whose reachability moved, or that a
       changed component left, joined or runs on, and the resource term of
       each component on such a host;
@@ -663,9 +662,7 @@ def _repair(kept: _Scoring, world, now: int, versions: tuple) -> _Scoring:
             redone.add(hid)
     obs = Observation(now, hosts, dict(kept.obs.links), routes.view(
         {hid: ho.up for hid, ho in hosts.items()}))
-    flows = _flow_paths(model, obs.routes)
-    last = kept.flows if kept.flows is not None else _flow_paths(
-        old, kept.obs.routes)
+    flows, last = _flow_paths(model, obs.routes), kept.flows
     changed = {key for key in flows.keys() | last.keys()
                if flows.get(key) != last.get(key)}
     kids.update(kid for kid, _ in changed)
@@ -720,8 +717,8 @@ class Coordinator:
         gained a host or link.  Later cycles keep the last scoring while
         the model and topology versions stay put, and repair it when one
         of them moved (see `_repair`): from the model last scored, set
-        against the current one, and from the kept observation and its
-        routes, a snapshot of the old topology.
+        against the current one, and from the kept observation and the
+        flows it scored.
         """
         shape = (world, world.coordinator_host, len(world.hosts),
                  len(world.links))

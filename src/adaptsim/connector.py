@@ -183,8 +183,8 @@ class ConnectorInstance:
         self.tracer(self, now, "deliver", self.sinks[i], head.seq)
         return head.payload
 
-    def reroute_check(self, now: int, link_up: Callable) -> None:
-        """Re-path in-transit samples whose route lost a link.
+    def reroute_check(self, now: int, broken: Callable) -> None:
+        """Re-path in-transit samples whose host path is `broken`.
 
         Lossless samples are re-scheduled over the current route (waiting
         when none exists); keep-latest samples on a dead path are dropped.
@@ -192,10 +192,8 @@ class ConnectorInstance:
         for i, (sink, q) in enumerate(list(self._queues.items())):
             kept = []
             for entry in q:
-                path = entry.path
-                broken = path and any(
-                    not link_up(a, b) for a, b in zip(path, path[1:]))
-                if broken and entry.available_at > now:
+                if entry.available_at > now and entry.path \
+                        and broken(entry.path):
                     if self._keep_latest:
                         self.tracer(self, now, "drop", sink, entry.seq)
                         continue

@@ -80,11 +80,10 @@ def sim_event(at, kind, **args) -> SimEvent:
 @dataclass(slots=True)
 class _Routing:
     """What routing knows of one topology state: its down host ids and
-    down link endpoint pairs, its routes and its memos of
-    `connector_transit` by host pair and `connector_hops` by connector."""
+    down link endpoint pairs, its routes and its memo of `connector_hops`
+    by connector."""
     down: tuple                     # (host ids, link pairs), frozensets
     routes: kernel.Routes
-    transit: dict
     hops: dict
 
 
@@ -184,11 +183,11 @@ class World:
         The current state's record is kept, and so is the previous
         state's, for a host that rejoins or a link that comes back.  When
         hosts or links only went down since the current state, every
-        memoized path and transit, and every hop list whose hops all do,
-        that avoids them is carried over: a least fewest-hop path that
-        survives in a smaller graph is still least there, and an
-        unreachable pair stays unreachable.  Any other change, or a host
-        or link added, routes anew.
+        memoized path, and every hop list whose hops all do, that avoids
+        them is carried over: a least fewest-hop path that survives in a
+        smaller graph is still least there, and an unreachable pair stays
+        unreachable.  Any other change, or a host or link added, routes
+        anew.
         """
         kept = self._routing
         if self._routed_at == self.topology_version:
@@ -203,21 +202,19 @@ class World:
         if len(kept) > 1 and kept[1].down == down:
             self._routing = (kept[1], kept[0])
             return kept[1]
-        known, transit, hops = {}, {}, {}
+        known, hops = {}, {}
         was = kept[0].down if kept else None
         if was and down[0] >= was[0] and down[1] >= was[1]:
             hosts, links = down[0] - was[0], down[1] - was[1]
             known = {pair: path
                      for pair, path in kept[0].routes.known.items()
                      if path is None or _avoids(path, hosts, links)}
-            transit = {pair: hop for pair, hop in kept[0].transit.items()
-                       if hop is None or _avoids(hop[1], hosts, links)}
             hops = {kid: found for kid, found in kept[0].hops.items()
                     if all(hop is None or _avoids(hop[1], hosts, links)
                            for hop in found)}
         record = _Routing(down, kernel.Routes(
             {hid: h.desc.up for hid, h in self.hosts.items()}, self.links,
-            known), transit, hops)
+            known), hops)
         self._routing = (record,) + kept[:1]
         return record
 
@@ -287,9 +284,9 @@ class World:
         # the callback holds the world and the connector's id only, so a
         # connector carries no reference to the state around it, and it
         # pickles.  A connector reads every hop from `connector_hops`,
-        # which calls `connector_transit` only when it keeps no hops for
-        # the connector, looking the method up per call, so a wrapper set
-        # on World reaches it
+        # bound here, so a wrapper on World reaches it only if set before
+        # the connector is made (before `cli.build_world`); it calls
+        # `connector_transit`, looked up on every call
         return ConnectorInstance(id=kid, source=source, sinks=sinks,
                                  policy=policy,
                                  hops=partial(self.connector_hops, kid),
@@ -310,24 +307,18 @@ class World:
         """(latency ticks, host path) from source to sink, None if no route.
 
         Flow transport is latency-bound; bandwidth enters the QoS score,
-        not per-sample timing.  Memoized per host pair with the routes of
-        the topology state: latencies are fixed once a link is added.
+        not per-sample timing.  The path comes from the routes' memo, and
+        `connector_hops` keeps the answer with the connector's hop list.
         """
         src = self.component_host[self.connectors[kid].source.component]
         dst = self.component_host[sink.component]
         if src == dst:
             return (0, ())
-        transit = self._routed().transit
-        hop = transit.get((src, dst), _ABSENT)
-        if hop is _ABSENT:
-            path = kernel.shortest_path(self, src, dst)
-            hop = transit[src, dst] = None if path is None else (
-                sum(self.links[frozenset((a, b))].latency
-                    for a, b in zip(path, path[1:])), tuple(path))
-        return hop
-
-    def link_up(self, a: str, b: str) -> bool:
-        return self.hosts[a].desc.up and b in self.routes().adj.get(a, ())
+        path = kernel.shortest_path(self, src, dst)
+        if path is None:
+            return None
+        return (sum(self.links[frozenset(hop)].latency
+                    for hop in zip(path, path[1:])), tuple(path))
 
     # -- trace -------------------------------------------------------------
 
@@ -455,20 +446,23 @@ class World:
             report["events"] += 1
         # (2) flow re-routing.  After a pass every in-transit path is valid
         # at that pass's state, and until the next pass samples are routed
-        # at that state or with more hosts down (phase 3).  So only a host
-        # or link that went down since the last pass can break a path, and
-        # only connectors with a sample in transit over one are checked
+        # at that state or with more hosts down (phase 3).  So a path is
+        # broken when it crosses a host or link that went down since the
+        # last pass, and only connectors with a sample in transit over a
+        # broken path are checked
         down, passed = self._routed().down, self._passed
         if down is not passed:
             hosts, links = down[0] - passed[0], down[1] - passed[1]
             if hosts or links:
                 now = self.now
+
+                def broken(path) -> bool:
+                    return not _avoids(path, hosts, links)
                 for kid in sorted(self.connectors):
                     k = self.connectors[kid]
-                    if any(e.available_at > now and e.path
-                           and not _avoids(e.path, hosts, links)
+                    if any(e.available_at > now and e.path and broken(e.path)
                            for q in k._queues.values() for e in q):
-                        k.reroute_check(now, self.link_up)
+                        k.reroute_check(now, broken)
             self._passed = down
         # (3) battery drain; exhausted hosts leave
         for hid in sorted(self.hosts):

@@ -923,9 +923,9 @@ def hard_violation(model, report, obs) -> bool:
 def run_checked(w, ticks, commands=None):
     """Runs `w` for `ticks` ticks, each app command of `commands` ({tick:
     [command]}) submitted before its tick, and checks every cycle's report
-    and kept hard-violation verdict against those of a fresh `observe` +
-    `evaluate_qos` made as the cycle starts, and every observation a cycle
-    builds against a fresh `observe`."""
+    and kept hard-violation verdict and flows against those of a fresh
+    `observe` + `evaluate_qos` made as the cycle starts, and every
+    observation a cycle builds against a fresh `observe`."""
     cycle = Coordinator.run_cycle
     observation = Coordinator._observation
 
@@ -933,10 +933,12 @@ def run_checked(w, ticks, commands=None):
         fresh = observe(world, now)
         want = evaluate_qos(world.model, fresh, world.descriptors)
         hard = hard_violation(world.model, want, fresh)
+        flows = adaptation._flow_paths(world.model, fresh.routes)
         out = cycle(coord, world, now)
         # repr tells every float bit apart, -0.0 from 0.0 too
         assert repr(world.last_qos) == repr(want)
         assert coord._scored.hard is hard
+        assert coord._scored.flows == flows
         return out
 
     def checked_observation(coord, world, now):

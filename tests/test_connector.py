@@ -134,7 +134,8 @@ class TestLatency:
     def test_reroute_on_link_failure_lossless(self):
         c = conn(route=lambda sink: (4, ("h1", "h3", "h2")))
         c.push("a", "out", "x", now=0)
-        c.reroute_check(now=1, link_up=lambda a, b: (a, b) != ("h1", "h3"))
+        c.reroute_check(now=1, broken=lambda path: ("h1", "h3") in zip(
+            path, path[1:]))
         assert c.pull("b", "in", now=4) is None
         assert c.pull("b", "in", now=5) == "x"    # re-routed at 1, lat 4
 
@@ -142,7 +143,8 @@ class TestLatency:
         c = conn(FlowPolicy(loss=LossKind.KEEP_LATEST),
                  route=lambda sink: (4, ("h1", "h3", "h2")))
         c.push("a", "out", "x", now=0)
-        c.reroute_check(now=1, link_up=lambda a, b: (a, b) != ("h1", "h3"))
+        c.reroute_check(now=1, broken=lambda path: ("h1", "h3") in zip(
+            path, path[1:]))
         assert c.pull("b", "in", now=100) is None
 
 

@@ -1,6 +1,7 @@
 """Routing index and the topology version: oracle and invalidation."""
 
 import dataclasses
+import functools
 import heapq
 import random
 from types import SimpleNamespace
@@ -387,9 +388,9 @@ class TestInvalidation:
         checked = []
         check = ConnectorInstance.reroute_check
 
-        def counted(k, now, link_up):
+        def counted(k, now, broken):
             checked.append((now, k.id))
-            return check(k, now, link_up)
+            return check(k, now, broken)
         monkeypatch.setattr(ConnectorInstance, "reroute_check", counted)
         return checked
 
@@ -642,17 +643,28 @@ class TestHopLists:
 
 # -- routing kept per topology state -----------------------------------------
 
+def hop_broken(w, path):
+    """The reference rule: a path is broken when one of its hops leaves a
+    down host or crosses no up link into an up host, read from the routes
+    of the world as it is."""
+    adj = w.routes().adj
+    return any(not w.hosts[a].desc.up or b not in adj.get(a, ())
+               for a, b in zip(path, path[1:]))
+
+
 class EveryVersionWorld(World):
     """The reference re-route pass: every connector is checked at every
-    topology version change.  The scripts fire their events between ticks,
-    so phase (1) of a step is empty and the pass can run before it."""
+    topology version change, under `hop_broken`.  The scripts fire their
+    events between ticks, so phase (1) of a step is empty and the pass can
+    run before it."""
 
     checked_at = None
 
     def step(self):
         if self.checked_at != self.topology_version:
             for kid in sorted(self.connectors):
-                self.connectors[kid].reroute_check(self.now, self.link_up)
+                self.connectors[kid].reroute_check(
+                    self.now, functools.partial(hop_broken, self))
             self.checked_at = self.topology_version
         self._passed = self._routed().down      # the world's own pass idles
         return super().step()
@@ -699,31 +711,48 @@ def queued(w):
 
 
 def check_kept_routing(w):
-    """Every answer the world's routes and transit memo hold equals one
-    of routes built for the world as it is."""
+    """Every answer the world's routes hold equals one of routes built for
+    the world as it is, and so does every hop list the current topology
+    state keeps: `fresh_transit` of each sink, (0, ()) for a local one."""
     fresh = kernel.Routes({hid: h.desc.up for hid, h in w.hosts.items()},
                           w.links)
     for (src, dst), path in w.routes().known.items():
         assert path == fresh.path(src, dst), (src, dst)
-    for (src, dst), hop in w._routed().transit.items():
-        assert hop == fresh_transit(w, src, dst), (src, dst)
+    for kid, hops in w._routed().hops.items():
+        k = w.connectors[kid]
+        src = w.host_of(k.source.component)
+        assert hops == [(0, ()) if dst == src else fresh_transit(w, src, dst)
+                        for dst in (w.host_of(sink.component)
+                                    for sink in k.sinks)], kid
 
 
 def run_churn(script):
     """Runs the script on a churn_world and on an EveryVersionWorld in
-    step; after each step the kept routing must be exact and the queues
-    and traces equal.  Returns the world."""
+    step.  Each sample a pass of the churn_world checks must be broken
+    under its predicate exactly when it is under `hop_broken`; after each
+    step the kept routing must be exact and the queues and traces equal.
+    Returns the world."""
     w, ref = churn_world(), churn_world(EveryVersionWorld)
-    for step in script:
-        for world in (w, ref):
-            if step[0] == "tick":
-                world.step()
-            else:
-                kind, key = HOP_EVENTS[step[0]]
-                world._fire(sim_event(world.now, kind, **{key: step[1]}))
-        check_kept_routing(w)
-        assert queued(w) == queued(ref)
-        assert w.trace_lines == ref.trace_lines
+    check = ConnectorInstance.reroute_check
+
+    def compared(k, now, broken):
+        if w.connectors.get(k.id) is k:
+            for e in (e for q in k._queues.values() for e in q):
+                if e.available_at > now and e.path:
+                    assert broken(e.path) == hop_broken(w, e.path), e
+        return check(k, now, broken)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ConnectorInstance, "reroute_check", compared)
+        for step in script:
+            for world in (w, ref):
+                if step[0] == "tick":
+                    world.step()
+                else:
+                    kind, key = HOP_EVENTS[step[0]]
+                    world._fire(sim_event(world.now, kind, **{key: step[1]}))
+            check_kept_routing(w)
+            assert queued(w) == queued(ref)
+            assert w.trace_lines == ref.trace_lines
     return w
 
 
@@ -737,9 +766,10 @@ churn_steps = st.lists(st.one_of(
 
 
 class TestRoutingByState:
-    """Routes and transits are kept per topology state and carried across
-    a change that only takes hosts or links down; the re-route pass checks
-    only connectors with a sample in transit over what went down."""
+    """Routes and hop lists are kept per topology state and carried
+    across a change that only takes hosts or links down; the re-route pass
+    checks only connectors with a sample in transit over what went down,
+    and its rule agrees with the per-hop one of `hop_broken`."""
 
     @settings(max_examples=150, deadline=None)
     @given(script=churn_steps)

@@ -2,9 +2,10 @@
 flows_steady worlds.
 
 Wall time drifts with the shared host; the number of calls a run makes
-does not.  The tests count, from the test side, the calls of
-`World.link_up` and `ConnectorInstance.reroute_check` over world 0 of seed
-7 of the link_churn shape at 10 and at 40 hosts, and the cycles, the
+does not.  The tests count, from the test side, the path tests of the
+re-route pass and of the routing carry-over (`simnet._avoids` calls) and
+the calls of `ConnectorInstance.reroute_check` over world 0 of seed 7 of
+the link_churn shape at 10 and at 40 hosts, and the cycles, the
 placement searches and the calls of `observe`, `evaluate_qos`,
 `_score_assignment` and `_bound` made under `Coordinator.run_cycle` over
 world 0 of seed 7 of the failover_replan shape at 10, 20 and 160 hosts
@@ -14,8 +15,10 @@ hosts, with the context objects, validities and informations its reports
 and cycles build, the observations and host observations its cycles build
 and the trace line lists it makes, and the heads, entries, plans and
 `connector_transit` calls of the failover_replan world at 20 and 160
-hosts, and pin them exactly, so a change that makes the re-route pass or
-a replan do more work, builds a head, an entry, a plan or a line list per
+hosts, and the nodes every run's breadth-first searches reach (summed
+over the `_trees` of each `kernel.Routes` built), and pin them exactly,
+so a change that makes the routing, the re-route pass or a replan do
+more work, builds a head, an entry, a plan or a line list per
 tick or for hosts a command does not touch, builds a context object that
 no one reads, or observes the world at a cycle whose versions did not
 move, fails here.  The generator is imported read-only from perfbench/,
@@ -40,7 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import worldgen  # noqa: E402
-from adaptsim import adaptation, cli, descriptors, simnet  # noqa: E402
+from adaptsim import adaptation, cli, descriptors, kernel, simnet  # noqa: E402
 from adaptsim.adaptation import Coordinator  # noqa: E402
 from adaptsim.connector import ConnectorInstance  # noqa: E402
 from adaptsim.context import (ContextInformation, ContextObject,  # noqa: E402
@@ -48,27 +51,35 @@ from adaptsim.context import (ContextInformation, ContextObject,  # noqa: E402
 from adaptsim.simnet import World  # noqa: E402
 
 SEED = 7
-# workload -> hosts -> whole-run counts.  link_churn: link_up per
-# component-tick is 0.72 at 10 hosts and 0.77 at 40; it was 5.75 and
-# 14.98 (3,448 and 35,941 calls, 400 and 1,600 checks) while every pass
-# checked every queued sample.  failover_replan: a run observes and
+# workload -> hosts -> whole-run counts.  link_churn: the pass and the
+# routing carry-over test 812 and 6,773 paths at 10 and 40 hosts; they
+# tested 675 and 6,288 and `reroute_check` re-tested hop by hop through
+# `World.link_up` (433 and 1,857 calls) before the pass handed its
+# predicate to `reroute_check`, and `link_up` made 3,448 and 35,941 calls
+# (400 and 1,600 checks) while every pass checked every queued sample.
+# The BFS node counts were the same before the host-pair transit memo
+# was deleted, at every pinned size.  failover_replan: a run observes and
 # scores in full once, at its first cycle, and repairs that scoring at
 # each replan; it was once per cycle (4 of each) while every version move
 # re-observed the world.  A replan's placement search scores one
 # assignment and bounds two nodes at 20 hosts and at 160 alike
 PINNED = {
     "link_churn": {
-        10: {"component_ticks": 600, "link_up": 433, "reroute_check": 42},
-        40: {"component_ticks": 2400, "link_up": 1857,
-             "reroute_check": 77},
+        10: {"component_ticks": 600, "_avoids": 812, "reroute_check": 42,
+             "bfs_nodes": 1120},
+        40: {"component_ticks": 2400, "_avoids": 6773,
+             "reroute_check": 77, "bfs_nodes": 24508},
     },
     "failover_replan": {
         10: {"cycles": 4, "select_deployment": 3, "observe": 1,
-             "evaluate_qos": 1, "_score_assignment": 4, "_bound": 7},
+             "evaluate_qos": 1, "_score_assignment": 4, "_bound": 7,
+             "bfs_nodes": 58},
         20: {"cycles": 4, "select_deployment": 3, "observe": 1,
-             "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6},
+             "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6,
+             "bfs_nodes": 281},
         160: {"cycles": 4, "select_deployment": 3, "observe": 1,
-              "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6},
+              "evaluate_qos": 1, "_score_assignment": 3, "_bound": 6,
+              "bfs_nodes": 12046},
     },
     # one model version a run: a push head and a deliver head for each
     # connector, whose one sink is a component's one in port, one firing
@@ -87,13 +98,13 @@ PINNED = {
              "hosts": 20, "reports": 180, "report_plans": 20,
              "report_objects": 0, "observations": 1, "host_obs": 20,
              "late_observations": 0, "late_host_obs": 0, "line_lists": 39,
-             "late_line_lists": 9, "trace_keys": 37},
+             "late_line_lists": 9, "trace_keys": 37, "bfs_nodes": 174},
         80: {"ticks": 44, "model_versions": 1, "connectors": 80,
              "components": 120, "flow_heads": 160, "firing_entries": 120,
              "hosts": 80, "reports": 720, "report_plans": 80,
              "report_objects": 0, "observations": 1, "host_obs": 80,
              "late_observations": 0, "late_host_obs": 0, "line_lists": 140,
-             "late_line_lists": 27, "trace_keys": 131},
+             "late_line_lists": 27, "trace_keys": 131, "bfs_nodes": 2371},
     },
 }
 # failover_replan again: the firing entries, report plans, FLOW line heads
@@ -142,28 +153,50 @@ def built(mp, workload: str, hosts: int, seed: int = SEED, index: int = 0):
     return world, scenario.duration
 
 
+def routes_built(mp) -> list:
+    """The `kernel.Routes` records built from now on; `mp`'s undo restores
+    the wrapped `__init__`."""
+    records = []
+
+    def collect(routes, *args, _init=kernel.Routes.__init__, **kwargs):
+        records.append(routes)
+        _init(routes, *args, **kwargs)
+    mp.setattr(kernel.Routes, "__init__", collect)
+    return records
+
+
+def bfs_nodes(records: list) -> int:
+    """The nodes the breadth-first searches of `records` reached."""
+    return sum(len(reached) for routes in records
+               for reached, _ in routes._trees.values())
+
+
 def work_counts(mp, hosts: int) -> dict:
     """Runs the link_churn world at `hosts` hosts and counts the calls of
-    the wrapped methods, which `mp`'s undo restores."""
+    the wrapped functions and the BFS nodes reached; `mp`'s undo restores
+    the wrapped names."""
     world, duration = built(mp, "link_churn", hosts)
+    records = routes_built(mp)
     calls = Counter()
-    for owner, name in ((World, "link_up"),
+    for owner, name in ((simnet, "_avoids"),
                         (ConnectorInstance, "reroute_check")):
-        def counted(*args, _method=getattr(owner, name), _name=name):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
-            return _method(*args)
+            return _fn(*args)
         mp.setattr(owner, name, counted)
     world.run(duration)
     return {"component_ticks": len(world.component_host) * world.now,
-            "link_up": calls["link_up"],
-            "reroute_check": calls["reroute_check"]}
+            "_avoids": calls["_avoids"],
+            "reroute_check": calls["reroute_check"],
+            "bfs_nodes": bfs_nodes(records)}
 
 
 def replan_counts(mp, hosts: int) -> dict:
     """Runs the failover_replan world at `hosts` hosts and counts its
-    cycles and the calls each makes of the wrapped functions, which `mp`'s
-    undo restores."""
+    cycles and the calls each makes of the wrapped functions, and the BFS
+    nodes the run reached; `mp`'s undo restores the wrapped names."""
     world, duration = built(mp, "failover_replan", hosts)
+    records = routes_built(mp)
     calls = Counter()
     cycling = []
     run_cycle = Coordinator.run_cycle
@@ -184,7 +217,7 @@ def replan_counts(mp, hosts: int) -> dict:
             return _fn(*args, **kwargs)
         mp.setattr(adaptation, name, counted)
     world.run(duration)
-    return dict(calls)
+    return {**calls, "bfs_nodes": bfs_nodes(records)}
 
 
 def memo_counts(mp, hosts: int) -> dict:
@@ -195,10 +228,11 @@ def memo_counts(mp, hosts: int) -> dict:
     objects, validities and informations built while a host's report or
     the coordinator's cycle, which stores the QoS report, is made, the
     `Observation`s and `HostObs` built, in all and after tick 0, the
-    trace line lists made, in all and after tick 0, and the (host, kind)
-    keys the trace names, and the model versions its ticks start at;
-    `mp`'s undo restores the wrapped names."""
+    trace line lists made, in all and after tick 0, the (host, kind) keys
+    the trace names, the BFS nodes reached, and the model versions its
+    ticks start at; `mp`'s undo restores the wrapped names."""
     world, duration = built(mp, "flows_steady", hosts)
+    records = routes_built(mp)
     calls = count_calls(mp, (World, "_kernel_tick", "reports"))
     versions = set()
     reporting = []
@@ -247,7 +281,8 @@ def memo_counts(mp, hosts: int) -> dict:
             "line_lists": len(world._filed),
             "late_line_lists": len(world._filed) - lists,
             "trace_keys": len({tuple(line.split()[1:3])
-                               for line in world.trace_lines})}
+                               for line in world.trace_lines}),
+            "bfs_nodes": bfs_nodes(records)}
 
 
 def count_calls(mp, *wrapped) -> Counter:
